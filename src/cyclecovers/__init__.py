@@ -52,7 +52,7 @@ from .groups import (
     HeisenbergGroup,
     cocycle_check,
 )
-from .modular import Prime, Scalar, Vector, carry, dot
+from .modular import Prime, Vector, carry_int
 from .spectra import (
     DegreeBoundTable,
     SpectrumReport,

@@ -56,6 +56,11 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
+def _require_d(d: int) -> None:
+    if d < 1:
+        raise UsageError("d must be >= 1")
+
+
 def _signs(sign: str) -> list[str]:
     if sign == "both":
         return [PLUS, MINUS]
@@ -128,8 +133,7 @@ def cmd_build(args) -> int:
         if args.p is None or args.d is None:
             raise UsageError("build requires --p and --d (or --heisenberg --d)")
         p = _require_odd_prime(args.p)
-        if args.d < 1:
-            raise UsageError("d must be >= 1")
+        _require_d(args.d)
         for sign in _signs(args.sign):
             try:
                 cm = build_cover(p, args.d, sign)
@@ -145,25 +149,41 @@ def cmd_build(args) -> int:
 # ---------------------------------------------------------------- verify
 
 
+def _certify_cayley(report: dict, cm: CoveringMap, fold: int,
+                    p_cycle_expected: Optional[bool], want_girth: bool) -> None:
+    """Checks shared by every cover verify certifies: the covering axioms,
+    then the 4-cycle, fold-length cycle and girth certificates on the built
+    cover. The cover is a Cayley graph, so vertex-transitive, and the cycle
+    searches run from vertex 0 alone (README, verify)."""
+    checks = report["checks"]
+    try:
+        found_fold = verify_cover(cm)
+        checks["cover_axioms"] = _check(found_fold == fold, None, fold=found_fold)
+        report["fold"] = found_fold
+    except CoverVerificationError as exc:
+        checks["cover_axioms"] = _check(False, list(map(str, [exc.axiom, exc.witness])))
+    found4, wit4 = has_4cycle(cm.total, root=0)
+    report["four_cycle_free"] = not found4
+    checks["four_cycle_free"] = _check(not found4, list(wit4) if wit4 else None)
+    if p_cycle_expected is not None:
+        foundp, witp = has_cycle_of_length(cm.total, fold, root=0)
+        report["p_cycle_present"] = foundp
+        checks["p_cycle_expectation"] = _check(
+            foundp == p_cycle_expected, list(witp) if witp else None, expected=p_cycle_expected
+        )
+    if want_girth:
+        report["girth"] = girth(cm.total, GIRTH_CAP, root=0)
+        report["girth_cap"] = GIRTH_CAP
+
+
 def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
     report = _empty_report({"kind": "extraspecial", "p": p, "d": d, "sign": sign})
     checks = report["checks"]
-    cm = build_cover(p, d, sign)
     try:
-        fold = verify_cover(cm)
-        checks["cover_axioms"] = _check(fold == p, None, fold=fold)
-        report["fold"] = fold
-    except CoverVerificationError as exc:
-        checks["cover_axioms"] = _check(False, list(map(str, [exc.axiom, exc.witness])))
-    found4, wit4 = has_4cycle(cm.total)
-    report["four_cycle_free"] = not found4
-    checks["four_cycle_free"] = _check(not found4, list(wit4) if wit4 else None)
-    foundp, witp = has_cycle_of_length(cm.total, p)
-    report["p_cycle_present"] = foundp
-    expected = sign == PLUS
-    checks["p_cycle_expectation"] = _check(
-        foundp == expected, list(witp) if witp else None, expected=expected
-    )
+        cm = build_cover(p, d, sign)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    _certify_cayley(report, cm, p, sign == PLUS, want_girth)
     cs = connection_set(p, d)
     rank = modular_rank([v.coords for v in cs.ordered], p)
     checks["connection_rank"] = _check(rank == 2 * d, None, rank=rank)
@@ -179,32 +199,14 @@ def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
     expected_order = p if sign == PLUS else p * p
     orders = sorted({group.order(g) for g in conn})
     checks["element_orders"] = _check(orders == [expected_order], None, orders=orders)
-    if want_girth:
-        g = girth(cm.total, GIRTH_CAP)
-        report["girth"] = g
-        report["girth_cap"] = GIRTH_CAP
     report["passed"] = all(c["pass"] for c in checks.values())
     return report
 
 
 def _verify_heisenberg(d: int, want_girth: bool) -> dict:
     report = _empty_report({"kind": "heisenberg", "d": d})
-    checks = report["checks"]
-    cm = heisenberg_cover(d)
-    try:
-        fold = verify_cover(cm)
-        checks["cover_axioms"] = _check(fold == 2, None, fold=fold)
-        report["fold"] = fold
-    except CoverVerificationError as exc:
-        checks["cover_axioms"] = _check(False, list(map(str, [exc.axiom, exc.witness])))
-    found4, wit4 = has_4cycle(cm.total)
-    report["four_cycle_free"] = not found4
-    checks["four_cycle_free"] = _check(not found4, list(wit4) if wit4 else None)
-    if want_girth:
-        g = girth(cm.total, GIRTH_CAP)
-        report["girth"] = g
-        report["girth_cap"] = GIRTH_CAP
-    report["passed"] = all(c["pass"] for c in checks.values())
+    _certify_cayley(report, heisenberg_cover(d), 2, None, want_girth)
+    report["passed"] = all(c["pass"] for c in report["checks"].values())
     return report
 
 
@@ -218,8 +220,7 @@ def cmd_verify(args) -> int:
         if args.p is None or args.d is None:
             raise UsageError("verify requires --p and --d (or --heisenberg --d)")
         p = _require_odd_prime(args.p)
-        if args.d < 1:
-            raise UsageError("d must be >= 1")
+        _require_d(args.d)
         for sign in _signs(args.sign):
             reports.append(_verify_extraspecial(p, args.d, sign, args.girth))
     passed = all(r["passed"] for r in reports)
@@ -358,12 +359,13 @@ def cmd_spectrum(args) -> int:
     if args.p is None or args.d is None:
         raise UsageError("spectrum requires --p and --d (or --heisenberg --d)")
     p = _require_odd_prime(args.p)
+    _require_d(args.d)
+    if p ** (1 + 2 * args.d) > MAX_EIGEN_SIZE:
+        raise UsageError("cover too large for the eigensolver")
     constructions = []
     passed = True
     for sign in _signs(args.sign):
         cm = build_cover(p, args.d, sign)
-        if cm.total.n > MAX_EIGEN_SIZE:
-            raise UsageError("cover too large for the eigensolver")
         cover_report = hermitian_eigenvalues(
             adjacency_matrix(cm.total), source=f"cover p={p} d={args.d} sign={sign}")
         gg = gain_from_cocycle(p, args.d, sign)
@@ -396,6 +398,7 @@ def cmd_gain(args) -> int:
     if args.p is None or args.d is None:
         raise UsageError("gain requires --p and --d")
     p = _require_odd_prime(args.p)
+    _require_d(args.d)
     docs = []
     for sign in _signs(args.sign):
         gg = gain_from_cocycle(p, args.d, sign)

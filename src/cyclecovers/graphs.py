@@ -58,19 +58,6 @@ class Graph:
         degs = {len(nb) for nb in self._adj}
         return degs.pop() if len(degs) == 1 else None
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self._adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
@@ -205,20 +192,23 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
     return Graph(len(vertices), edges)
 
 
-def girth(g: Graph, cap: int = 13) -> Optional[int]:
+def girth(g: Graph, cap: int = 13, root: Optional[int] = None) -> Optional[int]:
     """Length of a shortest cycle when it is below cap, else None (girth >= cap).
 
     Per-root BFS truncated at depth ceil(cap/2); the minimum over roots of
     dist(u) + dist(w) + 1 over non-tree edges is exact whenever it is < cap.
+    With root given, only that root's BFS runs. Its value is invariant under
+    automorphisms, so on a vertex-transitive graph, such as a Cayley graph,
+    every root gives the same value, which is then the minimum: the girth.
     """
     if cap < 3:
         raise ValueError("cap must be >= 3")
     best: Optional[int] = None
     max_depth = (cap + 1) // 2
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = collections.deque([root])
+    for r in range(g.n) if root is None else (root,):
+        dist = {r: 0}
+        parent = {r: -1}
+        queue = collections.deque([r])
         while queue:
             u = queue.popleft()
             if dist[u] >= max_depth:
@@ -239,9 +229,14 @@ def girth(g: Graph, cap: int = 13) -> Optional[int]:
     return None
 
 
-def has_4cycle(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
+def has_4cycle(g: Graph,
+               root: Optional[int] = None) -> tuple[bool, Optional[tuple[int, ...]]]:
     """True when some vertex pair has two common neighbors; witness is the
-    4-cycle (v, u, w, u') in cyclic order."""
+    4-cycle (v, u, w, u') in cyclic order. With root given, only 4-cycles
+    through root are searched, as has_cycle_of_length does, and the witness
+    starts at root; on a vertex-transitive graph that decides the same."""
+    if root is not None:
+        return _cycle_through(g, root, 4, 0)
     seen: dict[tuple[int, int], int] = {}
     for u in range(g.n):
         nb = g.neighbors(u)
@@ -255,22 +250,38 @@ def has_4cycle(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int]]]:
     return False, None
 
 
-def has_cycle_of_length(g: Graph, length: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exact-length simple cycle search by rooted DFS; roots only cycles at
-    their minimum vertex. Intended for length <= 13 and small degrees."""
+def _cycle_through(g: Graph, root: int, length: int,
+                   lowest: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Rooted DFS for a simple cycle of this length through root that uses
+    no vertex below lowest; the witness is the path from root."""
+    stack: list[tuple[int, tuple[int, ...]]] = [(root, (root,))]
+    while stack:
+        u, path = stack.pop()
+        if len(path) == length:
+            if g.has_edge(u, root):
+                return True, path
+            continue
+        for w in g.neighbors(u):
+            if w < lowest or w in path:
+                continue
+            stack.append((w, path + (w,)))
+    return False, None
+
+
+def has_cycle_of_length(g: Graph, length: int,
+                        root: Optional[int] = None) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Exact-length simple cycle search by rooted DFS; without root, every
+    vertex roots the cycles whose minimum vertex it is, since vertices below
+    it belong to cycles already searched. With root given, only cycles
+    through root are searched: on a vertex-transitive graph, such as a Cayley
+    graph, a cycle of this length exists exactly when one passes through any
+    chosen vertex. Intended for length <= 13 and small degrees."""
     if not 3 <= length <= 13:
         raise ValueError("cycle length must be between 3 and 13")
-    for root in range(g.n):
-        stack: list[tuple[int, tuple[int, ...]]] = [(root, (root,))]
-        while stack:
-            u, path = stack.pop()
-            if len(path) == length:
-                if g.has_edge(u, root):
-                    return True, path
-                continue
-            for w in g.neighbors(u):
-                # Vertices below the root belong to cycles already searched.
-                if w < root or w in path:
-                    continue
-                stack.append((w, path + (w,)))
+    if root is not None:
+        return _cycle_through(g, root, length, 0)
+    for r in range(g.n):
+        found, path = _cycle_through(g, r, length, r)
+        if found:
+            return found, path
     return False, None

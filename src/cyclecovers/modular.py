@@ -22,42 +22,6 @@ class Prime(int):
 
 
 @dataclass(frozen=True)
-class Scalar:
-    """A residue mod p, canonical representative in [0, p)."""
-
-    value: int
-    p: Prime
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, Prime):
-            object.__setattr__(self, "p", Prime(self.p))
-        if not 0 <= self.value < self.p:
-            raise ValueError(f"residue {self.value} out of range for p={self.p}")
-
-    def _check(self, other: "Scalar") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar((self.value + other.value) % self.p, self.p)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar((self.value - other.value) % self.p, self.p)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar((-self.value) % self.p, self.p)
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        return Scalar((self.value * other.value) % self.p, self.p)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-@dataclass(frozen=True)
 class Vector:
     """A fixed-length vector of residues mod p."""
 
@@ -112,19 +76,7 @@ class Vector:
         return all(c == 0 for c in self.coords)
 
 
-def dot(u: Vector, v: Vector) -> Scalar:
-    """Dot product mod p."""
-    u._check(v)
-    return Scalar(sum(a * b for a, b in zip(u.coords, v.coords)) % u.p, u.p)
-
-
-def carry(a: Scalar, b: Scalar) -> Scalar:
-    """1 when the canonical representatives of a and b sum past the modulus, else 0."""
-    if a.p != b.p:
-        raise ValueError(f"modulus mismatch: {a.p} vs {b.p}")
-    return Scalar(1 if a.value + b.value >= a.p else 0, a.p)
-
-
 def carry_int(a: int, b: int, p: int) -> int:
-    """carry() on raw representatives; a, b must already lie in [0, p)."""
+    """1 when a + b reaches the modulus p, else 0: the carry out of adding two
+    residues; a, b must already lie in [0, p)."""
     return 1 if a + b >= p else 0

@@ -217,6 +217,41 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "convolve-check")[0] == 2
 
 
+def _assert_usage_error(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclecovers", *argv],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_verify_over_size_cap_exits_2():
+    _assert_usage_error("verify", "--p", "13", "--d", "3")
+
+
+def test_gain_rejects_d0():
+    _assert_usage_error("gain", "--p", "3", "--d", "0")
+
+
+def test_spectrum_rejects_d0():
+    _assert_usage_error("spectrum", "--p", "3", "--d", "0")
+
+
+def test_spectrum_size_checked_before_build(capsys, monkeypatch):
+    import cyclecovers.cli as cli
+
+    def no_build(*args):
+        raise AssertionError("built a cover the eigensolver would refuse")
+
+    monkeypatch.setattr(cli, "build_cover", no_build)
+    code, _, err = run_cli(capsys, "spectrum", "--p", "3", "--d", "3")
+    assert code == 2
+    assert "eigensolver" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cyclecovers", "verify", "--heisenberg", "--d", "2"],

@@ -17,7 +17,14 @@ from cyclecovers.covers import (
     signed_double_cover,
     verify_cover,
 )
-from cyclecovers.graphs import Graph, cycle_graph, girth, has_4cycle, has_cycle_of_length, hypercube
+from cyclecovers.graphs import (
+    Graph,
+    cycle_graph,
+    girth,
+    has_4cycle,
+    has_cycle_of_length,
+    hypercube,
+)
 from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup
 from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 
@@ -191,6 +198,26 @@ def test_cover_girths():
     assert girth(cover(3, 1, MINUS).total) == 5
     assert girth(cover(5, 1, PLUS).total) == 5
     assert girth(cover(5, 1, MINUS).total) == 7
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("sign", SIGNS)
+def test_rooted_scans_match_all_roots_on_covers(p, d, sign):
+    total = cover(p, d, sign).total
+    assert has_4cycle(total, root=0)[0] == has_4cycle(total)[0]
+    # Same witness on plus covers, (False, None) on both paths for minus.
+    assert has_cycle_of_length(total, p, root=0) == has_cycle_of_length(total, p)
+    assert girth(total, 13, root=0) == girth(total, 13)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_rooted_scans_match_all_roots_on_heisenberg_covers(d):
+    total = cube_cover(d).total
+    assert has_4cycle(total, root=0)[0] == has_4cycle(total)[0]
+    g = girth(total, 13)
+    assert girth(total, 13, root=0) == g
+    if g is not None:
+        assert has_cycle_of_length(total, g, root=0) == has_cycle_of_length(total, g)
 
 
 # ---------------------------------------------------------------- verify_cover negatives

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecovers.graphs import (
     Graph,
@@ -16,6 +18,7 @@ from cyclecovers.graphs import (
     hypercube,
     induced_subgraph,
 )
+from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
 from oracles import brute_cycle_lengths, brute_girth, brute_has_4cycle
 
@@ -243,6 +246,64 @@ def test_cycle_lengths_against_brute_corpus():
                 assert len(set(wit)) == length
                 closed = list(wit) + [wit[0]]
                 assert all(g.has_edge(closed[i], closed[i + 1]) for i in range(length))
+
+
+# ---------------------------------------------------------------- rooted scans
+
+@st.composite
+def cyclic_cayley(draw):
+    """Z_n, n <= 12, with a random inverse-closed connection set."""
+    n = draw(st.integers(2, 12))
+    gens = draw(st.sets(st.integers(1, n - 1), max_size=4))
+    conn = sorted(gens | {(-s) % n for s in gens})
+    return list(range(n)), lambda a, b: (a + b) % n, lambda a: (-a) % n, conn
+
+
+@st.composite
+def extraspecial_cayley(draw):
+    """An extraspecial group of order 27, either sign, with a random
+    inverse-closed connection set."""
+    group = ExtraspecialGroup(3, 1, draw(st.sampled_from(SIGNS)))
+    carrier = list(group.elements())
+    gens = draw(st.lists(st.sampled_from(carrier[1:]), max_size=4, unique=True))
+    conn = list(dict.fromkeys(gens + [group.inv(g) for g in gens]))
+    return carrier, group.mul, group.inv, conn
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cyclic_cayley(), extraspecial_cayley()), st.integers(3, 13))
+def test_rooted_scans_match_all_roots_on_cayley_graphs(case, cap):
+    carrier, mul, inv, conn = case
+    g = cayley(carrier, mul, inv, conn)
+    found4, wit4 = has_4cycle(g, root=0)
+    assert found4 == has_4cycle(g)[0]
+    for length in range(3, 9):
+        found, wit = has_cycle_of_length(g, length, root=0)
+        assert found == has_cycle_of_length(g, length)[0], length
+        if length == 4:
+            assert (found, wit) == (found4, wit4)
+        if found:
+            assert wit[0] == 0 and len(set(wit)) == length
+            closed = list(wit) + [wit[0]]
+            assert all(g.has_edge(closed[i], closed[i + 1]) for i in range(length))
+    assert girth(g, cap, root=0) == girth(g, cap)
+    assert girth(g, root=0) == girth(g)
+
+
+def test_rooted_scans_search_through_the_root_only():
+    # A triangle with a pendant path: vertex 3 lies on no cycle.
+    g = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    assert has_cycle_of_length(g, 3, root=0) == (True, (0, 2, 1))
+    assert has_cycle_of_length(g, 3, root=3) == (False, None)
+    assert girth(g, root=1) == 3
+    # Off every cycle, one root's BFS sees a closed walk, not the girth; the
+    # graph is not vertex-transitive.
+    assert girth(g, root=4) == 7
+    assert has_4cycle(g, root=0) == (False, None)
+    with pytest.raises(ValueError):
+        has_cycle_of_length(g, 2, root=0)
+    with pytest.raises(ValueError):
+        girth(g, cap=2, root=0)
 
 
 # ---------------------------------------------------------------- induced
