@@ -60,7 +60,6 @@ from .spectra import (
     hermitian_eigenvalues,
     huang_degree_bound,
     snap_ceil,
-    symmetric_jacobi_eigenvalues,
     twisted_adjacency,
 )
 

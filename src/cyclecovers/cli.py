@@ -17,6 +17,7 @@ import numpy as np
 
 from . import convolution as conv
 from .covers import (
+    MAX_COVER_SIZE,
     CoveringMap,
     CoverVerificationError,
     build_cover,
@@ -59,6 +60,15 @@ def _require_odd_prime(p: int) -> int:
 def _require_d(d: int) -> None:
     if d < 1:
         raise UsageError("d must be >= 1")
+
+
+def _construct(builder, *args):
+    """Call a cover builder; the ValueError it raises for out-of-range
+    parameters, before building anything, is a usage error."""
+    try:
+        return builder(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _signs(sign: str) -> list[str]:
@@ -128,18 +138,14 @@ def cmd_build(args) -> int:
             raise UsageError("--heisenberg does not take --p")
         if args.d is None or args.d < 1:
             raise UsageError("--heisenberg requires --d >= 1")
-        jobs.append((f"heisenberg_d{args.d}", heisenberg_cover(args.d)))
+        jobs.append((f"heisenberg_d{args.d}", _construct(heisenberg_cover, args.d)))
     else:
         if args.p is None or args.d is None:
             raise UsageError("build requires --p and --d (or --heisenberg --d)")
         p = _require_odd_prime(args.p)
         _require_d(args.d)
         for sign in _signs(args.sign):
-            try:
-                cm = build_cover(p, args.d, sign)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            jobs.append((f"cover_p{p}_d{args.d}_{sign}", cm))
+            jobs.append((f"cover_p{p}_d{args.d}_{sign}", _construct(build_cover, p, args.d, sign)))
     for stem, cm in jobs:
         for path in _write_cover(cm, stem, out_dir, args.format):
             print(path)
@@ -179,11 +185,7 @@ def _certify_cayley(report: dict, cm: CoveringMap, fold: int,
 def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
     report = _empty_report({"kind": "extraspecial", "p": p, "d": d, "sign": sign})
     checks = report["checks"]
-    try:
-        cm = build_cover(p, d, sign)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _certify_cayley(report, cm, p, sign == PLUS, want_girth)
+    _certify_cayley(report, _construct(build_cover, p, d, sign), p, sign == PLUS, want_girth)
     cs = connection_set(p, d)
     rank = modular_rank([v.coords for v in cs.ordered], p)
     checks["connection_rank"] = _check(rank == 2 * d, None, rank=rank)
@@ -205,7 +207,7 @@ def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
 
 def _verify_heisenberg(d: int, want_girth: bool) -> dict:
     report = _empty_report({"kind": "heisenberg", "d": d})
-    _certify_cayley(report, heisenberg_cover(d), 2, None, want_girth)
+    _certify_cayley(report, _construct(heisenberg_cover, d), 2, None, want_girth)
     report["passed"] = all(c["pass"] for c in report["checks"].values())
     return report
 
@@ -333,6 +335,8 @@ def cmd_spectrum(args) -> int:
     if args.heisenberg:
         if args.d is None or args.d < 1:
             raise UsageError("--heisenberg requires --d >= 1")
+        if 2 ** (args.d + 1) > MAX_EIGEN_SIZE:
+            raise UsageError("cover too large for the eigensolver")
         cm = heisenberg_cover(args.d)
         cover_report = hermitian_eigenvalues(
             adjacency_matrix(cm.total), source=f"heisenberg cover of Q_{args.d}")
@@ -399,6 +403,8 @@ def cmd_gain(args) -> int:
         raise UsageError("gain requires --p and --d")
     p = _require_odd_prime(args.p)
     _require_d(args.d)
+    if p ** (2 * args.d) > MAX_COVER_SIZE:
+        raise UsageError(f"base would exceed {MAX_COVER_SIZE} vertices")
     docs = []
     for sign in _signs(args.sign):
         gg = gain_from_cocycle(p, args.d, sign)

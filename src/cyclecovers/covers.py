@@ -79,26 +79,30 @@ def connection_set(p: int, d: int) -> ConnectionSet:
     return ConnectionSet(p, d, tuple(fam_a), tuple(fam_b))
 
 
-def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over Z_p by Gaussian elimination."""
-    mat = [list(int(x) % p for x in row) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def _row_reduce_mod_p(mat: list[list[int]], p: int, ncols: int) -> int:
+    """Gauss-Jordan elimination over Z_p in place on entries already in
+    [0, p), pivoting on the first ncols columns only; returns the rank of
+    those columns."""
     rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] % p != 0), None)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inv = pow(mat[rank][col], -1, p)
         mat[rank] = [(x * inv) % p for x in mat[rank]]
         for r in range(len(mat)):
-            if r != rank and mat[r][col] % p:
+            if r != rank and mat[r][col]:
                 f = mat[r][col]
                 mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Rank over Z_p by Gaussian elimination."""
+    mat = [[int(x) % p for x in row] for row in rows]
+    return _row_reduce_mod_p(mat, p, len(mat[0]) if mat else 0)
 
 
 @dataclass(frozen=True)
@@ -136,21 +140,12 @@ class BasisChange:
 
 
 def _invert_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse over Z_p: reduce [A | I] on the columns of A."""
     n = len(matrix)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, n) if aug[r][col] % p != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod p")
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = pow(aug[rank][col], -1, p)
-        aug[rank] = [(x * inv) % p for x in aug[rank]]
-        for r in range(n):
-            if r != rank and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[rank])]
-        rank += 1
+    aug = [[x % p for x in row] + [int(i == j) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    if _row_reduce_mod_p(aug, p, n) < n:
+        raise ValueError("matrix is singular mod p")
     return [row[n:] for row in aug]
 
 
@@ -291,6 +286,8 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
 
 def heisenberg_cover(d: int) -> CoveringMap:
     """2-fold Cayley cover of the d-cube; the map drops the central bit."""
+    if 2 ** (d + 1) > MAX_COVER_SIZE:
+        raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
     group = HeisenbergGroup(d)
     carrier = list(group.elements())
     total = cayley(carrier, group.mul, group.inv, group.generators())

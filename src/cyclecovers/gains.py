@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .covers import CoveringMap, connection_set
-from .graphs import Graph, VertexCodec, cayley
+from .graphs import Graph, VertexCodec, cayley, rooted_cycles
 from .groups import ExtraspecialGroup, SIGNS
 from .modular import Prime
 
@@ -109,18 +109,7 @@ def cover_from_gain(gg: GainGraph) -> CoveringMap:
 def directed_cycles(base: Graph, length: int) -> Iterator[tuple[int, ...]]:
     """Each simple cycle of the given length once, rooted at its minimum
     vertex, in the orientation with the smaller second vertex."""
-    for root in range(base.n):
-        stack = [(root, (root,))]
-        while stack:
-            u, path = stack.pop()
-            if len(path) == length:
-                if base.has_edge(u, root) and path[1] < path[-1]:
-                    yield path
-                continue
-            for w in base.neighbors(u):
-                if w < root or w in path:
-                    continue
-                stack.append((w, path + (w,)))
+    return (path for path in rooted_cycles(base, length) if path[1] < path[-1])
 
 
 def cycle_gain_sums(gg: GainGraph, length: int) -> list[tuple[tuple[int, ...], int]]:

@@ -236,7 +236,7 @@ def has_4cycle(g: Graph,
     through root are searched, as has_cycle_of_length does, and the witness
     starts at root; on a vertex-transitive graph that decides the same."""
     if root is not None:
-        return _cycle_through(g, root, 4, 0)
+        return _first(rooted_cycles(g, 4, root))
     seen: dict[tuple[int, int], int] = {}
     for u in range(g.n):
         nb = g.neighbors(u)
@@ -250,38 +250,39 @@ def has_4cycle(g: Graph,
     return False, None
 
 
-def _cycle_through(g: Graph, root: int, length: int,
-                   lowest: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Rooted DFS for a simple cycle of this length through root that uses
-    no vertex below lowest; the witness is the path from root."""
-    stack: list[tuple[int, tuple[int, ...]]] = [(root, (root,))]
-    while stack:
-        u, path = stack.pop()
-        if len(path) == length:
-            if g.has_edge(u, root):
-                return True, path
-            continue
-        for w in g.neighbors(u):
-            if w < lowest or w in path:
+def rooted_cycles(g: Graph, length: int,
+                  root: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Every simple cycle of this length by rooted DFS, as its path from the
+    root, once in each orientation. With root given, the cycles through root;
+    without, every vertex roots the cycles whose minimum vertex it is, since
+    vertices below it belong to cycles already searched."""
+    for r in range(g.n) if root is None else (root,):
+        lowest = r if root is None else 0
+        stack: list[tuple[int, tuple[int, ...]]] = [(r, (r,))]
+        while stack:
+            u, path = stack.pop()
+            if len(path) == length:
+                if g.has_edge(u, r):
+                    yield path
                 continue
-            stack.append((w, path + (w,)))
-    return False, None
+            for w in g.neighbors(u):
+                if w < lowest or w in path:
+                    continue
+                stack.append((w, path + (w,)))
+
+
+def _first(paths: Iterator[tuple[int, ...]]) -> tuple[bool, Optional[tuple[int, ...]]]:
+    path = next(paths, None)
+    return path is not None, path
 
 
 def has_cycle_of_length(g: Graph, length: int,
                         root: Optional[int] = None) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exact-length simple cycle search by rooted DFS; without root, every
-    vertex roots the cycles whose minimum vertex it is, since vertices below
-    it belong to cycles already searched. With root given, only cycles
-    through root are searched: on a vertex-transitive graph, such as a Cayley
-    graph, a cycle of this length exists exactly when one passes through any
-    chosen vertex. Intended for length <= 13 and small degrees."""
+    """Exact-length simple cycle search; the witness is the first cycle of
+    rooted_cycles. With root given, only cycles through root are searched:
+    on a vertex-transitive graph, such as a Cayley graph, a cycle of this
+    length exists exactly when one passes through any chosen vertex.
+    Intended for length <= 13 and small degrees."""
     if not 3 <= length <= 13:
         raise ValueError("cycle length must be between 3 and 13")
-    if root is not None:
-        return _cycle_through(g, root, length, 0)
-    for r in range(g.n):
-        found, path = _cycle_through(g, r, length, r)
-        if found:
-            return found, path
-    return False, None
+    return _first(rooted_cycles(g, length, root))

@@ -1,5 +1,5 @@
-"""Root-of-unity twisted adjacency matrices, a Jacobi eigensolver, and the
-induced-subgraph degree bounds derived from their spectra."""
+"""Root-of-unity twisted adjacency matrices, their spectra, and the
+induced-subgraph degree bounds derived from them."""
 
 from __future__ import annotations
 
@@ -13,17 +13,12 @@ from .gains import GainGraph
 from .graphs import Graph
 
 HERMITIAN_TOLERANCE = 1e-10
-OFF_DIAGONAL_TARGET = 1e-12
 CLUSTER_TOLERANCE = 1e-6
 INTEGER_SNAP = 1e-9
 MAX_EIGEN_SIZE = 2000
 
 
 class NotHermitianError(ValueError):
-    pass
-
-
-class ConvergenceError(RuntimeError):
     pass
 
 
@@ -51,75 +46,14 @@ def twisted_adjacency(gg: GainGraph, k: int) -> np.ndarray:
     return m
 
 
-def symmetric_jacobi_eigenvalues(
-    a: np.ndarray,
-    off_target: float = OFF_DIAGONAL_TARGET,
-    max_sweeps: int = 60,
-) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi sweeps.
-
-    Sweeps rotate every upper-triangle pair in row order until the Frobenius
-    norm of the off-diagonal part drops below off_target. Rotations with a
-    pivot too small to affect the target are skipped. Returns ascending
-    eigenvalues.
-    """
-    a = np.array(a, dtype=float, copy=True)
-    n = a.shape[0]
-    if n <= 1:
-        return np.diag(a).copy()
-    skip = off_target / (4 * n)
-    off = _off_norm(a)
-    for _ in range(max_sweeps):
-        if off < off_target:
-            break
-        for k in range(n - 1):
-            for l in range(k + 1, n):
-                pivot = a[k, l]
-                if abs(pivot) <= skip:
-                    continue
-                theta = (a[l, l] - a[k, k]) / (2.0 * pivot)
-                if abs(theta) > 1e12:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_k = a[:, k].copy()
-                col_l = a[:, l].copy()
-                a[:, k] = c * col_k - s * col_l
-                a[:, l] = s * col_k + c * col_l
-                row_k = a[k, :].copy()
-                row_l = a[l, :].copy()
-                a[k, :] = c * row_k - s * row_l
-                a[l, :] = s * row_k + c * row_l
-                a[k, l] = 0.0
-                a[l, k] = 0.0
-        off = _off_norm(a)
-    # Roundoff can floor the off-norm slightly above very tight targets for
-    # large inputs; the eigenvalue error stays bounded by the off-norm.
-    if off >= off_target and off >= 1e-8:
-        raise ConvergenceError(f"Jacobi sweeps stalled at off-norm {off:.3e}")
-    return np.sort(np.diag(a))
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # Summing squares of the actual off-diagonal entries avoids the
-    # cancellation floor of ||A||_F^2 - ||diag||^2 near convergence.
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
 def hermitian_eigenvalues(
     m: np.ndarray,
     cluster_tol: float = CLUSTER_TOLERANCE,
     source: str = "",
 ) -> "SpectrumReport":
-    """All real eigenvalues of a Hermitian matrix via the Jacobi kernel.
-
-    Complex input is embedded as the real symmetric block matrix
-    [[Re, -Im], [Im, Re]], which doubles every eigenvalue; the doubles are
-    paired off. Input must be conjugate-symmetric to 1e-10.
+    """All real eigenvalues of a real symmetric or complex Hermitian matrix,
+    by LAPACK through numpy.linalg.eigvalsh. Input must be conjugate-symmetric
+    to 1e-10.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -130,16 +64,7 @@ def hermitian_eigenvalues(
     deviation = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
     if deviation > HERMITIAN_TOLERANCE:
         raise NotHermitianError(f"conjugate-symmetry deviation {deviation:.3e}")
-    if np.iscomplexobj(m) and np.any(m.imag):
-        re, im = m.real, m.imag
-        embedded = np.block([[re, -im], [im, re]])
-        doubled = symmetric_jacobi_eigenvalues(embedded)
-        pair_gap = float(np.max(np.abs(doubled[0::2] - doubled[1::2]))) if n else 0.0
-        if pair_gap > 1e-9:
-            raise ConvergenceError(f"embedding pairs split by {pair_gap:.3e}")
-        eigenvalues = doubled[0::2]
-    else:
-        eigenvalues = symmetric_jacobi_eigenvalues(np.real(m))
+    eigenvalues = np.linalg.eigvalsh(m)
     descending = tuple(float(x) for x in eigenvalues[::-1])
     return SpectrumReport(descending, _cluster(descending, cluster_tol), n, source)
 

@@ -1,9 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 from cyclecovers.cli import main
+from cyclecovers.reporting import round_sig
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -193,6 +195,23 @@ def test_spectrum_heisenberg(capsys):
     assert doc["decomposition_ok"] is True
 
 
+def test_spectrum_heisenberg_prints_exact_values_to_12_digits(capsys):
+    # Q_7 has eigenvalues 7 - 2j with multiplicity C(7, j); its signing has
+    # +-sqrt(7), each 64 times. Every printed eigenvalue must be the exact
+    # value rounded to the 12 significant digits stable_text keeps.
+    d = 7
+    code, out, _ = run_cli(capsys, "spectrum", "--heisenberg", "--d", str(d))
+    assert code == 0
+    doc = json.loads(out)
+    cube = sorted(round_sig(float(d - 2 * j)) for j in range(d + 1)
+                  for _ in range(math.comb(d, j)))
+    signing = [round_sig(-math.sqrt(d))] * 64 + [round_sig(math.sqrt(d))] * 64
+    base_part, signing_part = doc["parts"]
+    assert sorted(base_part["eigenvalues"]) == cube
+    assert sorted(signing_part["eigenvalues"]) == signing
+    assert sorted(doc["cover"]["eigenvalues"]) == sorted(cube + signing)
+
+
 def test_gain_command(capsys):
     code, out, _ = run_cli(capsys, "gain", "--p", "3", "--d", "1", "--sign", "minus")
     assert code == 0
@@ -240,16 +259,51 @@ def test_spectrum_rejects_d0():
     _assert_usage_error("spectrum", "--p", "3", "--d", "0")
 
 
+def _refuse_to_build(*args):
+    raise AssertionError("built a cover that the size check must refuse")
+
+
 def test_spectrum_size_checked_before_build(capsys, monkeypatch):
     import cyclecovers.cli as cli
 
-    def no_build(*args):
-        raise AssertionError("built a cover the eigensolver would refuse")
-
-    monkeypatch.setattr(cli, "build_cover", no_build)
+    monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
     code, _, err = run_cli(capsys, "spectrum", "--p", "3", "--d", "3")
     assert code == 2
     assert "eigensolver" in err
+
+
+def test_heisenberg_size_checked_before_build(capsys, monkeypatch):
+    import cyclecovers.covers as covers
+
+    # 2**20 vertices is above MAX_COVER_SIZE.
+    monkeypatch.setattr(covers, "HeisenbergGroup", _refuse_to_build)
+    for command in ("build", "verify"):
+        code, out, err = run_cli(capsys, command, "--heisenberg", "--d", "19")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "exceed" in err
+
+
+def test_gain_size_checked_before_build(capsys, monkeypatch):
+    import cyclecovers.cli as cli
+
+    # C_13^6 has 13**6 vertices, above MAX_COVER_SIZE.
+    monkeypatch.setattr(cli, "gain_from_cocycle", _refuse_to_build)
+    code, out, err = run_cli(capsys, "gain", "--p", "13", "--d", "3", "--sign", "minus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "exceed" in err
+
+
+def test_spectrum_heisenberg_size_checked_before_build(capsys, monkeypatch):
+    import cyclecovers.cli as cli
+
+    # 2**11 vertices is above MAX_EIGEN_SIZE.
+    monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
+    code, out, err = run_cli(capsys, "spectrum", "--heisenberg", "--d", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "eigensolver" in err
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ from cyclecovers.covers import (
     CoveringMap,
     CoverVerificationError,
     SignedMatrix,
+    _invert_mod_p,
     build_cover,
     cohen_tits_signing,
     connection_set,
@@ -65,6 +66,16 @@ def test_basis_change_roundtrip():
         for vec in itertools.islice(itertools.product(range(p), repeat=2 * d), 50):
             assert alpha.apply_inverse(alpha.apply(vec)) == tuple(vec)
             assert alpha.apply(alpha.apply_inverse(vec)) == tuple(vec)
+
+
+def test_rank_and_inverse_mod_p():
+    # Determinant -3: singular mod 3, invertible mod 5.
+    a = [[1, 2], [2, 1]]
+    assert modular_rank(a, 3) == 1
+    with pytest.raises(ValueError, match="singular mod p"):
+        _invert_mod_p(a, 3)
+    assert modular_rank(a, 5) == 2
+    assert _invert_mod_p(a, 5) == [[3, 4], [4, 3]]
 
 
 def test_basis_change_sends_units_to_connection_vectors():
