@@ -12,8 +12,6 @@ from .convolution import (
     twisted_operator_matrix,
 )
 from .covers import (
-    BasisChange,
-    ConnectionSet,
     CoveringMap,
     CoverVerificationError,
     SignedMatrix,
@@ -52,7 +50,7 @@ from .groups import (
     HeisenbergGroup,
     cocycle_check,
 )
-from .modular import Prime, Vector, carry_int
+from .modular import Prime, carry_int
 from .spectra import (
     DegreeBoundTable,
     SpectrumReport,

@@ -27,10 +27,11 @@ from .covers import (
     lifted_connection,
     modular_rank,
     pairwise_noncommuting_check,
+    standard_ids,
     verify_cover,
 )
 from .gains import GainGraph, all_cycle_sums_nonzero, gain_from_cocycle
-from .graphs import VertexCodec, girth, has_4cycle, has_cycle_of_length
+from .graphs import girth, has_4cycle, has_cycle_of_length
 from .groups import MINUS, PLUS, ExtraspecialGroup
 from .modular import SUPPORTED_PRIMES
 from .reporting import stable_text
@@ -60,6 +61,22 @@ def _require_odd_prime(p: int) -> int:
 def _require_d(d: int) -> None:
     if d < 1:
         raise UsageError("d must be >= 1")
+
+
+def _cover_params(args) -> Optional[int]:
+    """Check --heisenberg, --p and --d of build, verify and spectrum; return
+    the odd prime p, or None for the Heisenberg cover."""
+    if args.heisenberg:
+        if args.p is not None:
+            raise UsageError("--heisenberg does not take --p")
+        if args.d is None or args.d < 1:
+            raise UsageError("--heisenberg requires --d >= 1")
+        return None
+    if args.p is None or args.d is None:
+        raise UsageError(f"{args.command} requires --p and --d (or --heisenberg --d)")
+    p = _require_odd_prime(args.p)
+    _require_d(args.d)
+    return p
 
 
 def _construct(builder, *args):
@@ -112,7 +129,6 @@ def _graph_json(cm: CoveringMap) -> dict:
 
 
 def _write_cover(cm: CoveringMap, stem: str, out_dir: Path, fmt: str) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     if fmt == "edges":
         for suffix, text in (
@@ -131,21 +147,17 @@ def _write_cover(cm: CoveringMap, stem: str, out_dir: Path, fmt: str) -> list[Pa
 
 
 def cmd_build(args) -> int:
+    p = _cover_params(args)
     out_dir = Path(args.out)
-    jobs: list[tuple[str, CoveringMap]] = []
-    if args.heisenberg:
-        if args.p is not None:
-            raise UsageError("--heisenberg does not take --p")
-        if args.d is None or args.d < 1:
-            raise UsageError("--heisenberg requires --d >= 1")
-        jobs.append((f"heisenberg_d{args.d}", _construct(heisenberg_cover, args.d)))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    if p is None:
+        jobs = [(f"heisenberg_d{args.d}", _construct(heisenberg_cover, args.d))]
     else:
-        if args.p is None or args.d is None:
-            raise UsageError("build requires --p and --d (or --heisenberg --d)")
-        p = _require_odd_prime(args.p)
-        _require_d(args.d)
-        for sign in _signs(args.sign):
-            jobs.append((f"cover_p{p}_d{args.d}_{sign}", _construct(build_cover, p, args.d, sign)))
+        jobs = [(f"cover_p{p}_d{args.d}_{sign}", _construct(build_cover, p, args.d, sign))
+                for sign in _signs(args.sign)]
     for stem, cm in jobs:
         for path in _write_cover(cm, stem, out_dir, args.format):
             print(path)
@@ -186,8 +198,7 @@ def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
     report = _empty_report({"kind": "extraspecial", "p": p, "d": d, "sign": sign})
     checks = report["checks"]
     _certify_cayley(report, _construct(build_cover, p, d, sign), p, sign == PLUS, want_girth)
-    cs = connection_set(p, d)
-    rank = modular_rank([v.coords for v in cs.ordered], p)
+    rank = modular_rank(connection_set(p, d), p)
     checks["connection_rank"] = _check(rank == 2 * d, None, rank=rank)
     group = ExtraspecialGroup(p, d, sign)
     conn = lifted_connection(group)
@@ -213,18 +224,11 @@ def _verify_heisenberg(d: int, want_girth: bool) -> dict:
 
 
 def cmd_verify(args) -> int:
-    reports = []
-    if args.heisenberg:
-        if args.d is None or args.d < 1:
-            raise UsageError("--heisenberg requires --d >= 1")
-        reports.append(_verify_heisenberg(args.d, args.girth))
+    p = _cover_params(args)
+    if p is None:
+        reports = [_verify_heisenberg(args.d, args.girth)]
     else:
-        if args.p is None or args.d is None:
-            raise UsageError("verify requires --p and --d (or --heisenberg --d)")
-        p = _require_odd_prime(args.p)
-        _require_d(args.d)
-        for sign in _signs(args.sign):
-            reports.append(_verify_extraspecial(p, args.d, sign, args.girth))
+        reports = [_verify_extraspecial(p, args.d, sign, args.girth) for sign in _signs(args.sign)]
     passed = all(r["passed"] for r in reports)
     print(stable_text({"command": "verify", "constructions": reports, "passed": passed}), end="")
     return 0 if passed else 1
@@ -238,16 +242,9 @@ def _gain_graph_for_dims(p: int, dims: int, sign: str) -> GainGraph:
     gg = gain_from_cocycle(p, d, sign)
     if dims % 2 == 0:
         return gg
-    # Odd dims: restrict to the hyperplane whose last basis-change coordinate
+    # Odd dims: restrict to the hyperplane whose last standard coordinate
     # vanishes, the base of the induced covers.
-    from .covers import BasisChange
-
-    alpha = BasisChange.from_connection_set(connection_set(p, d))
-    codec = VertexCodec((p,) * (2 * d))
-    keep = [
-        v for v in range(codec.size)
-        if alpha.apply_inverse(codec.decode(v))[2 * d - 1] == 0
-    ]
+    keep = [v for v, s in enumerate(standard_ids(p, d)) if s % p == 0]
     return gg.restrict(keep)
 
 
@@ -332,9 +329,8 @@ def _multiset_match(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_spectrum(args) -> int:
-    if args.heisenberg:
-        if args.d is None or args.d < 1:
-            raise UsageError("--heisenberg requires --d >= 1")
+    p = _cover_params(args)
+    if p is None:
         if 2 ** (args.d + 1) > MAX_EIGEN_SIZE:
             raise UsageError("cover too large for the eigensolver")
         cm = heisenberg_cover(args.d)
@@ -360,10 +356,6 @@ def cmd_spectrum(args) -> int:
         }
         print(stable_text(doc), end="")
         return 0 if ok else 1
-    if args.p is None or args.d is None:
-        raise UsageError("spectrum requires --p and --d (or --heisenberg --d)")
-    p = _require_odd_prime(args.p)
-    _require_d(args.d)
     if p ** (1 + 2 * args.d) > MAX_EIGEN_SIZE:
         raise UsageError("cover too large for the eigensolver")
     constructions = []

@@ -3,150 +3,86 @@
 The extraspecial covers are Cayley graphs on the group carrier; the base is
 the Cartesian power of a p-cycle in standard coordinates, reached from group
 coordinates through the change of basis that sends the standard basis to the
-connection vectors.
+connection vectors (standard_ids).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexCodec, cayley, cartesian_power, cycle_graph, hypercube, induced_subgraph
+from .graphs import Graph, cayley, cartesian_power, cycle_graph, hypercube, induced_subgraph
 from .groups import (
     SIGNS,
     ExtraspecialElement,
     ExtraspecialGroup,
     HeisenbergGroup,
 )
-from .modular import Prime, Vector
+from .modular import Prime
 
 MAX_COVER_SIZE = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """The 2d connection vectors in Z_p^{2d}, two families of d each.
+def connection_set(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """The 2d connection vectors in Z_p^{2d}, interleaved a_1, b_1, a_2, b_2, ...
 
-    family_a holds, for k = 1..d, the sum of the first k unit vectors of the
-    first block and the first k-1 of the second; family_b doubles the k-th
-    first-block unit and takes k vectors of the second block. ordered
-    interleaves them a_1, b_1, a_2, b_2, ...
+    For k = 1..d, a_k is the sum of the first k unit vectors of the first
+    block and the first k-1 of the second; b_k doubles the k-th first-block
+    unit and takes k vectors of the second block. Requires p odd and d >= 1.
     """
-
-    p: Prime
-    d: int
-    family_a: tuple[Vector, ...]
-    family_b: tuple[Vector, ...]
-
-    @property
-    def ordered(self) -> tuple[Vector, ...]:
-        out = []
-        for a, b in zip(self.family_a, self.family_b):
-            out.extend((a, b))
-        return tuple(out)
-
-    @property
-    def tags(self) -> tuple[str, ...]:
-        return ("a", "b") * self.d
-
-
-def connection_set(p: int, d: int) -> ConnectionSet:
-    """Build the two vector families; requires p odd and d >= 1."""
     p = Prime(p)
     if p == 2:
         raise ValueError("p must be odd for the extraspecial connection set")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    dim = 2 * d
-    fam_a = []
-    fam_b = []
+    out = []
     for k in range(1, d + 1):
-        a = [0] * dim
-        for i in range(k):
-            a[i] = 1
-        for j in range(k - 1):
-            a[d + j] = 1
-        fam_a.append(Vector(tuple(a), p))
-        b = [0] * dim
-        for i in range(k - 1):
-            b[i] = 1
-        b[k - 1] = (b[k - 1] + 2) % p
-        for j in range(k):
-            b[d + j] = 1
-        fam_b.append(Vector(tuple(b), p))
-    return ConnectionSet(p, d, tuple(fam_a), tuple(fam_b))
+        a = [0] * (2 * d)
+        a[:k] = [1] * k
+        a[d: d + k - 1] = [1] * (k - 1)
+        b = [0] * (2 * d)
+        b[: k - 1] = [1] * (k - 1)
+        b[k - 1] = 2
+        b[d: d + k] = [1] * k
+        out += [tuple(a), tuple(b)]
+    return tuple(out)
 
 
-def _row_reduce_mod_p(mat: list[list[int]], p: int, ncols: int) -> int:
-    """Gauss-Jordan elimination over Z_p in place on entries already in
-    [0, p), pivoting on the first ncols columns only; returns the rank of
-    those columns."""
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+def standard_ids(p: int, d: int) -> tuple[int, ...]:
+    """The change of basis that sends the standard basis to the connection
+    vectors, as a table: indexed by a base vertex's id in connection (group)
+    coordinates, it gives the vertex's id in standard coordinates. The vector
+    sum_j x_j c_j gets the id of x. Raises ValueError unless the table is a
+    bijection, that is unless the connection vectors are a basis mod p."""
+    vectors = np.array(connection_set(p, d), dtype=np.int64)
+    dim = 2 * d
+    x = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+    connection_ids = (x @ vectors % p) @ (p ** np.arange(dim - 1, -1, -1))
+    table = np.full(len(x), -1)
+    table[connection_ids] = np.arange(len(x))
+    if (table < 0).any():
+        raise ValueError(f"connection vectors are not a basis mod {p}")
+    return tuple(table.tolist())
 
 
 def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank over Z_p by Gaussian elimination."""
     mat = [[int(x) % p for x in row] for row in rows]
-    return _row_reduce_mod_p(mat, p, len(mat[0]) if mat else 0)
-
-
-@dataclass(frozen=True)
-class BasisChange:
-    """Invertible linear map on Z_p^{2d}; columns are the images of the
-    standard basis, in connection-set order."""
-
-    p: Prime
-    columns: tuple[tuple[int, ...], ...]
-    _inverse_rows: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @classmethod
-    def from_connection_set(cls, cs: ConnectionSet) -> "BasisChange":
-        cols = tuple(v.coords for v in cs.ordered)
-        inv_rows = _invert_mod_p([[cols[j][i] for j in range(len(cols))] for i in range(len(cols))], cs.p)
-        return cls(cs.p, cols, tuple(tuple(r) for r in inv_rows))
-
-    def apply(self, x: Sequence[int]) -> tuple[int, ...]:
-        """Image of x: the linear combination of the columns."""
-        n = len(self.columns)
-        if len(x) != n:
-            raise ValueError("dimension mismatch")
-        out = [0] * n
-        for j, c in enumerate(x):
-            if c % self.p:
-                for i in range(n):
-                    out[i] = (out[i] + c * self.columns[j][i]) % self.p
-        return tuple(out)
-
-    def apply_inverse(self, v: Sequence[int]) -> tuple[int, ...]:
-        n = len(self.columns)
-        if len(v) != n:
-            raise ValueError("dimension mismatch")
-        return tuple(sum(r[j] * v[j] for j in range(n)) % self.p for r in self._inverse_rows)
-
-
-def _invert_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Inverse over Z_p: reduce [A | I] on the columns of A."""
-    n = len(matrix)
-    aug = [[x % p for x in row] + [int(i == j) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    if _row_reduce_mod_p(aug, p, n) < n:
-        raise ValueError("matrix is singular mod p")
-    return [row[n:] for row in aug]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for r in range(rank + 1, len(mat)):
+            f = mat[r][col] * inv
+            mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)
@@ -214,8 +150,7 @@ def verify_cover(cm: CoveringMap) -> int:
 def lifted_connection(group: ExtraspecialGroup) -> tuple[ExtraspecialElement, ...]:
     """Embed the connection vectors at central coordinate 0 and close under
     inverse; the two halves are disjoint for odd p, giving 4d elements."""
-    cs = connection_set(group.p, group.d)
-    embedded = tuple(group.embed(v.coords) for v in cs.ordered)
+    embedded = tuple(group.embed(v) for v in connection_set(group.p, group.d))
     inverses = tuple(group.inv(g) for g in embedded)
     overlap = set(embedded) & set(inverses)
     if overlap:
@@ -260,9 +195,10 @@ def pairwise_noncommuting_check(group: ExtraspecialGroup,
 def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     """Cayley cover of the 4d-regular Cartesian power of a p-cycle.
 
-    Total vertices are group elements in codec order; base vertices are
-    standard coordinates of Z_p^{2d}, reached by inverting the basis change,
-    so the base equals the iterated Cartesian product of p-cycles.
+    Total vertices are group elements in codec order, so u // p is the id of
+    u's first 2d coordinates; base vertices are standard coordinates of
+    Z_p^{2d}, reached through standard_ids, so the base equals the iterated
+    Cartesian product of p-cycles.
     """
     p = Prime(p)
     if p == 2:
@@ -276,11 +212,8 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     carrier = list(group.elements())
     total = cayley(carrier, group.mul, group.inv, conn)
     base = cartesian_power(cycle_graph(p), 2 * d)
-    alpha = BasisChange.from_connection_set(connection_set(p, d))
-    base_codec = VertexCodec((p,) * (2 * d))
-    gamma = tuple(
-        base_codec.encode(alpha.apply_inverse(g.a + g.b)) for g in carrier
-    )
+    std = standard_ids(p, d)
+    gamma = tuple(std[u // p] for u in range(total.n))
     return CoveringMap(total, base, gamma)
 
 
@@ -358,13 +291,9 @@ def induced_odd_cover(p: int, d: int, sign: str) -> CoveringMap:
     """Restrict the even-dimensional cover over the base hyperplane with last
     standard coordinate 0, giving a p-fold cover of one fewer cycle factor."""
     cm = build_cover(p, d, sign)
-    base_codec = VertexCodec((p,) * (2 * d))
-    # Last digit is least significant, so kept base ids are exactly multiples of p.
-    keep_base = [v for v in range(cm.base.n) if base_codec.decode(v)[2 * d - 1] == 0]
-    base = induced_subgraph(cm.base, keep_base)
-    keep_set = set(keep_base)
-    base_newid = {v: i for i, v in enumerate(keep_base)}
-    keep_total = [u for u in range(cm.total.n) if cm.fiber_map[u] in keep_set]
-    total = induced_subgraph(cm.total, keep_total)
-    gamma = tuple(base_newid[cm.fiber_map[u]] for u in keep_total)
-    return CoveringMap(total, base, gamma)
+    # The last standard digit is the least significant, so the kept base ids
+    # are the multiples of p, renumbered v // p.
+    base = induced_subgraph(cm.base, range(0, cm.base.n, p))
+    keep = [u for u, v in enumerate(cm.fiber_map) if v % p == 0]
+    total = induced_subgraph(cm.total, keep)
+    return CoveringMap(total, base, tuple(cm.fiber_map[u] // p for u in keep))

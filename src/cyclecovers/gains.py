@@ -68,11 +68,10 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     p = Prime(p)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    cs = connection_set(p, d)
+    steps = list(connection_set(p, d))
     group = ExtraspecialGroup(p, d, sign)
     codec = VertexCodec((p,) * (2 * d))
     vectors = [codec.decode(i) for i in range(codec.size)]
-    steps = [v.coords for v in cs.ordered]
     neg_steps = [tuple((-x) % p for x in s) for s in steps]
 
     def add(u, v):

@@ -65,6 +65,9 @@ def hermitian_eigenvalues(
     if deviation > HERMITIAN_TOLERANCE:
         raise NotHermitianError(f"conjugate-symmetry deviation {deviation:.3e}")
     eigenvalues = np.linalg.eigvalsh(m)
+    # A zero eigenvalue comes out as roundoff whose digits depend on the
+    # LAPACK build; report it as 0.
+    eigenvalues[np.abs(eigenvalues) <= INTEGER_SNAP] = 0.0
     descending = tuple(float(x) for x in eigenvalues[::-1])
     return SpectrumReport(descending, _cluster(descending, cluster_tol), n, source)
 

@@ -56,8 +56,7 @@ def test_criterion_01_cover_certificates():
         cm = cover(p, d, sign)
         assert verify_cover(cm) == p, (p, d, sign)
         assert not has_4cycle(cm.total)[0], (p, d, sign)
-        cs = connection_set(p, d)
-        assert modular_rank([v.coords for v in cs.ordered], p) == 2 * d
+        assert modular_rank(connection_set(p, d), p) == 2 * d
         group = ExtraspecialGroup(p, d, sign)
         conn = lifted_connection(group)
         assert len(set(conn)) == 4 * d

@@ -1,11 +1,22 @@
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cyclecovers.cli as cli
+import cyclecovers.covers as covers
 from cyclecovers.cli import main
+from cyclecovers.covers import MAX_COVER_SIZE
 from cyclecovers.reporting import round_sig
+from cyclecovers.spectra import MAX_EIGEN_SIZE
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -80,6 +91,16 @@ def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
         for line in (tmp_path / "cover_p3_d1_minus.fibers.txt").read_text().splitlines()
     )
     assert fibers == cm.fiber_map
+
+
+def test_build_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, out, err = run_cli(capsys, "build", "--p", "3", "--d", "1", "--out", str(taken))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "output directory" in err
 
 
 def test_build_deterministic_bytes(tmp_path, capsys):
@@ -212,6 +233,18 @@ def test_spectrum_heisenberg_prints_exact_values_to_12_digits(capsys):
     assert sorted(doc["cover"]["eigenvalues"]) == sorted(cube + signing)
 
 
+def test_spectrum_prints_zero_eigenvalues_as_zero(capsys):
+    # Q_2 has eigenvalues 2, 0, 0, -2 and its signing +-sqrt(2); the solver
+    # returns the zeros as roundoff, which must print as 0.
+    code, out, _ = run_cli(capsys, "spectrum", "--heisenberg", "--d", "2")
+    assert code == 0
+    doc = json.loads(out)
+    base_part = doc["parts"][0]
+    assert base_part["eigenvalues"] == [2.0, 0.0, 0.0, -2.0]
+    assert [c["value"] for c in base_part["clusters"]] == [2.0, 0.0, -2.0]
+    assert doc["cover"]["eigenvalues"][3:5] == [0.0, 0.0]
+
+
 def test_gain_command(capsys):
     code, out, _ = run_cli(capsys, "gain", "--p", "3", "--d", "1", "--sign", "minus")
     assert code == 0
@@ -264,8 +297,6 @@ def _refuse_to_build(*args):
 
 
 def test_spectrum_size_checked_before_build(capsys, monkeypatch):
-    import cyclecovers.cli as cli
-
     monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
     code, _, err = run_cli(capsys, "spectrum", "--p", "3", "--d", "3")
     assert code == 2
@@ -273,8 +304,6 @@ def test_spectrum_size_checked_before_build(capsys, monkeypatch):
 
 
 def test_heisenberg_size_checked_before_build(capsys, monkeypatch):
-    import cyclecovers.covers as covers
-
     # 2**20 vertices is above MAX_COVER_SIZE.
     monkeypatch.setattr(covers, "HeisenbergGroup", _refuse_to_build)
     for command in ("build", "verify"):
@@ -285,8 +314,6 @@ def test_heisenberg_size_checked_before_build(capsys, monkeypatch):
 
 
 def test_gain_size_checked_before_build(capsys, monkeypatch):
-    import cyclecovers.cli as cli
-
     # C_13^6 has 13**6 vertices, above MAX_COVER_SIZE.
     monkeypatch.setattr(cli, "gain_from_cocycle", _refuse_to_build)
     code, out, err = run_cli(capsys, "gain", "--p", "13", "--d", "3", "--sign", "minus")
@@ -296,14 +323,95 @@ def test_gain_size_checked_before_build(capsys, monkeypatch):
 
 
 def test_spectrum_heisenberg_size_checked_before_build(capsys, monkeypatch):
-    import cyclecovers.cli as cli
-
     # 2**11 vertices is above MAX_EIGEN_SIZE.
     monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
     code, out, err = run_cli(capsys, "spectrum", "--heisenberg", "--d", "10")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "eigensolver" in err
+
+
+@pytest.mark.parametrize("command", ["build", "verify", "spectrum"])
+def test_heisenberg_rejects_p(command, tmp_path, capsys):
+    out_args = ("--out", str(tmp_path)) if command == "build" else ()
+    code, out, err = run_cli(capsys, command, "--heisenberg", "--p", "3", "--d", "2", *out_args)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --heisenberg does not take --p\n"
+
+
+ODD_PRIMES = (3, 5, 7, 11, 13)
+COMMANDS = ("build", "verify", "spectrum", "gain", "bound")
+HEISENBERG_COMMANDS = ("build", "verify", "spectrum")
+# Per command: the size cap and the vertex count it is checked against, as a
+# function of p and the --d (--dims for bound) value.
+SIZE_CHECKS = {
+    "build": (MAX_COVER_SIZE, lambda p, d: p ** (1 + 2 * d)),
+    "verify": (MAX_COVER_SIZE, lambda p, d: p ** (1 + 2 * d)),
+    "spectrum": (MAX_EIGEN_SIZE, lambda p, d: p ** (1 + 2 * d)),
+    "gain": (MAX_COVER_SIZE, lambda p, d: p ** (2 * d)),
+    "bound": (MAX_EIGEN_SIZE, lambda p, dims: p ** dims),
+}
+HEISENBERG_CAPS = {"build": MAX_COVER_SIZE, "verify": MAX_COVER_SIZE, "spectrum": MAX_EIGEN_SIZE}
+
+
+def _first_over(cap, size):
+    n = 1
+    while size(n) <= cap:
+        n += 1
+    return n
+
+
+@st.composite
+def out_of_range_argv(draw):
+    """argv with one parameter out of range: p, d or dims, a size cap, or
+    --heisenberg with --p."""
+    kind = draw(st.sampled_from(("p", "d", "size", "heisenberg_d", "heisenberg_size",
+                                 "heisenberg_p")))
+    if kind.startswith("heisenberg"):
+        command = draw(st.sampled_from(HEISENBERG_COMMANDS))
+        if kind == "heisenberg_d":
+            d = draw(st.integers(-5, 0))
+        elif kind == "heisenberg_size":
+            cap = HEISENBERG_CAPS[command]
+            d = _first_over(cap, lambda d: 2 ** (d + 1)) + draw(st.integers(0, 3))
+        else:
+            d = draw(st.integers(-3, 25))
+        argv = [command, "--heisenberg", f"--d={d}"]
+        if kind == "heisenberg_p":
+            argv.append(f"--p={draw(st.integers(-20, 20))}")
+        return argv
+    command = draw(st.sampled_from(COMMANDS))
+    if kind == "p":
+        p = draw(st.integers(-20, 20).filter(lambda p: p not in ODD_PRIMES))
+        n = draw(st.integers(1, 3))
+    elif kind == "d":
+        p = draw(st.sampled_from(ODD_PRIMES))
+        n = draw(st.integers(-5, 0))
+    else:
+        p = draw(st.sampled_from(ODD_PRIMES))
+        cap, size = SIZE_CHECKS[command]
+        n = _first_over(cap, lambda n: size(p, n)) + draw(st.integers(0, 3))
+    size_flag = "--dims" if command == "bound" else "--d"
+    sign = draw(st.sampled_from(("plus", "minus", "both")))
+    return [command, f"--p={p}", f"{size_flag}={n}", f"--sign={sign}"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(out_of_range_argv())
+def test_out_of_range_input_exits_2_before_any_build(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as out_dir, pytest.MonkeyPatch.context() as mp:
+        for module, name in ((covers, "ExtraspecialGroup"), (covers, "HeisenbergGroup"),
+                             (cli, "ExtraspecialGroup"), (cli, "gain_from_cocycle")):
+            mp.setattr(module, name, _refuse_to_build)
+        if argv[0] == "build":
+            argv = argv + ["--out", out_dir]
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+    assert code == 2, argv
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("error:")
 
 
 def test_module_entry_point():

@@ -3,12 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import cyclecovers.covers as covers
 from cyclecovers.covers import (
-    BasisChange,
     CoveringMap,
     CoverVerificationError,
     SignedMatrix,
-    _invert_mod_p,
     build_cover,
     cohen_tits_signing,
     connection_set,
@@ -16,10 +15,12 @@ from cyclecovers.covers import (
     modular_rank,
     pairwise_noncommuting_check,
     signed_double_cover,
+    standard_ids,
     verify_cover,
 )
 from cyclecovers.graphs import (
     Graph,
+    VertexCodec,
     cycle_graph,
     girth,
     has_4cycle,
@@ -36,16 +37,12 @@ from oracles import brute_isomorphic
 # ---------------------------------------------------------------- connection set
 
 def test_connection_set_d2_values():
-    cs = connection_set(3, 2)
-    assert [v.coords for v in cs.ordered] == [
-        (1, 0, 0, 0), (2, 0, 1, 0), (1, 1, 1, 0), (1, 2, 1, 1)]
-    assert cs.tags == ("a", "b", "a", "b")
+    assert connection_set(3, 2) == (
+        (1, 0, 0, 0), (2, 0, 1, 0), (1, 1, 1, 0), (1, 2, 1, 1))
 
 
 def test_connection_set_d1():
-    cs = connection_set(5, 1)
-    assert [v.coords for v in cs.family_a] == [(1, 0)]
-    assert [v.coords for v in cs.family_b] == [(2, 1)]
+    assert connection_set(5, 1) == ((1, 0), (2, 1))
 
 
 def test_connection_set_rejects_even_prime():
@@ -56,34 +53,44 @@ def test_connection_set_rejects_even_prime():
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_connection_set_is_basis(p, d):
-    cs = connection_set(p, d)
-    assert modular_rank([v.coords for v in cs.ordered], p) == 2 * d
+    assert modular_rank(connection_set(p, d), p) == 2 * d
+
+
+def _combination(vectors, x, p):
+    """sum_j x_j vectors[j] mod p."""
+    return tuple(sum(c * v[i] for c, v in zip(x, vectors)) % p for i in range(len(x)))
 
 
 def test_basis_change_roundtrip():
     for p, d in [(3, 2), (5, 1), (7, 3)]:
-        alpha = BasisChange.from_connection_set(connection_set(p, d))
-        for vec in itertools.islice(itertools.product(range(p), repeat=2 * d), 50):
-            assert alpha.apply_inverse(alpha.apply(vec)) == tuple(vec)
-            assert alpha.apply(alpha.apply_inverse(vec)) == tuple(vec)
+        std = standard_ids(p, d)
+        assert sorted(std) == list(range(p ** (2 * d)))
+        codec = VertexCodec((p,) * (2 * d))
+        vectors = connection_set(p, d)
+        for x in itertools.islice(itertools.product(range(p), repeat=2 * d), 50):
+            assert std[codec.encode(_combination(vectors, x, p))] == codec.encode(x)
 
 
-def test_rank_and_inverse_mod_p():
+def test_rank_and_inverse_mod_p(monkeypatch):
     # Determinant -3: singular mod 3, invertible mod 5.
     a = [[1, 2], [2, 1]]
     assert modular_rank(a, 3) == 1
-    with pytest.raises(ValueError, match="singular mod p"):
-        _invert_mod_p(a, 3)
     assert modular_rank(a, 5) == 2
-    assert _invert_mod_p(a, 5) == [[3, 4], [4, 3]]
+    monkeypatch.setattr(covers, "connection_set", lambda p, d: ((1, 2), (2, 1)))
+    with pytest.raises(ValueError, match="not a basis mod 3"):
+        standard_ids(3, 1)
+    # The table is the inverse [[3, 4], [4, 3]] mod 5: e_1 -> (3, 4), e_2 -> (4, 3).
+    std = standard_ids(5, 1)
+    assert std[1 * 5 + 0] == 3 * 5 + 4
+    assert std[0 * 5 + 1] == 4 * 5 + 3
 
 
 def test_basis_change_sends_units_to_connection_vectors():
-    cs = connection_set(3, 2)
-    alpha = BasisChange.from_connection_set(cs)
-    for i, v in enumerate(cs.ordered):
+    std = standard_ids(3, 2)
+    codec = VertexCodec((3,) * 4)
+    for i, v in enumerate(connection_set(3, 2)):
         unit = tuple(1 if j == i else 0 for j in range(4))
-        assert alpha.apply(unit) == v.coords
+        assert std[codec.encode(v)] == codec.encode(unit)
 
 
 # ---------------------------------------------------------------- lifted connection

@@ -1,6 +1,6 @@
 import pytest
 
-from cyclecovers.covers import connection_set, verify_cover
+from cyclecovers.covers import connection_set, standard_ids, verify_cover
 from cyclecovers.gains import (
     GainGraph,
     all_cycle_sums_nonzero,
@@ -28,8 +28,7 @@ def test_antisymmetry_everywhere(p, d, sign):
 def test_minus_gains_show_two_values_per_generator():
     gg = gain_graph(3, 1, MINUS)
     codec = VertexCodec((3, 3))
-    cs = connection_set(3, 1)
-    values = [gains_along(gg, s.coords, codec) for s in cs.ordered]
+    values = [gains_along(gg, s, codec) for s in connection_set(3, 1)]
     assert values[0] == {0, 1}
     assert values[1] == {0, 2}
 
@@ -80,16 +79,10 @@ def test_gain_cover_equals_cayley_cover(p, d, sign):
 
 
 def test_restricted_gain_cover_matches_induced_cover():
-    from cyclecovers.covers import BasisChange
-
     p, d = 3, 2
+    keep = [v for v, s in enumerate(standard_ids(p, d)) if s % p == 0]
     for sign in SIGNS:
-        gg = gain_graph(p, d, sign)
-        alpha = BasisChange.from_connection_set(connection_set(p, d))
-        codec = VertexCodec((p,) * (2 * d))
-        keep = [v for v in range(codec.size)
-                if alpha.apply_inverse(codec.decode(v))[2 * d - 1] == 0]
-        sub = gg.restrict(keep)
+        sub = gain_graph(p, d, sign).restrict(keep)
         cm = cover_from_gain(sub)
         assert cm.total.edge_set() == odd_cover(p, d, sign).total.edge_set()
 

@@ -1,6 +1,6 @@
 import pytest
 
-from cyclecovers.modular import SUPPORTED_PRIMES, Prime, Vector, carry_int
+from cyclecovers.modular import SUPPORTED_PRIMES, Prime, carry_int
 
 from helpers import carry_identity_exhaustive
 
@@ -33,7 +33,3 @@ def test_carry_zero_annihilates(p):
 def test_carry_cocycle_identity_exhaustive(p):
     assert carry_identity_exhaustive(p)
 
-
-def test_vector_validation():
-    with pytest.raises(ValueError):
-        Vector((5,), 5)
