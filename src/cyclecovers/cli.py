@@ -64,28 +64,24 @@ def _require_d(d: int) -> None:
 
 
 def _cover_params(args) -> Optional[int]:
-    """Check --heisenberg, --p and --d of build, verify and spectrum; return
-    the odd prime p, or None for the Heisenberg cover."""
+    """Check --heisenberg, --p and --d of build, verify and spectrum, and the
+    cover size against MAX_COVER_SIZE, before anything is built or written;
+    return the odd prime p, or None for the Heisenberg cover."""
     if args.heisenberg:
         if args.p is not None:
             raise UsageError("--heisenberg does not take --p")
         if args.d is None or args.d < 1:
             raise UsageError("--heisenberg requires --d >= 1")
-        return None
-    if args.p is None or args.d is None:
-        raise UsageError(f"{args.command} requires --p and --d (or --heisenberg --d)")
-    p = _require_odd_prime(args.p)
-    _require_d(args.d)
+        p, size = None, 2 ** (args.d + 1)
+    else:
+        if args.p is None or args.d is None:
+            raise UsageError(f"{args.command} requires --p and --d (or --heisenberg --d)")
+        p = _require_odd_prime(args.p)
+        _require_d(args.d)
+        size = p ** (1 + 2 * args.d)
+    if size > MAX_COVER_SIZE:
+        raise UsageError(f"cover would exceed {MAX_COVER_SIZE} vertices")
     return p
-
-
-def _construct(builder, *args):
-    """Call a cover builder; the ValueError it raises for out-of-range
-    parameters, before building anything, is a usage error."""
-    try:
-        return builder(*args)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 def _signs(sign: str) -> list[str]:
@@ -154,9 +150,9 @@ def cmd_build(args) -> int:
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
     if p is None:
-        jobs = [(f"heisenberg_d{args.d}", _construct(heisenberg_cover, args.d))]
+        jobs = [(f"heisenberg_d{args.d}", heisenberg_cover(args.d))]
     else:
-        jobs = [(f"cover_p{p}_d{args.d}_{sign}", _construct(build_cover, p, args.d, sign))
+        jobs = [(f"cover_p{p}_d{args.d}_{sign}", build_cover(p, args.d, sign))
                 for sign in _signs(args.sign)]
     for stem, cm in jobs:
         for path in _write_cover(cm, stem, out_dir, args.format):
@@ -197,7 +193,7 @@ def _certify_cayley(report: dict, cm: CoveringMap, fold: int,
 def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
     report = _empty_report({"kind": "extraspecial", "p": p, "d": d, "sign": sign})
     checks = report["checks"]
-    _certify_cayley(report, _construct(build_cover, p, d, sign), p, sign == PLUS, want_girth)
+    _certify_cayley(report, build_cover(p, d, sign), p, sign == PLUS, want_girth)
     rank = modular_rank(connection_set(p, d), p)
     checks["connection_rank"] = _check(rank == 2 * d, None, rank=rank)
     group = ExtraspecialGroup(p, d, sign)
@@ -218,7 +214,7 @@ def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
 
 def _verify_heisenberg(d: int, want_girth: bool) -> dict:
     report = _empty_report({"kind": "heisenberg", "d": d})
-    _certify_cayley(report, _construct(heisenberg_cover, d), 2, None, want_girth)
+    _certify_cayley(report, heisenberg_cover(d), 2, None, want_girth)
     report["passed"] = all(c["pass"] for c in report["checks"].values())
     return report
 

@@ -166,17 +166,15 @@ def cartesian_power(x: Graph, k: int) -> Graph:
 
 
 def hypercube(d: int) -> Graph:
-    codec = VertexCodec((2,) * d)
+    """Vertex ids are the bit strings x_1..x_d, x_1 most significant; an edge
+    flips one bit."""
     edges = []
-    for u in range(codec.size):
-        digits = codec.decode(u)
+    for u in range(1 << d):
         for i in range(d):
-            flipped = list(digits)
-            flipped[i] ^= 1
-            v = codec.encode(flipped)
+            v = u ^ (1 << (d - 1 - i))
             if u < v:
                 edges.append((u, v))
-    return Graph(codec.size, edges)
+    return Graph(1 << d, edges)
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

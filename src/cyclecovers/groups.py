@@ -9,9 +9,10 @@ Z_2^d x Z_2.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .modular import Prime, carry_int
 
@@ -20,18 +21,21 @@ MINUS = "minus"
 SIGNS = (PLUS, MINUS)
 
 
-@dataclass(frozen=True)
-class ExtraspecialElement:
-    """A triple (a, b, z) with a, b in Z_p^d and z in Z_p."""
+class ExtraspecialElement(NamedTuple):
+    """A triple (a, b, z) with a, b in Z_p^d and z in Z_p.
+
+    A tuple, so it hashes and compares by value: it equals the plain tuple
+    (a, b, z) and the element of any other group with the same coordinates.
+    """
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     z: int
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
-    """A pair (x, t) with x in Z_2^d and t in Z_2."""
+class HeisenbergElement(NamedTuple):
+    """A pair (x, t) with x in Z_2^d and t in Z_2; a tuple, compared by value
+    like ExtraspecialElement."""
 
     x: tuple[int, ...]
     t: int
@@ -42,6 +46,10 @@ class ExtraspecialGroup:
 
     sign="plus" gives the exponent-p group (cocycle b.c); sign="minus" gives
     the exponent-p^2 group (cocycle b.c + carry on the first coordinates).
+
+    mul and inv read two tables over Z_p^d x Z_p^d built here, the
+    componentwise sum mod p and the dot product mod p, and do not validate
+    their arguments; cocycle is the checked definition they agree with.
     """
 
     def __init__(self, p: int, d: int, sign: str):
@@ -49,11 +57,17 @@ class ExtraspecialGroup:
             raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        self.p = Prime(p)
+        self.p = p = Prime(p)
         self.d = d
         self.sign = sign
         self.size = p ** (1 + 2 * d)
         self.identity = ExtraspecialElement((0,) * d, (0,) * d, 0)
+        vectors = {v: v for v in itertools.product(range(p), repeat=d)}
+        pairs = [(u, v) for u in vectors for v in vectors]
+        # Each sum is the tuple held in vectors, so the table shares p^d tuples.
+        self._sum = {(u, v): vectors[tuple((x + y) % p for x, y in zip(u, v))]
+                     for u, v in pairs}
+        self._dot = {(u, v): sum(map(operator.mul, u, v)) % p for u, v in pairs}
 
     def element(self, a, b, z: int) -> ExtraspecialElement:
         a = tuple(int(x) % self.p for x in a)
@@ -80,20 +94,20 @@ class ExtraspecialGroup:
         return val
 
     def mul(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
-        p = self.p
-        a = tuple((x + y) % p for x, y in zip(g.a, h.a))
-        b = tuple((x + y) % p for x, y in zip(g.b, h.b))
-        z = (g.z + h.z + self.cocycle((g.a, g.b), (h.a, h.b))) % p
-        return ExtraspecialElement(a, b, z)
+        (ga, gb, gz), (ha, hb, hz) = g, h
+        z = gz + hz + self._dot[gb, ha]
+        if self.sign == MINUS and ga[0] + ha[0] >= self.p:
+            z += 1
+        return ExtraspecialElement(self._sum[ga, ha], self._sum[gb, hb], z % self.p)
 
     def inv(self, g: ExtraspecialElement) -> ExtraspecialElement:
+        # (a, b, z)^-1 = (-a, -b, a.b - z), less the carry of a_1 + (-a_1) for minus.
+        a, b, z = g
         p = self.p
-        a = tuple((-x) % p for x in g.a)
-        b = tuple((-x) % p for x in g.b)
-        z = (-g.z + sum(x * y for x, y in zip(g.a, g.b))) % p
-        if self.sign == MINUS:
-            z = (z - carry_int(g.a[0], (-g.a[0]) % p, p)) % p
-        return ExtraspecialElement(a, b, z)
+        z = self._dot[a, b] - z
+        if self.sign == MINUS and a[0]:
+            z -= 1
+        return ExtraspecialElement(tuple(-x % p for x in a), tuple(-x % p for x in b), z % p)
 
     def commutator(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
         """g^-1 h^-1 g h, computed by composition."""
@@ -154,12 +168,18 @@ class HeisenbergGroup:
         return HeisenbergElement(x, int(t) % 2)
 
     def mul(self, g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-        x = tuple((a + b) % 2 for a, b in zip(g.x, h.x))
-        return HeisenbergElement(x, (g.t + h.t + self.form(g.x, h.x)) % 2)
+        # form(x, y) is the sum of the prefix sums x_1 + ... + x_{j-1} over
+        # the j with y_j = 1.
+        (gx, gt), (hx, ht) = g, h
+        form = sum(itertools.compress(itertools.accumulate(gx, initial=0), hx))
+        return HeisenbergElement(tuple(map(operator.xor, gx, hx)), (gt + ht + form) % 2)
 
     def inv(self, g: HeisenbergElement) -> HeisenbergElement:
-        # In characteristic 2 the inverse of (x, t) is (x, t + form(x, x)).
-        return HeisenbergElement(g.x, (g.t + self.form(g.x, g.x)) % 2)
+        # In characteristic 2 the inverse of (x, t) is (x, t + form(x, x)), and
+        # form(x, x) counts the pairs i < j among the k nonzero entries of x.
+        x, t = g
+        k = sum(x)
+        return HeisenbergElement(x, (t + k * (k - 1) // 2) % 2)
 
     def generators(self) -> tuple[HeisenbergElement, ...]:
         """(e_1, 0), ..., (e_d, 0)."""

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -110,6 +111,61 @@ def test_build_deterministic_bytes(tmp_path, capsys):
     for name in ("cover_p3_d1_minus.total.edges", "cover_p3_d1_minus.base.edges",
                  "cover_p3_d1_minus.fibers.txt"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of every file these builds write, recorded before group elements
+# became tuples and multiplication table lookups; a change to the element
+# order, the edge order or the writers shows up here.
+BUILD_DIGESTS = {
+    ("--p", "3", "--d", "1", "--sign", "both"): {
+        "cover_p3_d1_plus.total.edges":
+            "e69a31b9f2c9aefbbf24abe8c0965071c94c544fd80753f59ebde5d9e648b26f",
+        "cover_p3_d1_plus.base.edges":
+            "dec2673a596945159aa37e62043bcf9aca76eff2b6a690cedd167cdfb08ed75a",
+        "cover_p3_d1_plus.fibers.txt":
+            "c0524fc67158046974e0e64a5f87fa7a9232227e338189998d7636df100c9762",
+        "cover_p3_d1_minus.total.edges":
+            "4bf66663f1009a572c900c2448a7c8b9dc67d2b545cb36f72a21c33057dc7da2",
+        "cover_p3_d1_minus.base.edges":
+            "dec2673a596945159aa37e62043bcf9aca76eff2b6a690cedd167cdfb08ed75a",
+        "cover_p3_d1_minus.fibers.txt":
+            "c0524fc67158046974e0e64a5f87fa7a9232227e338189998d7636df100c9762",
+    },
+    ("--p", "5", "--d", "1", "--sign", "minus", "--format", "json"): {
+        "cover_p5_d1_minus.json":
+            "4c4ecf14b3476a0b92d0296585ae20764bb92fa2c919932b10567db1895cddcc",
+    },
+    ("--heisenberg", "--d", "4"): {
+        "heisenberg_d4.total.edges":
+            "4b8b83e298f2ba0592355dff3c82d18b2e41159260b4c92a8223c7f9781c640b",
+        "heisenberg_d4.base.edges":
+            "257909609e2f80386f8ad65caedc2b4bfc3ac2bcf037e2ed46c74cca3e5e1819",
+        "heisenberg_d4.fibers.txt":
+            "5c30ba68ca2559343636e53c829fbf9d971399555a68c2496c3759f8f0f1deba",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(BUILD_DIGESTS), ids=" ".join)
+def test_build_bytes_match_recorded_digests(argv, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "build", *argv, "--out", str(tmp_path))
+    assert code == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == BUILD_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [("--p", "13", "--d", "3"), ("--heisenberg", "--d", "19")],
+                         ids=" ".join)
+def test_build_refused_for_size_leaves_no_directory(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
+    out_dir = tmp_path / "new"
+    code, out, err = run_cli(capsys, "build", *argv, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cover would exceed {MAX_COVER_SIZE} vertices\n"
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------- verify

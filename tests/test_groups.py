@@ -1,16 +1,22 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecovers.groups import (
     MINUS,
     PLUS,
     SIGNS,
+    ExtraspecialElement,
     ExtraspecialGroup,
+    HeisenbergElement,
     HeisenbergGroup,
     cocycle_check,
 )
+from cyclecovers.modular import carry_int
 
 from helpers import (
     check_associativity_exhaustive,
@@ -154,6 +160,107 @@ def test_element_validation():
         ExtraspecialGroup(3, 1, "other")
     with pytest.raises(ValueError):
         ExtraspecialGroup(3, 0, PLUS)
+
+
+# ---------------------------------------------------------------- table arithmetic
+# mul and inv read precomputed tables; these oracles are the definitions they
+# must agree with: the cocycle for mul, the closed form (-a, -b, a.b - z,
+# less the carry of a_1 + (-a_1) for minus) for inv.
+
+
+@functools.lru_cache(maxsize=None)
+def _group(p, d, sign):
+    return ExtraspecialGroup(p, d, sign)
+
+
+def _mul_oracle(group, g, h):
+    return group.element([x + y for x, y in zip(g.a, h.a)], [x + y for x, y in zip(g.b, h.b)],
+                         g.z + h.z + group.cocycle((g.a, g.b), (h.a, h.b)))
+
+
+def _inv_oracle(group, g):
+    p = group.p
+    z = -g.z + sum(x * y for x, y in zip(g.a, g.b))
+    if group.sign == MINUS:
+        z -= carry_int(g.a[0], (-g.a[0]) % p, p)
+    return group.element([-x for x in g.a], [-x for x in g.b], z)
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 1)])
+def test_mul_and_inv_match_oracles_exhaustive(p, d, sign):
+    group, els = group_elements(p, d, sign)
+    for g in els:
+        assert group.inv(g) == _inv_oracle(group, g)
+        for h in els:
+            assert group.mul(g, h) == _mul_oracle(group, g, h)
+
+
+@st.composite
+def _extraspecial_pair(draw):
+    p, d = draw(st.sampled_from([(7, 3), (13, 2), (3, 5)]))
+    group = _group(p, d, draw(st.sampled_from(SIGNS)))
+    vec = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
+    g, h = (group.element(draw(vec), draw(vec), draw(st.integers(0, p - 1))) for _ in range(2))
+    return group, g, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extraspecial_pair())
+def test_mul_and_inv_match_oracles_sampled(case):
+    group, g, h = case
+    assert group.mul(g, h) == _mul_oracle(group, g, h)
+    assert group.inv(g) == _inv_oracle(group, g)
+    assert group.mul(g, group.inv(g)) == group.identity
+
+
+def _heisenberg_mul_oracle(group, g, h):
+    return group.element([x + y for x, y in zip(g.x, h.x)], g.t + h.t + group.form(g.x, h.x))
+
+
+def _heisenberg_inv_oracle(group, g):
+    return group.element(g.x, g.t + group.form(g.x, g.x))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_heisenberg_mul_and_inv_match_form_exhaustive(d):
+    group = HeisenbergGroup(d)
+    els = list(group.elements())
+    for g in els:
+        assert group.inv(g) == _heisenberg_inv_oracle(group, g)
+        for h in els:
+            assert group.mul(g, h) == _heisenberg_mul_oracle(group, g, h)
+
+
+@st.composite
+def _heisenberg_pair(draw):
+    group = HeisenbergGroup(draw(st.integers(1, 12)))
+    vec = st.lists(st.integers(0, 1), min_size=group.d, max_size=group.d)
+    g, h = (group.element(draw(vec), draw(st.integers(0, 1))) for _ in range(2))
+    return group, g, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(_heisenberg_pair())
+def test_heisenberg_mul_and_inv_match_form_sampled(case):
+    group, g, h = case
+    assert group.mul(g, h) == _heisenberg_mul_oracle(group, g, h)
+    assert group.inv(g) == _heisenberg_inv_oracle(group, g)
+
+
+def test_elements_hash_and_compare_by_value():
+    group = ExtraspecialGroup(5, 2, MINUS)
+    g = group.element((1, 2), (3, 4), 0)
+    made = ExtraspecialElement((1, 2), (3, 4), 0)
+    computed = group.mul(group.element((1, 0), (0, 0), 0), group.element((0, 2), (3, 4), 0))
+    assert g == made == computed == ((1, 2), (3, 4), 0)
+    assert len({g, made, computed}) == 1
+    assert g != group.element((1, 2), (3, 4), 1)
+    assert (g.a, g.b, g.z) == ((1, 2), (3, 4), 0)
+    cube = HeisenbergGroup(3)
+    x = cube.mul(cube.element((1, 0, 0), 0), cube.element((0, 1, 1), 0))
+    assert x == HeisenbergElement((1, 1, 1), 0) and hash(x) == hash(((1, 1, 1), 0))
+    assert len({x, HeisenbergElement((1, 1, 1), 0), HeisenbergElement((1, 1, 1), 1)}) == 2
 
 
 # ---------------------------------------------------------------- Heisenberg
