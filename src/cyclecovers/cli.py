@@ -34,7 +34,7 @@ from .gains import GainGraph, all_cycle_sums_nonzero, gain_from_cocycle
 from .graphs import girth, has_4cycle, has_cycle_of_length
 from .groups import MINUS, PLUS, ExtraspecialGroup
 from .modular import SUPPORTED_PRIMES
-from .reporting import stable_text
+from .reporting import stable_text, write_stable
 from .spectra import (
     MAX_EIGEN_SIZE,
     adjacency_matrix,
@@ -118,9 +118,9 @@ def _empty_report(construction: dict) -> dict:
 
 def _graph_json(cm: CoveringMap) -> dict:
     return {
-        "total": {"n": cm.total.n, "edges": [list(e) for e in cm.total.edges()]},
-        "base": {"n": cm.base.n, "edges": [list(e) for e in cm.base.edges()]},
-        "fiber_map": list(cm.fiber_map),
+        "total": {"n": cm.total.n, "edges": list(cm.total.edges())},
+        "base": {"n": cm.base.n, "edges": list(cm.base.edges())},
+        "fiber_map": cm.fiber_map,
     }
 
 
@@ -137,7 +137,8 @@ def _write_cover(cm: CoveringMap, stem: str, out_dir: Path, fmt: str) -> list[Pa
             written.append(path)
     else:
         path = out_dir / (stem + ".json")
-        path.write_text(stable_text(_graph_json(cm)))
+        with path.open("w") as f:
+            write_stable(_graph_json(cm), f.write)
         written.append(path)
     return written
 

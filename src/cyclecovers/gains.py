@@ -11,7 +11,7 @@ from typing import Iterator, Optional
 
 from .covers import CoveringMap, connection_set
 from .graphs import Graph, VertexCodec, cayley, rooted_cycles
-from .groups import ExtraspecialGroup, SIGNS
+from .groups import SIGNS, extraspecial_cocycle
 from .modular import Prime
 
 
@@ -69,7 +69,6 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     steps = list(connection_set(p, d))
-    group = ExtraspecialGroup(p, d, sign)
     codec = VertexCodec((p,) * (2 * d))
     vectors = [codec.decode(i) for i in range(codec.size)]
     neg_steps = [tuple((-x) % p for x in s) for s in steps]
@@ -85,7 +84,7 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     for gid, g in enumerate(vectors):
         for s in steps:
             tid = codec.encode(add(s, g))
-            val = group.cocycle((s[:d], s[d:]), (g[:d], g[d:]))
+            val = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (g[:d], g[d:]))
             key = (gid, tid)
             if key in gains and gains[key] != val:
                 raise ValueError(f"inconsistent cocycle gain at arc {key}")

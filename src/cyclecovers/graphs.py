@@ -4,8 +4,9 @@ and short-cycle scans the cover constructions rely on."""
 from __future__ import annotations
 
 import collections
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -24,6 +25,15 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[tuple[int, ...]]) -> "Graph":
+        """Graph with the given neighbor rows. The caller guarantees what
+        __init__ checks: each row sorted, without repeats or the row's own
+        vertex, in range, and v in row u exactly when u is in row v."""
+        g = cls.__new__(cls)
+        g._adj = tuple(rows)
+        return g
 
     @property
     def n(self) -> int:
@@ -54,10 +64,6 @@ class Graph:
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges())
 
-    def is_regular(self) -> Optional[int]:
-        degs = {len(nb) for nb in self._adj}
-        return degs.pop() if len(degs) == 1 else None
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj
 
@@ -69,16 +75,14 @@ class Graph:
 
     def to_edge_list_text(self) -> str:
         """First line "n m", then one "u v" line per edge, u < v, ascending."""
-        lines = [f"{self.n} {self.m}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_edge_list_text(cls, text: str) -> "Graph":
-        lines = text.strip().split("\n")
-        n, m = map(int, lines[0].split())
-        edges = [tuple(map(int, line.split())) for line in lines[1: m + 1]]
-        return cls(n, edges)  # type: ignore[arg-type]
+        rows = [f"{self.n} {self.m}"]
+        for u, nb in enumerate(self._adj):
+            upper = nb[bisect_right(nb, u):]
+            if upper:
+                # The lines of row u as one string: "u v1\nu v2\n...".
+                sep = f"\n{u} "
+                rows.append(sep[1:] + sep.join(map(str, upper)))
+        return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -117,13 +121,15 @@ class VertexCodec:
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:
     """Cayley graph: vertices in carrier order, {g,h} an edge when g h^-1 is in
     the connection set. The connection set must be inverse closed and must not
-    contain the identity."""
+    contain the identity; a repeated element counts once. Row g holds the
+    products s g, so mul runs once per vertex and connection element, and
+    once more for the identity."""
     index = {g: i for i, g in enumerate(carrier)}
     if len(index) != len(carrier):
         raise ValueError("carrier contains repeated elements")
     if not connection:
         return Graph(len(carrier), [])
-    conn = list(connection)
+    conn = list(dict.fromkeys(connection))
     identity = mul(inv(conn[0]), conn[0])
     conn_set = set(conn)
     if identity in conn_set:
@@ -131,13 +137,11 @@ def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence
     for s in conn:
         if inv(s) not in conn_set:
             raise ValueError(f"connection set not closed under inverse at {s!r}")
-    edges = []
-    for i, g in enumerate(carrier):
-        for s in conn:
-            j = index[mul(s, g)]
-            if i < j:
-                edges.append((i, j))
-    return Graph(len(carrier), edges)
+    # One column of neighbor ids per connection element, read row by row:
+    # s g = s' g only when s = s', and h = s g gives g = s^-1 h, so each row
+    # is free of repeats and the rows are symmetric.
+    columns = [map(index.__getitem__, map(mul, repeat(s), carrier)) for s in conn]
+    return Graph._from_rows(tuple(sorted(row)) for row in zip(*columns))
 
 
 def cycle_graph(k: int) -> Graph:
@@ -148,14 +152,10 @@ def cycle_graph(k: int) -> Graph:
 
 def cartesian_product(x: Graph, y: Graph) -> Graph:
     """Vertex (u, v) gets id u * y.n + v."""
-    edges = []
-    for u in range(x.n):
-        for v, w in y.edges():
-            edges.append((u * y.n + v, u * y.n + w))
-    for u, w in x.edges():
-        for v in range(y.n):
-            edges.append((u * y.n + v, w * y.n + v))
-    return Graph(x.n * y.n, edges)
+    ny = y.n
+    return Graph._from_rows(
+        tuple(sorted([u * ny + w for w in yv] + [w * ny + v for w in xu]))
+        for u, xu in enumerate(x._adj) for v, yv in enumerate(y._adj))
 
 
 def cartesian_power(x: Graph, k: int) -> Graph:

@@ -41,6 +41,19 @@ class HeisenbergElement(NamedTuple):
     t: int
 
 
+def extraspecial_cocycle(p: int, sign: str, g: tuple[tuple[int, ...], tuple[int, ...]],
+                         h: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+    """The 2-cocycle of ExtraspecialGroup(p, d, sign) on pairs ((a,b),(c,d)):
+    b.c, plus a carry term for minus. Needs no group, so none of its tables."""
+    (a, b), (c, _) = g, h
+    if len(a) != len(c):
+        raise ValueError("dimension mismatch in cocycle arguments")
+    val = sum(x * y for x, y in zip(b, c)) % p
+    if sign == MINUS:
+        val = (val + carry_int(a[0], c[0], p)) % p
+    return val
+
+
 class ExtraspecialGroup:
     """Group of order p^{1+2d} on Z_p^d x Z_p^d x Z_p, multiplication set by `sign`.
 
@@ -85,13 +98,7 @@ class ExtraspecialGroup:
     def cocycle(self, g: tuple[tuple[int, ...], tuple[int, ...]],
                 h: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         """The 2-cocycle on pairs ((a,b),(c,d)): b.c, plus a carry term for minus."""
-        (a, b), (c, _) = g, h
-        if len(a) != len(c):
-            raise ValueError("dimension mismatch in cocycle arguments")
-        val = sum(x * y for x, y in zip(b, c)) % self.p
-        if self.sign == MINUS:
-            val = (val + carry_int(a[0], c[0], self.p)) % self.p
-        return val
+        return extraspecial_cocycle(self.p, self.sign, g, h)
 
     def mul(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
         (ga, gb, gz), (ha, hb, hz) = g, h

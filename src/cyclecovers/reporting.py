@@ -1,14 +1,16 @@
 """Stable, diff-friendly structured-text output.
 
-Documents are JSON with sorted keys; every float is rounded to 12
-significant digits before serialization so identical runs emit identical
-bytes.
+Documents are JSON with sorted keys and an indent of two spaces; every float
+is rounded to 12 significant digits before it is written, so identical runs
+emit identical bytes. Dict keys are written as str(key), and lists and
+tuples both become JSON arrays.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any
+import math
+from json.encoder import encode_basestring_ascii
+from typing import Any, Callable, Optional
 
 
 def round_sig(x: float, digits: int = 12) -> float:
@@ -17,22 +19,81 @@ def round_sig(x: float, digits: int = 12) -> float:
     return float(f"{x:.{digits}g}")
 
 
-def _canonical(obj: Any) -> Any:
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return round_sig(obj)
-    if isinstance(obj, int):
-        return obj
+def _scalar_text(obj: Any) -> Optional[str]:
+    """JSON text of a scalar, None for a container; TypeError otherwise."""
     if isinstance(obj, str):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        x = round_sig(obj)
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    if isinstance(obj, (dict, list, tuple)):
+        return None
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
+    """Write a container; newline is a line break plus the indent of the
+    line the container opens on. Scalar members go out in one write with
+    the separator before them."""
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            text = _scalar_text(value)
+            head = sep + encode_basestring_ascii(key) + ": "
+            if text is None:
+                write(head)
+                _write_value(value, write, inner)
+            else:
+                write(head + text)
+            sep = "," + inner
+        write(newline + "}")
+        return
+    if not obj:
+        write("[]")
+        return
+    inner = newline + "  "
+    sep = "[" + inner
+    for value in obj:
+        text = _scalar_text(value)
+        if text is None:
+            write(sep)
+            _write_value(value, write, inner)
+        else:
+            write(sep + text)
+        sep = "," + inner
+    write(newline + "]")
+
+
+def write_stable(obj: Any, write: Callable[[str], object]) -> None:
+    """Write stable_text(obj) through write, in pieces, in one pass over obj."""
+    text = _scalar_text(obj)
+    if text is None:
+        _write_value(obj, write, "\n")
+        write("\n")
+    else:
+        write(text + "\n")
 
 
 def stable_text(obj: Any) -> str:
     """Key-sorted JSON with canonicalized floats, newline terminated."""
-    return json.dumps(_canonical(obj), sort_keys=True, indent=2) + "\n"
+    chunks: list[str] = []
+    write_stable(obj, chunks.append)
+    return "".join(chunks)

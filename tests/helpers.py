@@ -8,6 +8,7 @@ import itertools
 
 from cyclecovers.covers import build_cover, heisenberg_cover, induced_odd_cover
 from cyclecovers.gains import gain_from_cocycle
+from cyclecovers.graphs import Graph
 from cyclecovers.groups import ExtraspecialGroup, SIGNS
 
 
@@ -102,6 +103,19 @@ def carry_identity_exhaustive(p: int) -> bool:
         if not 0 <= lhs <= 2:
             return False
     return True
+
+
+def is_regular(g: Graph):
+    """The common degree of a regular graph, else None."""
+    degs = {g.degree(v) for v in range(g.n)}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def graph_from_edge_list_text(text: str) -> Graph:
+    """Parse Graph.to_edge_list_text: "n m", then m lines "u v"."""
+    lines = text.strip().split("\n")
+    n, m = map(int, lines[0].split())
+    return Graph(n, [tuple(map(int, line.split())) for line in lines[1: m + 1]])
 
 
 def both_signs():

@@ -2,16 +2,22 @@
 
 Everything here is deliberately independent of the library's own algorithms:
 cycle facts come from exhaustive DFS enumeration, eigenvalues from exact
-integer characteristic polynomials root-found at high precision.
+integer characteristic polynomials root-found at high precision, graphs
+from edge lists by their definitions, and stable JSON text from the
+standard library's encoder.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, polyroots
+
+from cyclecovers.graphs import Graph
+from cyclecovers.reporting import round_sig
 
 
 def enumerate_simple_cycles(graph):
@@ -162,3 +168,60 @@ def _real_roots(coeffs: list[int]) -> list:
         for r in roots:
             assert abs(mp.im(r)) < mp.mpf("1e-25")
         return sorted(mp.re(r) for r in roots)
+
+
+def cayley_by_definition(carrier, mul, inv, connection):
+    """Cayley graph from its definition: {g, h} is an edge when g h^-1 lies in
+    the connection set, over all pairs of the carrier."""
+    conn = set(connection)
+    return Graph(len(carrier), [
+        (i, j)
+        for i, g in enumerate(carrier)
+        for j, h in enumerate(carrier)
+        if i < j and mul(g, inv(h)) in conn
+    ])
+
+
+def cartesian_product_by_definition(x, y):
+    """(u, v) ~ (u, w) for each edge vw of y and (u, v) ~ (w, v) for each edge
+    uw of x; vertex (u, v) has id u * y.n + v."""
+    edges = [(u * y.n + v, u * y.n + w) for u in range(x.n) for v, w in y.edges()]
+    edges += [(u * y.n + v, w * y.n + v) for u, w in x.edges() for v in range(y.n)]
+    return Graph(x.n * y.n, edges)
+
+
+def torus_by_definition(p, k):
+    """The k-th Cartesian power of the p-cycle on digit tuples of Z_p^k, first
+    digit most significant: two tuples are adjacent when they differ by +-1
+    mod p in exactly one digit."""
+    vectors = list(itertools.product(range(p), repeat=k))
+    index = {v: i for i, v in enumerate(vectors)}
+    edges = []
+    for v in vectors:
+        for i in range(k):
+            w = v[:i] + ((v[i] + 1) % p,) + v[i + 1:]
+            edges.append((index[v], index[w]))
+    return Graph(len(vectors), edges)
+
+
+def canonical(obj):
+    """The document stable_text writes: floats rounded by round_sig, dict keys
+    made str, tuples made lists; TypeError on any other type."""
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return round_sig(obj)
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonical(v) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def json_stable_text(obj) -> str:
+    """stable_text by the standard library's encoder."""
+    return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"

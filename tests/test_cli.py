@@ -77,14 +77,14 @@ def test_build_both_signs(tmp_path, capsys):
 
 def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
     from cyclecovers.covers import build_cover
-    from cyclecovers.graphs import Graph
+    from helpers import graph_from_edge_list_text
 
     run_cli(capsys, "build", "--p", "3", "--d", "1", "--sign", "minus",
             "--out", str(tmp_path))
     cm = build_cover(3, 1, "minus")
-    total = Graph.from_edge_list_text(
+    total = graph_from_edge_list_text(
         (tmp_path / "cover_p3_d1_minus.total.edges").read_text())
-    base = Graph.from_edge_list_text(
+    base = graph_from_edge_list_text(
         (tmp_path / "cover_p3_d1_minus.base.edges").read_text())
     assert total == cm.total and base == cm.base
     fibers = tuple(

@@ -12,7 +12,7 @@ from cyclecovers.gains import (
 from cyclecovers.graphs import VertexCodec, cycle_graph
 from cyclecovers.groups import MINUS, PLUS, SIGNS
 
-from helpers import cover, gain_graph, odd_cover
+from helpers import cover, gain_graph, is_regular, odd_cover
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2)])
@@ -20,7 +20,7 @@ from helpers import cover, gain_graph, odd_cover
 def test_antisymmetry_everywhere(p, d, sign):
     gg = gain_graph(p, d, sign)
     assert gg.base.n == p ** (2 * d)
-    assert gg.base.is_regular() == 4 * d
+    assert is_regular(gg.base) == 4 * d
     for u, v, g in gg.arcs():
         assert gg.gain(v, u) == (-g) % p
 

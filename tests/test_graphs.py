@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclecovers.covers import lifted_connection
 from cyclecovers.graphs import (
     Graph,
     VertexCodec,
@@ -20,7 +21,15 @@ from cyclecovers.graphs import (
 )
 from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
-from oracles import brute_cycle_lengths, brute_girth, brute_has_4cycle
+from helpers import graph_from_edge_list_text, is_regular
+from oracles import (
+    brute_cycle_lengths,
+    brute_girth,
+    brute_has_4cycle,
+    cartesian_product_by_definition,
+    cayley_by_definition,
+    torus_by_definition,
+)
 
 
 def z2_tuples(d):
@@ -93,7 +102,7 @@ def test_edges_ascending():
 def test_edge_list_text_format():
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     assert g.to_edge_list_text() == "4 4\n0 1\n0 2\n1 3\n2 3\n"
-    assert Graph.from_edge_list_text(g.to_edge_list_text()) == g
+    assert graph_from_edge_list_text(g.to_edge_list_text()) == g
 
 
 # ---------------------------------------------------------------- codec
@@ -118,7 +127,7 @@ def test_cayley_cube():
         units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
         g = cayley(carrier, xor, lambda x: x, units)
         assert g == hypercube(d)
-        assert g.is_regular() == d
+        assert is_regular(g) == d
 
 
 def test_cayley_triangle():
@@ -150,7 +159,41 @@ def test_cayley_cycle_power_is_4d_regular():
                    lambda a: tuple((-x) % p for x in a),
                    conn)
         assert g.n == p ** dim
-        assert g.is_regular() == 4 * d
+        assert is_regular(g) == 4 * d
+
+
+def _counting(mul):
+    calls = [0]
+
+    def counted(g, h):
+        calls[0] += 1
+        return mul(g, h)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_cayley_multiplies_once_per_vertex_and_connection_element(sign):
+    group = ExtraspecialGroup(3, 1, sign)
+    carrier = list(group.elements())
+    conn = lifted_connection(group)
+    mul, calls = _counting(group.mul)
+    g = cayley(carrier, mul, group.inv, conn)
+    assert calls[0] == len(carrier) * len(conn) + 1
+    assert g == cayley_by_definition(carrier, group.mul, group.inv, conn)
+
+
+def test_cayley_counts_a_repeated_connection_element_once():
+    add, neg = (lambda a, b: (a + b) % 7), (lambda a: (-a) % 7)
+    mul, calls = _counting(add)
+    g = cayley(list(range(7)), mul, neg, [1, 6, 1, 6, 6, 2, 5, 2])
+    assert g == cayley_by_definition(list(range(7)), add, neg, [1, 6, 2, 5])
+    assert calls[0] == 7 * 4 + 1
+    group = ExtraspecialGroup(3, 1, "minus")
+    carrier = list(group.elements())
+    conn = lifted_connection(group)
+    assert (cayley(carrier, group.mul, group.inv, conn + conn[::-1])
+            == cayley(carrier, group.mul, group.inv, conn))
 
 
 # ---------------------------------------------------------------- products
@@ -165,7 +208,7 @@ def test_product_k2_k2():
 def test_product_c3_c3():
     g = cartesian_power(cycle_graph(3), 2)
     assert g.n == 9 and g.m == 18
-    assert g.is_regular() == 4
+    assert is_regular(g) == 4
 
 
 def test_product_matches_cayley_form():
@@ -178,6 +221,19 @@ def test_product_matches_cayley_form():
                  lambda a: tuple((-x) % p for x in a),
                  conn)
     assert prod == cay
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 4), (4, 3), (5, 2), (5, 3), (7, 2)])
+def test_cartesian_power_matches_the_definition(p, k):
+    assert cartesian_power(cycle_graph(p), k) == torus_by_definition(p, k)
+
+
+def test_cartesian_product_matches_the_definition_on_the_corpus():
+    names = ["path", "tree", "empty", "k4", "petersen", "random0", "random3"]
+    for a in names:
+        for b in names:
+            x, y = CORPUS[a], CORPUS[b]
+            assert cartesian_product(x, y) == cartesian_product_by_definition(x, y), (a, b)
 
 
 # ---------------------------------------------------------------- girth
@@ -268,6 +324,13 @@ def extraspecial_cayley(draw):
     gens = draw(st.lists(st.sampled_from(carrier[1:]), max_size=4, unique=True))
     conn = list(dict.fromkeys(gens + [group.inv(g) for g in gens]))
     return carrier, group.mul, group.inv, conn
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(cyclic_cayley(), extraspecial_cayley()))
+def test_cayley_matches_the_definition(case):
+    carrier, mul, inv, conn = case
+    assert cayley(carrier, mul, inv, conn) == cayley_by_definition(carrier, mul, inv, conn)
 
 
 @settings(max_examples=60, deadline=None)

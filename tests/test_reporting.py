@@ -1,8 +1,14 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecovers.reporting import round_sig, stable_text
+
+from oracles import json_stable_text
 
 
 def test_round_sig_12_digits():
@@ -26,10 +32,41 @@ def test_stable_text_canonicalizes_floats():
 
 
 def test_stable_text_rejects_unknown_types():
-    with pytest.raises(TypeError):
-        stable_text({"x": object()})
+    for value in (object(), np.int64(3)):
+        for doc in ({"x": value}, [1, [value]], value):
+            with pytest.raises(TypeError):
+                stable_text(doc)
+            with pytest.raises(TypeError):
+                json_stable_text(doc)
 
 
 def test_stable_text_identical_runs():
     doc = {"eigenvalues": [1.0 / 3.0, -2.0 / 7.0], "n": 2, "flag": True, "none": None}
     assert stable_text(doc) == stable_text(doc)
+
+
+STRINGS = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", '"\\/', "caf\u00e9", "\u65e5\u672c", "\U0001f600",
+                     "line\nbreak\ttab"]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 2.2618022452599717]),
+    STRINGS,
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(-3, 3), STRINGS), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(DOCUMENTS)
+def test_stable_text_matches_the_json_encoder(doc):
+    assert stable_text(doc) == json_stable_text(doc)
