@@ -29,7 +29,6 @@ from .covers import (
 from .gains import GainGraph, all_cycle_sums_nonzero, cover_from_gain, gain_from_cocycle
 from .graphs import (
     Graph,
-    VertexCodec,
     cartesian_power,
     cartesian_product,
     cayley,

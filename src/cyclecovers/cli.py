@@ -32,7 +32,7 @@ from .covers import (
 )
 from .gains import GainGraph, all_cycle_sums_nonzero, gain_from_cocycle
 from .graphs import girth, has_4cycle, has_cycle_of_length
-from .groups import MINUS, PLUS, ExtraspecialGroup
+from .groups import MINUS, PLUS, extraspecial_group
 from .modular import SUPPORTED_PRIMES
 from .reporting import stable_text, write_stable
 from .spectra import (
@@ -194,10 +194,10 @@ def _certify_cayley(report: dict, cm: CoveringMap, fold: int,
 def _verify_extraspecial(p: int, d: int, sign: str, want_girth: bool) -> dict:
     report = _empty_report({"kind": "extraspecial", "p": p, "d": d, "sign": sign})
     checks = report["checks"]
+    group = extraspecial_group(p, d, sign)  # held, so build_cover uses it too
     _certify_cayley(report, build_cover(p, d, sign), p, sign == PLUS, want_girth)
     rank = modular_rank(connection_set(p, d), p)
     checks["connection_rank"] = _check(rank == 2 * d, None, rank=rank)
-    group = ExtraspecialGroup(p, d, sign)
     conn = lifted_connection(group)
     checks["connection_size"] = _check(len(set(conn)) == 4 * d, None, size=len(set(conn)))
     embedded = conn[: 2 * d]
@@ -397,8 +397,10 @@ def cmd_gain(args) -> int:
     docs = []
     for sign in _signs(args.sign):
         gg = gain_from_cocycle(p, args.d, sign)
-        ok3, wit3 = all_cycle_sums_nonzero(gg, 3)
-        ok4, wit4 = all_cycle_sums_nonzero(gg, 4)
+        # Cycles through vertex 0 decide all cycles of a cocycle gain graph
+        # (README, "Gain cycle sums from one vertex").
+        ok3, wit3 = all_cycle_sums_nonzero(gg, 3, root=0)
+        ok4, wit4 = all_cycle_sums_nonzero(gg, 4, root=0)
         docs.append({
             "construction": {"kind": "gain", "p": p, "d": args.d, "sign": sign},
             "n": gg.base.n,

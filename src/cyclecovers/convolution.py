@@ -1,21 +1,32 @@
 """Dense functions on small finite groups: convolution, the mod-2 twisted
-convolution, and the lift to the Heisenberg carrier."""
+convolution, and the lift to the Heisenberg carrier.
+
+Each convolution is one exact kernel, (f * g)(x) = sum over y of
+f(y) g(T[y, x]), times S[y, x] for the twisted convolution, over tables T
+and S that depend only on the group and are built once per carrier and
+group. The kernel sums in int64 and refuses input where a sum could
+overflow.
+"""
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Sequence
+import operator
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .groups import HeisenbergElement, HeisenbergGroup
 
+_INT64_MAX = 2 ** 63 - 1
+
 
 class GroupFunction:
-    """A total function from an enumerated carrier to numbers.
+    """A total function from an enumerated carrier to integers.
 
-    Integer values stay integers through convolution, keeping the algebraic
-    identity checks exact.
+    Values stay integers through convolution, keeping the algebraic identity
+    checks exact.
     """
 
     def __init__(self, carrier: Sequence, values: Sequence):
@@ -59,27 +70,76 @@ class GroupFunction:
             raise ValueError("functions live on different carriers")
 
 
-def convolve(f: GroupFunction, g: GroupFunction, mul: Callable, inv: Callable) -> GroupFunction:
-    """(f * g)(x) = sum over y of f(y) g(y^-1 x)."""
-    f._check(g)
-    out = []
-    for x in f.carrier:
-        acc = 0
-        for i, y in enumerate(f.carrier):
-            fy = f.values[i]
-            if fy:
-                acc += fy * g.values[g.index[mul(inv(y), x)]]
-        out.append(acc)
-    return GroupFunction(f.carrier, out)
-
-
+@functools.lru_cache(maxsize=None)
 def z2_carrier(d: int) -> tuple[tuple[int, ...], ...]:
     """All of Z_2^d, first coordinate most significant."""
     return tuple(itertools.product(range(2), repeat=d))
 
 
+@functools.lru_cache(maxsize=None)
+def _heisenberg(d: int) -> HeisenbergGroup:
+    return HeisenbergGroup(d)
+
+
+@functools.lru_cache(maxsize=None)
 def heisenberg_carrier(d: int) -> tuple[HeisenbergElement, ...]:
-    return tuple(HeisenbergGroup(d).elements())
+    return tuple(_heisenberg(d).elements())
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _division_table(carrier: tuple, mul: Callable, inv: Callable) -> np.ndarray:
+    """Carrier index of y^-1 x at [y, x]: mul runs once per pair, inv once
+    per element."""
+    index = {g: i for i, g in enumerate(carrier)}
+    return _frozen(np.array([[index[mul(y_inv, x)] for x in carrier]
+                             for y_inv in map(inv, carrier)], dtype=np.intp))
+
+
+@functools.lru_cache(maxsize=8)
+def _twist_tables(carrier: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Over Z_2^d: the carrier index of y + x at [y, x], and the sign
+    (-1)^form(y, y + x) that twisted convolution gives that term."""
+    form = _heisenberg(len(carrier[0])).form
+    index = {g: i for i, g in enumerate(carrier)}
+    sums = [[tuple(map(operator.xor, y, x)) for x in carrier] for y in carrier]
+    ids = np.array([[index[s] for s in row] for row in sums], dtype=np.intp)
+    signs = np.array([[1 - 2 * form(y, s) for s in row] for y, row in zip(carrier, sums)],
+                     dtype=np.int64)
+    return _frozen(ids), _frozen(signs)
+
+
+def _exact(f: GroupFunction, g: GroupFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The values of f and g as int64 arrays; ValueError unless both take
+    integer values and every sum the kernel forms fits in int64."""
+    f._check(g)
+    # Each partial sum is at most sum |f(y)| times max |g| in absolute value.
+    f_sum = sum(map(abs, f.values))
+    g_max = max(map(abs, g.values), default=0)
+    if max(f_sum, g_max, f_sum * g_max) > _INT64_MAX:
+        raise ValueError("convolution values could overflow int64")
+    fv, gv = np.array(f.values), np.array(g.values)
+    if fv.dtype.kind not in "biu" or gv.dtype.kind not in "biu":
+        raise ValueError("convolution needs integer values")
+    return fv.astype(np.int64), gv.astype(np.int64)
+
+
+def _gather_sum(f: GroupFunction, g: GroupFunction, ids: np.ndarray,
+                signs: Optional[np.ndarray] = None) -> GroupFunction:
+    """The function x -> sum over y of f(y) g(ids[y, x]), each term times
+    signs[y, x] when signs are given."""
+    fv, gv = _exact(f, g)
+    terms = gv[ids] if signs is None else gv[ids] * signs
+    return GroupFunction(f.carrier, (fv @ terms).tolist())
+
+
+def convolve(f: GroupFunction, g: GroupFunction, mul: Callable, inv: Callable) -> GroupFunction:
+    """(f * g)(x) = sum over y of f(y) g(y^-1 x)."""
+    return _gather_sum(f, g, _division_table(f.carrier, mul, inv))
 
 
 def standard_basis_indicator(d: int) -> GroupFunction:
@@ -93,27 +153,13 @@ def standard_basis_indicator(d: int) -> GroupFunction:
 def twisted_convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """Convolution over Z_2^d carrying the sign of the strictly-upper form
     evaluated at (y, y + x)."""
-    f._check(g)
-    d = len(f.carrier[0])
-    group = HeisenbergGroup(d)
-    out = []
-    for x in f.carrier:
-        acc = 0
-        for i, y in enumerate(f.carrier):
-            fy = f.values[i]
-            if fy:
-                yx = tuple((a + b) % 2 for a, b in zip(y, x))
-                sign = -1 if group.form(y, yx) else 1
-                acc += sign * fy * g.values[g.index[yx]]
-        out.append(acc)
-    return GroupFunction(f.carrier, out)
+    return _gather_sum(f, g, *_twist_tables(f.carrier))
 
 
 def central_lift(f: GroupFunction) -> GroupFunction:
     """Lift f on Z_2^d to the Heisenberg carrier, weighted by the parity
     character on the central coordinate: (x, t) -> (-1)^t f(x)."""
-    d = len(f.carrier[0])
-    carrier = heisenberg_carrier(d)
+    carrier = heisenberg_carrier(len(f.carrier[0]))
     values = [((-1) ** g.t) * f.values[f.index[g.x]] for g in carrier]
     return GroupFunction(carrier, values)
 
@@ -121,8 +167,7 @@ def central_lift(f: GroupFunction) -> GroupFunction:
 def check_central_lift_identity(f: GroupFunction, g: GroupFunction) -> tuple[bool, int]:
     """Verify convolve(lift f, lift g) equals the lift of the twisted
     convolution scaled by the center order. Returns (ok, center_order)."""
-    d = len(f.carrier[0])
-    group = HeisenbergGroup(d)
+    group = _heisenberg(len(f.carrier[0]))
     center_order = 2
     lhs = convolve(central_lift(f), central_lift(g), group.mul, group.inv)
     rhs = central_lift(twisted_convolve(f, g)).scale(center_order)
@@ -140,17 +185,18 @@ def operator_matrix(transform: Callable[[GroupFunction], GroupFunction],
     return m
 
 
+def _z2_add(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.xor, u, v))
+
+
+def _z2_neg(u: tuple[int, ...]) -> tuple[int, ...]:
+    return u
+
+
 def convolution_operator_matrix(d: int) -> np.ndarray:
     """Matrix of f -> f * (standard basis indicator) over Z_2^d."""
     mu = standard_basis_indicator(d)
-
-    def add(u, v):
-        return tuple((a + b) % 2 for a, b in zip(u, v))
-
-    def neg(u):
-        return u
-
-    return operator_matrix(lambda f: convolve(f, mu, add, neg), z2_carrier(d))
+    return operator_matrix(lambda f: convolve(f, mu, _z2_add, _z2_neg), z2_carrier(d))
 
 
 def twisted_operator_matrix(d: int) -> np.ndarray:

@@ -20,6 +20,7 @@ from .groups import (
     ExtraspecialElement,
     ExtraspecialGroup,
     HeisenbergGroup,
+    extraspecial_group,
 )
 from .modular import Prime
 
@@ -207,7 +208,7 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     if p ** (1 + 2 * d) > MAX_COVER_SIZE:
         raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
-    group = ExtraspecialGroup(p, d, sign)
+    group = extraspecial_group(p, d, sign)
     conn = lifted_connection(group)
     carrier = list(group.elements())
     total = cayley(carrier, group.mul, group.inv, conn)

@@ -7,10 +7,12 @@ joins (u, j) to (v, j + gain(u, v)) along each arc.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Iterator, Optional
 
 from .covers import CoveringMap, connection_set
-from .graphs import Graph, VertexCodec, cayley, rooted_cycles
+from .graphs import Graph, cayley, rooted_cycles
 from .groups import SIGNS, extraspecial_cocycle
 from .modular import Prime
 
@@ -69,8 +71,10 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     steps = list(connection_set(p, d))
-    codec = VertexCodec((p,) * (2 * d))
-    vectors = [codec.decode(i) for i in range(codec.size)]
+    # Vertex ids are the base-p numbers of the vectors, first digit most
+    # significant: the order itertools.product lists them in.
+    vectors = list(itertools.product(range(p), repeat=2 * d))
+    weights = [p ** k for k in reversed(range(2 * d))]
     neg_steps = [tuple((-x) % p for x in s) for s in steps]
 
     def add(u, v):
@@ -83,7 +87,7 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     gains: dict[tuple[int, int], int] = {}
     for gid, g in enumerate(vectors):
         for s in steps:
-            tid = codec.encode(add(s, g))
+            tid = sum(map(operator.mul, add(s, g), weights))
             val = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (g[:d], g[d:]))
             key = (gid, tid)
             if key in gains and gains[key] != val:
@@ -104,16 +108,20 @@ def cover_from_gain(gg: GainGraph) -> CoveringMap:
     return CoveringMap(total, gg.base, gamma)
 
 
-def directed_cycles(base: Graph, length: int) -> Iterator[tuple[int, ...]]:
-    """Each simple cycle of the given length once, rooted at its minimum
-    vertex, in the orientation with the smaller second vertex."""
-    return (path for path in rooted_cycles(base, length) if path[1] < path[-1])
+def directed_cycles(base: Graph, length: int,
+                    root: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Each simple cycle of the given length once, in the orientation with
+    the smaller second vertex: rooted at its minimum vertex, or with root
+    given, only the cycles through root, rooted there."""
+    return (path for path in rooted_cycles(base, length, root) if path[1] < path[-1])
 
 
-def cycle_gain_sums(gg: GainGraph, length: int) -> list[tuple[tuple[int, ...], int]]:
-    """Directed gain sums around every simple cycle of the given length."""
+def cycle_gain_sums(gg: GainGraph, length: int,
+                    root: Optional[int] = None) -> list[tuple[tuple[int, ...], int]]:
+    """Directed gain sums around every simple cycle of the given length, or
+    with root given, around every one through root."""
     out = []
-    for cyc in directed_cycles(gg.base, length):
+    for cyc in directed_cycles(gg.base, length, root):
         total = 0
         for i in range(length):
             total += gg.gain(cyc[i], cyc[(i + 1) % length])
@@ -121,19 +129,16 @@ def cycle_gain_sums(gg: GainGraph, length: int) -> list[tuple[tuple[int, ...], i
     return out
 
 
-def all_cycle_sums_nonzero(gg: GainGraph, length: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    for cyc, s in cycle_gain_sums(gg, length):
+def all_cycle_sums_nonzero(gg: GainGraph, length: int, root: Optional[int] = None
+                           ) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Whether every simple cycle of the given length has a nonzero gain sum,
+    with the first zero-sum cycle as witness. With root given, only cycles
+    through root are summed. On a gain graph from gain_from_cocycle, root=0
+    decides the same and gives the same witness: translation changes gains
+    by a coboundary, so every cycle has the gain sum of a cycle through 0,
+    and the search over all roots starts at 0 (README, "Gain cycle sums
+    from one vertex")."""
+    for cyc, s in cycle_gain_sums(gg, length, root):
         if s == 0:
             return False, cyc
     return True, None
-
-
-def gains_along(gg: GainGraph, step: tuple[int, ...], codec: VertexCodec) -> set[int]:
-    """Distinct gains over the arcs (g, step + g) for all base vertices g."""
-    p = gg.p
-    out = set()
-    for gid in range(gg.base.n):
-        g = codec.decode(gid)
-        tid = codec.encode(tuple((a + b) % p for a, b in zip(step, g)))
-        out.add(gg.gain(gid, tid))
-    return out

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import collections
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -83,39 +82,6 @@ class Graph:
                 sep = f"\n{u} "
                 rows.append(sep[1:] + sep.join(map(str, upper)))
         return "\n".join(rows) + "\n"
-
-
-@dataclass(frozen=True)
-class VertexCodec:
-    """Bijection between digit tuples and ids; first digit most significant."""
-
-    radices: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        out = 1
-        for r in self.radices:
-            out *= r
-        return out
-
-    def encode(self, digits: Sequence[int]) -> int:
-        if len(digits) != len(self.radices):
-            raise ValueError("digit count does not match the codec shape")
-        v = 0
-        for d, r in zip(digits, self.radices):
-            if not 0 <= d < r:
-                raise ValueError(f"digit {d} out of range for radix {r}")
-            v = v * r + d
-        return v
-
-    def decode(self, vid: int) -> tuple[int, ...]:
-        if not 0 <= vid < self.size:
-            raise ValueError(f"id {vid} out of range")
-        out = []
-        for r in reversed(self.radices):
-            out.append(vid % r)
-            vid //= r
-        return tuple(reversed(out))
 
 
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -146,6 +147,20 @@ class ExtraspecialGroup:
         """Computed by brute force; intended for small instances."""
         els = list(self.elements())
         return [g for g in els if all(self.mul(g, h) == self.mul(h, g) for h in els)]
+
+
+_shared_groups: "weakref.WeakValueDictionary[tuple, ExtraspecialGroup]" = (
+    weakref.WeakValueDictionary())
+
+
+def extraspecial_group(p: int, d: int, sign: str) -> ExtraspecialGroup:
+    """ExtraspecialGroup(p, d, sign), shared while any caller still holds
+    it: verify holds its group while build_cover builds the cover, so both
+    use one group and its tables, and a build alone frees them after."""
+    group = _shared_groups.get((p, d, sign))
+    if group is None:
+        group = _shared_groups[(p, d, sign)] = ExtraspecialGroup(p, d, sign)
+    return group
 
 
 class HeisenbergGroup:

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
 from cyclecovers.covers import build_cover, heisenberg_cover, induced_odd_cover
-from cyclecovers.gains import gain_from_cocycle
+from cyclecovers.gains import GainGraph, gain_from_cocycle
 from cyclecovers.graphs import Graph
 from cyclecovers.groups import ExtraspecialGroup, SIGNS
 
@@ -120,3 +122,47 @@ def graph_from_edge_list_text(text: str) -> Graph:
 
 def both_signs():
     return SIGNS
+
+
+@dataclass(frozen=True)
+class VertexCodec:
+    """Bijection between digit tuples and ids; first digit most significant."""
+
+    radices: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        out = 1
+        for r in self.radices:
+            out *= r
+        return out
+
+    def encode(self, digits: Sequence[int]) -> int:
+        if len(digits) != len(self.radices):
+            raise ValueError("digit count does not match the codec shape")
+        v = 0
+        for d, r in zip(digits, self.radices):
+            if not 0 <= d < r:
+                raise ValueError(f"digit {d} out of range for radix {r}")
+            v = v * r + d
+        return v
+
+    def decode(self, vid: int) -> tuple[int, ...]:
+        if not 0 <= vid < self.size:
+            raise ValueError(f"id {vid} out of range")
+        out = []
+        for r in reversed(self.radices):
+            out.append(vid % r)
+            vid //= r
+        return tuple(reversed(out))
+
+
+def gains_along(gg: GainGraph, step: tuple[int, ...], codec: VertexCodec) -> set[int]:
+    """Distinct gains over the arcs (g, step + g) for all base vertices g."""
+    p = gg.p
+    out = set()
+    for gid in range(gg.base.n):
+        g = codec.decode(gid)
+        tid = codec.encode(tuple((a + b) % p for a, b in zip(step, g)))
+        out.add(gg.gain(gid, tid))
+    return out

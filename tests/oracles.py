@@ -225,3 +225,30 @@ def canonical(obj):
 def json_stable_text(obj) -> str:
     """stable_text by the standard library's encoder."""
     return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
+
+
+def convolve_by_definition(f, g, mul, inv) -> list:
+    """(f * g)(x) = sum over y of f(y) g(y^-1 x), one product per pair."""
+    return [sum(f(y) * g(mul(inv(y), x)) for y in f.carrier) for x in f.carrier]
+
+
+def upper_form(x, y) -> int:
+    """sum over i < j of x_i y_j, mod 2."""
+    return sum(x[i] * y[j] for i in range(len(x)) for j in range(i + 1, len(y))) % 2
+
+
+def twisted_convolve_by_definition(f, g) -> list:
+    """sum over y in Z_2^d of (-1)^form(y, y + x) f(y) g(y + x), per pair."""
+    out = []
+    for x in f.carrier:
+        total = 0
+        for y in f.carrier:
+            yx = tuple((a + b) % 2 for a, b in zip(y, x))
+            total += (-1) ** upper_form(y, yx) * f(y) * g(yx)
+        out.append(total)
+    return out
+
+
+def central_lift_by_definition(f, carrier) -> list:
+    """(x, t) -> (-1)^t f(x) over a carrier of pairs (x, t)."""
+    return [(-1) ** t * f(x) for x, t in carrier]

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -184,6 +185,23 @@ def test_verify_both_signs(capsys):
     assert by_sign["minus"]["p_cycle_present"] is False
 
 
+def test_verify_builds_each_group_once(capsys, monkeypatch):
+    from cyclecovers import groups
+
+    built = []
+    init = groups.ExtraspecialGroup.__init__
+
+    def counting_init(self, p, d, sign):
+        built.append((p, d, sign))
+        init(self, p, d, sign)
+
+    monkeypatch.setattr(groups.ExtraspecialGroup, "__init__", counting_init)
+    monkeypatch.setattr(groups, "_shared_groups", weakref.WeakValueDictionary())
+    code, _, _ = run_cli(capsys, "verify", "--p", "3", "--d", "1", "--sign", "both")
+    assert code == 0
+    assert built == [(3, 1, "plus"), (3, 1, "minus")]
+
+
 def test_verify_heisenberg(capsys):
     code, out, _ = run_cli(capsys, "verify", "--heisenberg", "--d", "4")
     assert code == 0
@@ -317,6 +335,37 @@ def test_convolve_check(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["checks"]["lift_intertwining"]["center_order"] == 2
+
+
+# sha256 of the stdout of these commands, recorded before convolution moved
+# onto group tables and gain began summing cycles from vertex 0 alone.
+STDOUT_DIGESTS = {
+    ("gain", "--p", "3", "--d", "3", "--sign", "both"):
+        "52887345a14c0bfef07510c2c9e54f1052ace35c420aec5377cb7548f1f7eb31",
+    ("gain", "--p", "5", "--d", "2", "--sign", "both"):
+        "0916ffd034cc35f2bf7d4c23df120f01626a9eb03ba59684d05ed042174cc2e7",
+    ("convolve-check", "--d", "1"):
+        "41681482472a63a90464542edd11b838d1dace8e05a5fc00532d8b2e27a2cd73",
+    ("convolve-check", "--d", "2"):
+        "a4f1275425794d3eea9142c446aef2b501ff1a9575d82a600ab0c093833f7feb",
+    ("convolve-check", "--d", "3"):
+        "bd6b9ff96a4e8c80d33d4a2052d2ddf039e2ce0197c138106825fd640c97a76c",
+    ("convolve-check", "--d", "4"):
+        "195e96c50aefba4a221ff4e5d5ceb534245a8bb284f44655fbb6439e44a58d54",
+    ("convolve-check", "--d", "5"):
+        "c7f2e0d61d8150eec62f6165ccb2634a5b004d430e1707ce7da15f4780e774c4",
+    ("convolve-check", "--d", "6"):
+        "d89ecc4068911062aa184528c976022d3324192aebf1869b9261e58bb00fa65c",
+    ("convolve-check", "--d", "7"):
+        "017c16b804b0219ec2881244997071be766d593e1676458de058a13c284baed6",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_DIGESTS), ids=" ".join)
+def test_stdout_bytes_match_recorded_digests(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
 
 
 def test_usage_errors_exit_2(capsys):
@@ -458,8 +507,8 @@ def out_of_range_argv(draw):
 def test_out_of_range_input_exits_2_before_any_build(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir, pytest.MonkeyPatch.context() as mp:
-        for module, name in ((covers, "ExtraspecialGroup"), (covers, "HeisenbergGroup"),
-                             (cli, "ExtraspecialGroup"), (cli, "gain_from_cocycle")):
+        for module, name in ((covers, "extraspecial_group"), (covers, "HeisenbergGroup"),
+                             (cli, "extraspecial_group"), (cli, "gain_from_cocycle")):
             mp.setattr(module, name, _refuse_to_build)
         if argv[0] == "build":
             argv = argv + ["--out", out_dir]

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecovers.convolution import (
     GroupFunction,
@@ -20,6 +22,12 @@ from cyclecovers.covers import cohen_tits_signing
 from cyclecovers.graphs import hypercube
 from cyclecovers.groups import HeisenbergGroup
 from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
+
+from oracles import (
+    central_lift_by_definition,
+    convolve_by_definition,
+    twisted_convolve_by_definition,
+)
 
 
 def _z2_ops(d):
@@ -163,3 +171,76 @@ def test_group_function_validation():
     other = GroupFunction(z2_carrier(1), [1, 2])
     with pytest.raises(ValueError):
         f._check(other)
+
+
+# ---------------------------------------------------------------- table kernel
+
+
+def _draw_function(data, carrier, bound=1000):
+    values = data.draw(st.lists(st.integers(-bound, bound),
+                                min_size=len(carrier), max_size=len(carrier)))
+    return GroupFunction(carrier, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_heisenberg_convolution_matches_oracle(d, data):
+    h = HeisenbergGroup(d)
+    carrier = heisenberg_carrier(d)
+    f, g = _draw_function(data, carrier), _draw_function(data, carrier)
+    got = convolve(f, g, h.mul, h.inv)
+    assert got.carrier == carrier
+    assert list(got.values) == convolve_by_definition(f, g, h.mul, h.inv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_z2_convolutions_match_oracle(d, data):
+    carrier = z2_carrier(d)
+    add, neg = _z2_ops(d)
+    f, g = _draw_function(data, carrier), _draw_function(data, carrier)
+    assert list(convolve(f, g, add, neg).values) == convolve_by_definition(f, g, add, neg)
+    assert list(twisted_convolve(f, g).values) == twisted_convolve_by_definition(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_lift_identity_matches_oracle(d, data):
+    h = HeisenbergGroup(d)
+    carrier = z2_carrier(d)
+    f, g = _draw_function(data, carrier), _draw_function(data, carrier)
+    lifted = heisenberg_carrier(d)
+    lift_f = central_lift(f)
+    assert list(lift_f.values) == central_lift_by_definition(f, lifted)
+    lhs = convolve_by_definition(lift_f, central_lift(g), h.mul, h.inv)
+    twisted = GroupFunction(carrier, twisted_convolve_by_definition(f, g))
+    rhs = [2 * v for v in central_lift_by_definition(twisted, lifted)]
+    assert lhs == rhs
+    assert check_central_lift_identity(f, g) == (True, 2)
+
+
+def test_convolution_refuses_values_that_could_overflow_int64():
+    carrier = z2_carrier(2)
+    add, neg = _z2_ops(2)
+    # Every value of the true convolution is 4 * 2^62 = 2^64, which int64
+    # would wrap to 0.
+    big = GroupFunction(carrier, [2 ** 31] * 4)
+    for run in (lambda: convolve(big, big, add, neg), lambda: twisted_convolve(big, big)):
+        with pytest.raises(ValueError, match="overflow"):
+            run()
+    # At 2^62 the sums still fit, and come out exact.
+    fits = GroupFunction(carrier, [2 ** 30] * 4)
+    assert convolve(fits, fits, add, neg).values == (2 ** 62,) * 4
+    zero = GroupFunction(carrier, [0] * 4)
+    huge = GroupFunction(carrier, [2 ** 70, 0, 0, 0])
+    for f, g in ((huge, zero), (zero, huge)):
+        with pytest.raises(ValueError, match="overflow"):
+            convolve(f, g, add, neg)
+
+
+def test_convolution_refuses_non_integer_values():
+    carrier = z2_carrier(1)
+    add, neg = _z2_ops(1)
+    f = GroupFunction(carrier, [1, 0])
+    with pytest.raises(ValueError, match="integer"):
+        convolve(f, GroupFunction(carrier, [0.5, 1]), add, neg)

@@ -20,7 +20,6 @@ from cyclecovers.covers import (
 )
 from cyclecovers.graphs import (
     Graph,
-    VertexCodec,
     cycle_graph,
     girth,
     has_4cycle,
@@ -30,7 +29,7 @@ from cyclecovers.graphs import (
 from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup
 from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 
-from helpers import cover, cube_cover, is_regular, odd_cover
+from helpers import VertexCodec, cover, cube_cover, is_regular, odd_cover
 from oracles import brute_isomorphic
 
 
@@ -326,8 +325,6 @@ def test_cohen_tits_odd_negative_edges_on_4cycles(d):
     q = hypercube(d)
     m = sm.entries.astype(int)
     # All 4-cycles of the cube: flip two distinct coordinates.
-    from cyclecovers.graphs import VertexCodec
-
     codec = VertexCodec((2,) * d)
     for x in range(q.n):
         dx = codec.decode(x)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclecovers.covers import connection_set, standard_ids, verify_cover
 from cyclecovers.gains import (
@@ -6,13 +8,13 @@ from cyclecovers.gains import (
     all_cycle_sums_nonzero,
     cover_from_gain,
     cycle_gain_sums,
+    directed_cycles,
     gain_from_cocycle,
-    gains_along,
 )
-from cyclecovers.graphs import VertexCodec, cycle_graph
+from cyclecovers.graphs import cycle_graph
 from cyclecovers.groups import MINUS, PLUS, SIGNS
 
-from helpers import cover, gain_graph, is_regular, odd_cover
+from helpers import VertexCodec, cover, gain_graph, gains_along, is_regular, odd_cover
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2)])
@@ -139,3 +141,54 @@ def test_gain_from_cocycle_validation():
         gain_from_cocycle(2, 1, PLUS)
     with pytest.raises(ValueError):
         gain_from_cocycle(3, 1, "other")
+
+
+# ---------------------------------------------------------------- cycles through one root
+
+# Every (p, d) whose gain graph has at most 729 vertices.
+SMALL_GAIN_GRAPHS = [(p, d) for p in (3, 5, 7, 11, 13) for d in (1, 2, 3) if p ** (2 * d) <= 729]
+
+
+def _gain_sum(gg, walk):
+    return sum(gg.gain(walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk))) % gg.p
+
+
+@pytest.mark.parametrize("p,d", SMALL_GAIN_GRAPHS)
+@pytest.mark.parametrize("sign", SIGNS)
+def test_cycles_through_vertex_0_decide_all_cycles(p, d, sign):
+    gg = gain_graph(p, d, sign)
+    for length in (3, 4):
+        assert all_cycle_sums_nonzero(gg, length, root=0) == all_cycle_sums_nonzero(gg, length)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2)]), st.sampled_from(SIGNS), st.data())
+def test_translation_keeps_cycle_gain_sums(pd, sign, data):
+    # Translating by h changes each arc's gain by the coboundary of
+    # x -> kappa(x, h), which sums to 0 around any closed walk (README,
+    # "Gain cycle sums from one vertex").
+    p, d = pd
+    gg = gain_graph(p, d, sign)
+    codec = VertexCodec((p,) * (2 * d))
+    length = data.draw(st.sampled_from((3, 4) if p == 3 else (4, p)))
+    root = data.draw(st.integers(0, gg.base.n - 1))
+    cycle = data.draw(st.sampled_from(list(directed_cycles(gg.base, length, root))))
+    h = data.draw(st.tuples(*[st.integers(0, p - 1)] * (2 * d)))
+    shifted = [codec.encode(tuple((a + b) % p for a, b in zip(codec.decode(v), h)))
+               for v in cycle]
+    assert _gain_sum(gg, shifted) == _gain_sum(gg, cycle)
+
+
+def test_one_root_misses_a_zero_sum_cycle_without_cocycle_gains():
+    # Same base, every 3-cycle sum nonzero, then one triangle away from
+    # vertex 0 is given sum 0 by changing one gain: the gains no longer come
+    # from a cocycle, and the search from vertex 0 alone misses it.
+    gg = gain_graph(3, 1, MINUS)
+    assert all_cycle_sums_nonzero(gg, 3) == (True, None)
+    far = next(c for c in directed_cycles(gg.base, 3) if 0 not in c)
+    u, v = far[0], far[1]
+    gains = {(a, b): g for a, b, g in gg.arcs() if {a, b} != {u, v}}
+    gains[(u, v)] = (gg.gain(u, v) - _gain_sum(gg, far)) % 3
+    broken = GainGraph(gg.base, 3, gains)
+    assert all_cycle_sums_nonzero(broken, 3, root=0) == (True, None)
+    assert all_cycle_sums_nonzero(broken, 3) == (False, far)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cyclecovers.covers import lifted_connection
 from cyclecovers.graphs import (
     Graph,
-    VertexCodec,
     cartesian_power,
     cartesian_product,
     cayley,
@@ -21,7 +20,7 @@ from cyclecovers.graphs import (
 )
 from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
-from helpers import graph_from_edge_list_text, is_regular
+from helpers import VertexCodec, graph_from_edge_list_text, is_regular
 from oracles import (
     brute_cycle_lengths,
     brute_girth,
