@@ -19,7 +19,6 @@ from .covers import (
     cohen_tits_signing,
     connection_set,
     heisenberg_cover,
-    induced_odd_cover,
     lifted_connection,
     modular_rank,
     pairwise_noncommuting_check,
@@ -30,7 +29,6 @@ from .gains import GainGraph, all_cycle_sums_nonzero, cover_from_gain, gain_from
 from .graphs import (
     Graph,
     cartesian_power,
-    cartesian_product,
     cayley,
     cycle_graph,
     girth,
@@ -42,7 +40,6 @@ from .graphs import (
 from .groups import (
     MINUS,
     PLUS,
-    CocycleCheckResult,
     ExtraspecialElement,
     ExtraspecialGroup,
     HeisenbergElement,
@@ -51,7 +48,6 @@ from .groups import (
 )
 from .modular import Prime, carry_int
 from .spectra import (
-    DegreeBoundTable,
     SpectrumReport,
     adjacency_matrix,
     hermitian_eigenvalues,

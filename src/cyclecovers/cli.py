@@ -31,7 +31,7 @@ from .covers import (
     verify_cover,
 )
 from .gains import GainGraph, all_cycle_sums_nonzero, gain_from_cocycle
-from .graphs import girth, has_4cycle, has_cycle_of_length
+from .graphs import girth, has_4cycle, has_cycle_of_length, hypercube
 from .groups import MINUS, PLUS, extraspecial_group
 from .modular import SUPPORTED_PRIMES
 from .reporting import stable_text, write_stable
@@ -452,7 +452,7 @@ def cmd_convolve_check(args) -> int:
         serr = float(np.max(np.abs(np.array(rep.eigenvalues) - np.array(srep.eigenvalues))))
         checks["matches_signing_spectrum"] = _check(serr < 1e-9, None, max_error=serr)
         adj_ok = bool(np.array_equal(conv.convolution_operator_matrix(d),
-                                     adjacency_matrix(heisenberg_cover(d).base)))
+                                     adjacency_matrix(hypercube(d))))
         checks["convolution_is_cube_adjacency"] = _check(adj_ok)
     passed = all(c["pass"] for c in checks.values())
     print(stable_text({"command": "convolve-check", "d": d, "checks": checks,

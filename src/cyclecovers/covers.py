@@ -4,13 +4,19 @@ The extraspecial covers are Cayley graphs on the group carrier; the base is
 the Cartesian power of a p-cycle in standard coordinates, reached from group
 coordinates through the change of basis that sends the standard basis to the
 connection vectors (standard_ids).
+
+A gain graph labels each ordered adjacent pair with a residue mod p,
+antisymmetric under swapping the endpoints. Its cover (cover_from_gain)
+places p copies of each vertex and joins (u, j) to (v, j + gain(u, v)) along
+each arc; the signed double cover is that lift at p = 2.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -111,41 +117,46 @@ class CoverVerificationError(Exception):
 def verify_cover(cm: CoveringMap) -> int:
     """Check the covering axioms and return the fold count.
 
-    Verifies: the map is a homomorphism, fibers are independent sets of equal
-    size, and every base edge induces a perfect matching between the two
-    fibers. Raises CoverVerificationError with the offending vertex or edge.
+    After the map's domain and range and the fiber sizes, one comparison per
+    total vertex u: the images of u's neighbours, sorted, must be the
+    neighbours of u's image. That holds exactly when the map is a
+    homomorphism, fibers are independent sets (the base has no loops) and
+    every base edge induces a perfect matching between its two fibers.
+    Raises CoverVerificationError with the offending vertex or edge.
     """
     total, base, gamma = cm.total, cm.base, cm.fiber_map
     if len(gamma) != total.n:
         raise CoverVerificationError("map_domain", len(gamma))
     if any(not 0 <= b < base.n for b in gamma):
         raise CoverVerificationError("map_range", next(b for b in gamma if not 0 <= b < base.n))
-    fibers: dict[int, list[int]] = {v: [] for v in range(base.n)}
-    for u, b in enumerate(gamma):
-        fibers[b].append(u)
-    sizes = {len(f) for f in fibers.values()}
-    if len(sizes) != 1:
-        small = min(fibers, key=lambda v: len(fibers[v]))
-        big = max(fibers, key=lambda v: len(fibers[v]))
-        raise CoverVerificationError("equal_fibers", (small, len(fibers[small]), big, len(fibers[big])))
-    r = sizes.pop()
-    if r == 0:
+    if not gamma:
         raise CoverVerificationError("equal_fibers", "empty fibers")
-    # matched[u][y] counts neighbors of u inside the fiber over y.
-    matched: dict[tuple[int, int], int] = {}
-    for u, v in total.edges():
-        bu, bv = gamma[u], gamma[v]
-        if bu == bv:
-            raise CoverVerificationError("fiber_independence", (u, v))
-        if not base.has_edge(bu, bv):
-            raise CoverVerificationError("homomorphism", (u, v))
-        matched[(u, bv)] = matched.get((u, bv), 0) + 1
-        matched[(v, bu)] = matched.get((v, bu), 0) + 1
+    sizes = Counter(gamma)
+    if len(sizes) < base.n or len(set(sizes.values())) > 1:
+        small = min(range(base.n), key=sizes.__getitem__)
+        big = max(range(base.n), key=sizes.__getitem__)
+        raise CoverVerificationError("equal_fibers", (small, sizes[small], big, sizes[big]))
+    image = gamma.__getitem__
     for u in range(total.n):
-        for y in base.neighbors(gamma[u]):
-            if matched.get((u, y), 0) != 1:
-                raise CoverVerificationError("perfect_matching", (u, gamma[u], y))
-    return r
+        if tuple(sorted(map(image, total.neighbors(u)))) != base.neighbors(gamma[u]):
+            raise _broken_axiom(cm, u)
+    return len(gamma) // base.n
+
+
+def _broken_axiom(cm: CoveringMap, u: int) -> CoverVerificationError:
+    """The error for the first broken axiom, row u being the first row that
+    fails: the first edge, in edges() order, that lies inside a fiber or maps
+    onto a non-edge; with no such edge, the first neighbour of u's image that
+    u's neighbours do not hit exactly once."""
+    total, base, gamma = cm.total, cm.base, cm.fiber_map
+    for a, b in total.edges():
+        if gamma[a] == gamma[b]:
+            return CoverVerificationError("fiber_independence", (a, b))
+        if not base.has_edge(gamma[a], gamma[b]):
+            return CoverVerificationError("homomorphism", (a, b))
+    hits = Counter(gamma[v] for v in total.neighbors(u))
+    y = next(y for y in base.neighbors(gamma[u]) if hits[y] != 1)
+    return CoverVerificationError("perfect_matching", (u, gamma[u], y))
 
 
 def lifted_connection(group: ExtraspecialGroup) -> tuple[ExtraspecialElement, ...]:
@@ -230,6 +241,58 @@ def heisenberg_cover(d: int) -> CoveringMap:
     return CoveringMap(total, base, gamma)
 
 
+class GainGraph:
+    """A base graph with an antisymmetric arc labeling into Z_p."""
+
+    def __init__(self, base: Graph, p: int, arc_gains: dict[tuple[int, int], int]):
+        self.base = base
+        self.p = Prime(p)
+        gains: dict[tuple[int, int], int] = {}
+        for (u, v), g in arc_gains.items():
+            if not base.has_edge(u, v):
+                raise ValueError(f"gain assigned to non-edge ({u},{v})")
+            g = int(g) % self.p
+            for key, val in (((u, v), g), ((v, u), (-g) % self.p)):
+                if key in gains and gains[key] != val:
+                    raise ValueError(f"inconsistent gain at arc {key}")
+                gains[key] = val
+        for u, v in base.edges():
+            if (u, v) not in gains:
+                raise ValueError(f"edge ({u},{v}) has no gain")
+        self._gains = gains
+
+    def gain(self, u: int, v: int) -> int:
+        return self._gains[(u, v)]
+
+    def arcs(self) -> Iterator[tuple[int, int, int]]:
+        """Canonical arcs (u, v, gain) with u < v, ascending."""
+        for u, v in self.base.edges():
+            yield u, v, self._gains[(u, v)]
+
+    def restrict(self, vertices: list[int]) -> "GainGraph":
+        """Induced gain graph on the given vertices, relabeled in list order."""
+        remap = {v: i for i, v in enumerate(vertices)}
+        sub = induced_subgraph(self.base, vertices)
+        gains = {
+            (remap[u], remap[v]): g
+            for u, v, g in self.arcs()
+            if u in remap and v in remap
+        }
+        return GainGraph(sub, self.p, gains)
+
+
+def cover_from_gain(gg: GainGraph) -> CoveringMap:
+    """p-fold cover on V x Z_p: (u, j) ~ (v, j + gain(u, v)); ids are u*p + j."""
+    p = gg.p
+    edges = []
+    for u, v, g in gg.arcs():
+        for j in range(p):
+            edges.append((u * p + j, v * p + (j + g) % p))
+    total = Graph(gg.base.n * p, edges)
+    gamma = tuple(vid // p for vid in range(total.n))
+    return CoveringMap(total, gg.base, gamma)
+
+
 @dataclass(frozen=True)
 class SignedMatrix:
     """Symmetric matrix with entries in {-1, 0, +1} and zero diagonal."""
@@ -271,30 +334,9 @@ def cohen_tits_signing(d: int) -> SignedMatrix:
 
 
 def signed_double_cover(sm: SignedMatrix) -> CoveringMap:
-    """2-fold cover of the support graph: vertex v becomes 2v and 2v+1;
-    positive edges lift parallel, negative edges lift crossed."""
-    m = sm.entries
-    edges = []
-    for u in range(sm.n):
-        for v in range(u + 1, sm.n):
-            if m[u, v] == 1:
-                edges.append((2 * u, 2 * v))
-                edges.append((2 * u + 1, 2 * v + 1))
-            elif m[u, v] == -1:
-                edges.append((2 * u, 2 * v + 1))
-                edges.append((2 * u + 1, 2 * v))
-    total = Graph(2 * sm.n, edges)
-    gamma = tuple(vid // 2 for vid in range(2 * sm.n))
-    return CoveringMap(total, sm.support_graph(), gamma)
-
-
-def induced_odd_cover(p: int, d: int, sign: str) -> CoveringMap:
-    """Restrict the even-dimensional cover over the base hyperplane with last
-    standard coordinate 0, giving a p-fold cover of one fewer cycle factor."""
-    cm = build_cover(p, d, sign)
-    # The last standard digit is the least significant, so the kept base ids
-    # are the multiples of p, renumbered v // p.
-    base = induced_subgraph(cm.base, range(0, cm.base.n, p))
-    keep = [u for u, v in enumerate(cm.fiber_map) if v % p == 0]
-    total = induced_subgraph(cm.total, keep)
-    return CoveringMap(total, base, tuple(cm.fiber_map[u] // p for u in keep))
+    """2-fold cover of the support graph, the lift of the Z_2 gain graph with
+    gain 1 on the negative entries: vertex v becomes 2v and 2v+1; positive
+    edges lift parallel, negative edges lift crossed."""
+    base = sm.support_graph()
+    gains = {(u, v): int(sm.entries[u, v] == -1) for u, v in base.edges()}
+    return cover_from_gain(GainGraph(base, 2, gains))

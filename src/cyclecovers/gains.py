@@ -1,8 +1,8 @@
-"""Gain graphs over Z_p and the covers they define.
+"""The cocycle gain graph of the extraspecial covers, and gain sums around
+its short cycles.
 
-A gain graph labels each ordered adjacent pair with a residue, antisymmetric
-under swapping the endpoints. The cover places p copies of each vertex and
-joins (u, j) to (v, j + gain(u, v)) along each arc.
+GainGraph and its p-fold lift cover_from_gain are defined in covers, whose
+signed double cover is a lift at p = 2, and are imported from here as well.
 """
 
 from __future__ import annotations
@@ -11,52 +11,10 @@ import itertools
 import operator
 from typing import Iterator, Optional
 
-from .covers import CoveringMap, connection_set
-from .graphs import Graph, cayley, rooted_cycles
+from .covers import GainGraph, connection_set, cover_from_gain  # noqa: F401
+from .graphs import Graph, rooted_cycles
 from .groups import SIGNS, extraspecial_cocycle
 from .modular import Prime
-
-
-class GainGraph:
-    """A base graph with an antisymmetric arc labeling into Z_p."""
-
-    def __init__(self, base: Graph, p: int, arc_gains: dict[tuple[int, int], int]):
-        self.base = base
-        self.p = Prime(p)
-        gains: dict[tuple[int, int], int] = {}
-        for (u, v), g in arc_gains.items():
-            if not base.has_edge(u, v):
-                raise ValueError(f"gain assigned to non-edge ({u},{v})")
-            g = int(g) % self.p
-            for key, val in (((u, v), g), ((v, u), (-g) % self.p)):
-                if key in gains and gains[key] != val:
-                    raise ValueError(f"inconsistent gain at arc {key}")
-                gains[key] = val
-        for u, v in base.edges():
-            if (u, v) not in gains:
-                raise ValueError(f"edge ({u},{v}) has no gain")
-        self._gains = gains
-
-    def gain(self, u: int, v: int) -> int:
-        return self._gains[(u, v)]
-
-    def arcs(self) -> Iterator[tuple[int, int, int]]:
-        """Canonical arcs (u, v, gain) with u < v, ascending."""
-        for u, v in self.base.edges():
-            yield u, v, self._gains[(u, v)]
-
-    def restrict(self, vertices: list[int]) -> "GainGraph":
-        """Induced gain graph on the given vertices, relabeled in list order."""
-        from .graphs import induced_subgraph
-
-        remap = {v: i for i, v in enumerate(vertices)}
-        sub = induced_subgraph(self.base, vertices)
-        gains = {
-            (remap[u], remap[v]): g
-            for u, v, g in self.arcs()
-            if u in remap and v in remap
-        }
-        return GainGraph(sub, self.p, gains)
 
 
 def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
@@ -75,15 +33,10 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     # significant: the order itertools.product lists them in.
     vectors = list(itertools.product(range(p), repeat=2 * d))
     weights = [p ** k for k in reversed(range(2 * d))]
-    neg_steps = [tuple((-x) % p for x in s) for s in steps]
 
     def add(u, v):
         return tuple((a + b) % p for a, b in zip(u, v))
 
-    def neg(u):
-        return tuple((-a) % p for a in u)
-
-    base = cayley(vectors, add, neg, steps + neg_steps)
     gains: dict[tuple[int, int], int] = {}
     for gid, g in enumerate(vectors):
         for s in steps:
@@ -93,19 +46,7 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
             if key in gains and gains[key] != val:
                 raise ValueError(f"inconsistent cocycle gain at arc {key}")
             gains[key] = val
-    return GainGraph(base, p, gains)
-
-
-def cover_from_gain(gg: GainGraph) -> CoveringMap:
-    """p-fold cover on V x Z_p: (u, j) ~ (v, j + gain(u, v)); ids are u*p + j."""
-    p = gg.p
-    edges = []
-    for u, v, g in gg.arcs():
-        for j in range(p):
-            edges.append((u * p + j, v * p + (j + g) % p))
-    total = Graph(gg.base.n * p, edges)
-    gamma = tuple(vid // p for vid in range(total.n))
-    return CoveringMap(total, gg.base, gamma)
+    return GainGraph(Graph(len(vectors), gains.keys()), p, gains)
 
 
 def directed_cycles(base: Graph, length: int,

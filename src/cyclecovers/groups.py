@@ -143,11 +143,6 @@ class ExtraspecialGroup:
         for digits in itertools.product(rng, repeat=2 * self.d + 1):
             yield ExtraspecialElement(digits[: self.d], digits[self.d: 2 * self.d], digits[-1])
 
-    def center(self) -> list[ExtraspecialElement]:
-        """Computed by brute force; intended for small instances."""
-        els = list(self.elements())
-        return [g for g in els if all(self.mul(g, h) == self.mul(h, g) for h in els)]
-
 
 _shared_groups: "weakref.WeakValueDictionary[tuple, ExtraspecialGroup]" = (
     weakref.WeakValueDictionary())

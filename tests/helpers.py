@@ -8,9 +8,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from cyclecovers.covers import build_cover, heisenberg_cover, induced_odd_cover
+from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
-from cyclecovers.graphs import Graph
+from cyclecovers.graphs import Graph, induced_subgraph
 from cyclecovers.groups import ExtraspecialGroup, SIGNS
 
 
@@ -25,8 +25,16 @@ def cube_cover(d: int):
 
 
 @functools.lru_cache(maxsize=None)
-def odd_cover(p: int, d: int, sign: str):
-    return induced_odd_cover(p, d, sign)
+def odd_cover(p: int, d: int, sign: str) -> CoveringMap:
+    """Restrict the even-dimensional cover over the base hyperplane with last
+    standard coordinate 0, giving a p-fold cover of one fewer cycle factor."""
+    cm = cover(p, d, sign)
+    # The last standard digit is the least significant, so the kept base ids
+    # are the multiples of p, renumbered v // p.
+    base = induced_subgraph(cm.base, range(0, cm.base.n, p))
+    keep = [u for u, v in enumerate(cm.fiber_map) if v % p == 0]
+    total = induced_subgraph(cm.total, keep)
+    return CoveringMap(total, base, tuple(cm.fiber_map[u] // p for u in keep))
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,12 +70,14 @@ def check_inverses_exhaustive(p: int, d: int, sign: str) -> bool:
 
 
 def check_center_exhaustive(p: int, d: int, sign: str) -> bool:
-    group, _ = group_elements(p, d, sign)
+    """The center, found by brute force, is the p elements with a = b = 0."""
+    group, els = group_elements(p, d, sign)
     expected = sorted(
         (group.element((0,) * d, (0,) * d, z) for z in range(p)),
         key=lambda g: (g.a, g.b, g.z),
     )
-    found = sorted(group.center(), key=lambda g: (g.a, g.b, g.z))
+    center = [g for g in els if all(group.mul(g, h) == group.mul(h, g) for h in els)]
+    found = sorted(center, key=lambda g: (g.a, g.b, g.z))
     return found == expected
 
 

@@ -3,8 +3,8 @@
 Everything here is deliberately independent of the library's own algorithms:
 cycle facts come from exhaustive DFS enumeration, eigenvalues from exact
 integer characteristic polynomials root-found at high precision, graphs
-from edge lists by their definitions, and stable JSON text from the
-standard library's encoder.
+from edge lists by their definitions, covering maps checked edge by edge,
+and stable JSON text from the standard library's encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, polyroots
 
+from cyclecovers.covers import CoveringMap, CoverVerificationError
 from cyclecovers.graphs import Graph
 from cyclecovers.reporting import round_sig
 
@@ -202,6 +203,62 @@ def torus_by_definition(p, k):
             w = v[:i] + ((v[i] + 1) % p,) + v[i + 1:]
             edges.append((index[v], index[w]))
     return Graph(len(vectors), edges)
+
+
+def verify_cover_by_matched_pairs(cm):
+    """The covering axioms checked edge by edge: each edge must leave its
+    fiber and map onto a base edge, and a dict counting the neighbours of
+    each total vertex over each base vertex must read 1 at every neighbour
+    of the vertex's image. Returns the fold count; raises
+    CoverVerificationError with the first failure."""
+    total, base, gamma = cm.total, cm.base, cm.fiber_map
+    if len(gamma) != total.n:
+        raise CoverVerificationError("map_domain", len(gamma))
+    if any(not 0 <= b < base.n for b in gamma):
+        raise CoverVerificationError("map_range", next(b for b in gamma if not 0 <= b < base.n))
+    fibers = {v: [] for v in range(base.n)}
+    for u, b in enumerate(gamma):
+        fibers[b].append(u)
+    sizes = {len(f) for f in fibers.values()}
+    if len(sizes) != 1:
+        small = min(fibers, key=lambda v: len(fibers[v]))
+        big = max(fibers, key=lambda v: len(fibers[v]))
+        raise CoverVerificationError("equal_fibers", (small, len(fibers[small]), big, len(fibers[big])))
+    r = sizes.pop()
+    if r == 0:
+        raise CoverVerificationError("equal_fibers", "empty fibers")
+    matched = {}
+    for u, v in total.edges():
+        bu, bv = gamma[u], gamma[v]
+        if bu == bv:
+            raise CoverVerificationError("fiber_independence", (u, v))
+        if not base.has_edge(bu, bv):
+            raise CoverVerificationError("homomorphism", (u, v))
+        matched[(u, bv)] = matched.get((u, bv), 0) + 1
+        matched[(v, bu)] = matched.get((v, bu), 0) + 1
+    for u in range(total.n):
+        for y in base.neighbors(gamma[u]):
+            if matched.get((u, y), 0) != 1:
+                raise CoverVerificationError("perfect_matching", (u, gamma[u], y))
+    return r
+
+
+def signed_double_cover_by_edges(sm):
+    """Vertex v of the support graph becomes 2v and 2v+1; a positive edge
+    lifts to the two parallel edges, a negative edge to the two crossed ones."""
+    m = sm.entries
+    edges = []
+    for u in range(sm.n):
+        for v in range(u + 1, sm.n):
+            if m[u, v] == 1:
+                edges.append((2 * u, 2 * v))
+                edges.append((2 * u + 1, 2 * v + 1))
+            elif m[u, v] == -1:
+                edges.append((2 * u, 2 * v + 1))
+                edges.append((2 * u + 1, 2 * v))
+    total = Graph(2 * sm.n, edges)
+    gamma = tuple(vid // 2 for vid in range(2 * sm.n))
+    return CoveringMap(total, sm.support_graph(), gamma)
 
 
 def canonical(obj):

@@ -1,7 +1,10 @@
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclecovers.covers as covers
 from cyclecovers.covers import (
@@ -30,7 +33,7 @@ from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup
 from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 
 from helpers import VertexCodec, cover, cube_cover, is_regular, odd_cover
-from oracles import brute_isomorphic
+from oracles import brute_isomorphic, signed_double_cover_by_edges, verify_cover_by_matched_pairs
 
 
 # ---------------------------------------------------------------- connection set
@@ -289,6 +292,58 @@ def test_verify_cover_detects_unequal_fibers():
     assert err.value.axiom in ("equal_fibers", "fiber_independence", "perfect_matching")
 
 
+def test_verify_cover_refuses_the_empty_map():
+    empty = Graph(0, [])
+    with pytest.raises(CoverVerificationError) as err:
+        verify_cover(CoveringMap(empty, empty, ()))
+    assert err.value.axiom == "equal_fibers"
+
+
+def _signed_cube_cover(d):
+    return signed_double_cover(cohen_tits_signing(d))
+
+
+# Every extraspecial cover of at most 3125 vertices, the Heisenberg covers of
+# the d-cubes for d <= 8 and the signed double covers of the Cohen-Tits
+# signings for d <= 7.
+MUTANT_SOURCES = (
+    [functools.partial(cover, p, d, sign)
+     for p, d in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1))
+     for sign in SIGNS]
+    + [functools.partial(cube_cover, d) for d in range(1, 9)]
+    + [functools.partial(_signed_cube_cover, d) for d in range(1, 8)])
+
+
+def _verdict(check, cm):
+    try:
+        return check(cm)
+    except CoverVerificationError as err:
+        return err.axiom, err.witness
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MUTANT_SOURCES),
+       st.sampled_from(("drop_edge", "add_edge", "relabel", "swap")), st.data())
+def test_verify_cover_matches_the_oracle_on_mutants(source, mutation, data):
+    cm = source()
+    n, edges, gamma = cm.total.n, list(cm.total.edges()), list(cm.fiber_map)
+    total = cm.total
+    if mutation == "drop_edge":
+        i = data.draw(st.integers(0, len(edges) - 1))
+        total = Graph(n, edges[:i] + edges[i + 1:])
+    elif mutation == "add_edge":
+        u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        total = Graph(n, edges + [(u, v)])
+    elif mutation == "relabel":
+        # One past either end of the base's ids tests the map's range.
+        gamma[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, cm.base.n))
+    else:
+        u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        gamma[u], gamma[v] = gamma[v], gamma[u]
+    mutant = CoveringMap(total, cm.base, tuple(gamma))
+    assert _verdict(verify_cover, mutant) == _verdict(verify_cover_by_matched_pairs, mutant)
+
+
 # ---------------------------------------------------------------- cube covers
 
 def test_heisenberg_cover_small():
@@ -387,6 +442,27 @@ def test_signed_double_cover_spectrum_is_direct_sum(d):
     signed_spec = hermitian_eigenvalues(sm.entries.astype(float)).eigenvalues
     direct_sum = np.sort(np.concatenate([base_spec, signed_spec]))[::-1]
     assert np.max(np.abs(cover_spec - direct_sum)) < 1e-8
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_signed_double_cover_of_cohen_tits_matches_the_edge_lift(d):
+    sm = cohen_tits_signing(d)
+    assert signed_double_cover(sm) == signed_double_cover_by_edges(sm)
+
+
+@st.composite
+def signed_matrices(draw):
+    n = draw(st.integers(1, 8))
+    m = np.zeros((n, n), dtype=int)
+    for u, v in itertools.combinations(range(n), 2):
+        m[u, v] = m[v, u] = draw(st.sampled_from((-1, 0, 1)))
+    return SignedMatrix(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_matrices())
+def test_signed_double_cover_matches_the_edge_lift(sm):
+    assert signed_double_cover(sm) == signed_double_cover_by_edges(sm)
 
 
 # ---------------------------------------------------------------- induced covers
