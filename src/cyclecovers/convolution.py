@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .groups import HeisenbergElement, HeisenbergGroup
+from .groups import HeisenbergElement, HeisenbergGroup, low_bit_parities
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -102,15 +102,19 @@ def _division_table(carrier: tuple, mul: Callable, inv: Callable) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _twist_tables(carrier: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Over Z_2^d: the carrier index of y + x at [y, x], and the sign
-    (-1)^form(y, y + x) that twisted convolution gives that term."""
-    form = _heisenberg(len(carrier[0])).form
-    index = {g: i for i, g in enumerate(carrier)}
-    sums = [[tuple(map(operator.xor, y, x)) for x in carrier] for y in carrier]
-    ids = np.array([[index[s] for s in row] for row in sums], dtype=np.intp)
-    signs = np.array([[1 - 2 * form(y, s) for s in row] for y, row in zip(carrier, sums)],
-                     dtype=np.int64)
-    return _frozen(ids), _frozen(signs)
+    """Over z2_carrier(d), where each element's index is its bit id: the
+    index of y + x at [y, x], which is the XOR of the ids, and the sign
+    (-1)^form(y, y + x) that twisted convolution gives that term, with the
+    form summed over the bits of y (groups.low_bit_parities)."""
+    d = len(carrier[0])
+    if carrier != z2_carrier(d):
+        raise ValueError("twisted convolution needs the carrier z2_carrier(d)")
+    y = np.arange(len(carrier))[:, None]
+    sums = y ^ y.T
+    form = np.zeros_like(sums)
+    for k, parity in enumerate(low_bit_parities(sums, d)):
+        form ^= (y >> k) & parity
+    return _frozen(sums), _frozen(1 - 2 * form)
 
 
 def _exact(f: GroupFunction, g: GroupFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +155,8 @@ def standard_basis_indicator(d: int) -> GroupFunction:
 
 
 def twisted_convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """Convolution over Z_2^d carrying the sign of the strictly-upper form
-    evaluated at (y, y + x)."""
+    """Convolution over Z_2^d, on the carrier z2_carrier(d), carrying the
+    sign of the strictly-upper form evaluated at (y, y + x)."""
     return _gather_sum(f, g, *_twist_tables(f.carrier))
 
 

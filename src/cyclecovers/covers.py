@@ -25,8 +25,8 @@ from .groups import (
     SIGNS,
     ExtraspecialElement,
     ExtraspecialGroup,
-    HeisenbergGroup,
     extraspecial_group,
+    low_bit_parities,
 )
 from .modular import Prime
 
@@ -230,12 +230,24 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
 
 
 def heisenberg_cover(d: int) -> CoveringMap:
-    """2-fold Cayley cover of the d-cube; the map drops the central bit."""
+    """2-fold Cayley cover of the d-cube; the map drops the central bit.
+
+    Vertex v = 2x + t is the element (x, t) of HeisenbergGroup(d), and row v
+    holds the products (e_i, 0)(x, t) = (x + e_i, t + sum_{j>i} x_j), the rows
+    cayley would build from the generators. With k = d - i, e_i is bit k of
+    x and the sum is the parity of the k low bits of x, so the neighbours of
+    v are v XOR 2^(k+1) XOR that parity.
+    """
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if 2 ** (d + 1) > MAX_COVER_SIZE:
         raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
-    group = HeisenbergGroup(d)
-    carrier = list(group.elements())
-    total = cayley(carrier, group.mul, group.inv, group.generators())
+
+    def neighbours(v: np.ndarray) -> np.ndarray:
+        parities = low_bit_parities(v >> 1, d)
+        return np.column_stack([v ^ (2 << k) ^ parity for k, parity in enumerate(parities)])
+
+    total = Graph._from_id_arithmetic(2 ** (d + 1), neighbours)
     base = hypercube(d)
     gamma = tuple(vid // 2 for vid in range(total.n))
     return CoveringMap(total, base, gamma)

@@ -5,8 +5,13 @@ from __future__ import annotations
 
 import collections
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
+
+# Vertex ids per block when rows are computed from id arithmetic.
+_ROW_BLOCK = 4096
 
 
 class Graph:
@@ -33,6 +38,20 @@ class Graph:
         g = cls.__new__(cls)
         g._adj = tuple(rows)
         return g
+
+    @classmethod
+    def _from_id_arithmetic(cls, n: int,
+                            neighbours: Callable[[np.ndarray], np.ndarray]) -> "Graph":
+        """Graph on n vertices whose row v holds, sorted, row i of
+        neighbours(ids) where ids[i] = v: neighbours maps an int64 array of
+        ids to a 2-D array, one row of neighbour ids per id. The caller
+        guarantees what _from_rows requires of the sorted rows. Rows are made
+        one block of ids at a time, so no table of all rows exists, and they
+        share one int object per vertex id."""
+        shared = np.array(range(n), dtype=object)
+        blocks = (shared[np.sort(neighbours(np.arange(start, min(start + _ROW_BLOCK, n))), axis=1)]
+                  for start in range(0, n, _ROW_BLOCK))
+        return cls._from_rows(map(tuple, chain.from_iterable(block.tolist() for block in blocks)))
 
     @property
     def n(self) -> int:
@@ -133,14 +152,8 @@ def cartesian_power(x: Graph, k: int) -> Graph:
 
 def hypercube(d: int) -> Graph:
     """Vertex ids are the bit strings x_1..x_d, x_1 most significant; an edge
-    flips one bit."""
-    edges = []
-    for u in range(1 << d):
-        for i in range(d):
-            v = u ^ (1 << (d - 1 - i))
-            if u < v:
-                edges.append((u, v))
-    return Graph(1 << d, edges)
+    flips one bit, so the neighbours of v are v XOR 2^k."""
+    return Graph._from_id_arithmetic(1 << d, lambda v: v[:, None] ^ (1 << np.arange(d)))
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:

@@ -198,17 +198,24 @@ class HeisenbergGroup:
         k = sum(x)
         return HeisenbergElement(x, (t + k * (k - 1) // 2) % 2)
 
-    def generators(self) -> tuple[HeisenbergElement, ...]:
-        """(e_1, 0), ..., (e_d, 0)."""
-        return tuple(
-            HeisenbergElement(tuple(1 if j == i else 0 for j in range(self.d)), 0)
-            for i in range(self.d)
-        )
-
     def elements(self) -> Iterator[HeisenbergElement]:
         """Ordered x_1..x_d, t with x_1 most significant."""
         for digits in itertools.product(range(2), repeat=self.d + 1):
             yield HeisenbergElement(digits[:-1], digits[-1])
+
+
+def low_bit_parities(x, d: int) -> Iterator:
+    """For k = 0..d-1, the parity of the k low bits of x, an int or an
+    integer array, by a running XOR.
+
+    On the bit id of x in Z_2^d, x_1 most significant, bit k holds x_{d-k},
+    so the k low bits are the x_j with j > d - k. Hence form(y, x) is the sum
+    mod 2 over k of bit k of y times the k-th parity of x.
+    """
+    parity = x & 0
+    for k in range(d):
+        yield parity
+        parity = parity ^ ((x >> k) & 1)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from typing import Sequence
 from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
 from cyclecovers.graphs import Graph, induced_subgraph
-from cyclecovers.groups import ExtraspecialGroup, SIGNS
+from cyclecovers.groups import SIGNS, ExtraspecialGroup, HeisenbergElement, HeisenbergGroup
 
 
 @functools.lru_cache(maxsize=None)
@@ -58,6 +58,14 @@ def check_associativity_exhaustive(p: int, d: int, sign: str) -> bool:
                 if mul(gh, k) != mul(g, mul(h, k)):
                     return False
     return True
+
+
+def heisenberg_generators(group: HeisenbergGroup) -> tuple[HeisenbergElement, ...]:
+    """(e_1, 0), ..., (e_d, 0)."""
+    return tuple(
+        HeisenbergElement(tuple(1 if j == i else 0 for j in range(group.d)), 0)
+        for i in range(group.d)
+    )
 
 
 def check_inverses_exhaustive(p: int, d: int, sign: str) -> bool:

@@ -183,6 +183,18 @@ def cayley_by_definition(carrier, mul, inv, connection):
     ])
 
 
+def hypercube_by_definition(d):
+    """The d-cube edge by edge: ids are the bit strings x_1..x_d, x_1 most
+    significant, and u ~ v when they differ in one bit."""
+    edges = []
+    for u in range(1 << d):
+        for i in range(d):
+            v = u ^ (1 << (d - 1 - i))
+            if u < v:
+                edges.append((u, v))
+    return Graph(1 << d, edges)
+
+
 def cartesian_product_by_definition(x, y):
     """(u, v) ~ (u, w) for each edge vw of y and (u, v) ~ (w, v) for each edge
     uw of x; vertex (u, v) has id u * y.n + v."""

@@ -144,6 +144,15 @@ BUILD_DIGESTS = {
         "heisenberg_d4.fibers.txt":
             "5c30ba68ca2559343636e53c829fbf9d971399555a68c2496c3759f8f0f1deba",
     },
+    # The benchmark's recorded digests (perfbench/recorded.json).
+    ("--heisenberg", "--d", "12"): {
+        "heisenberg_d12.total.edges":
+            "bf4d6808b758c2320e9f3ba2594c516f9de64263687f968cf0078bd94c7a9950",
+        "heisenberg_d12.base.edges":
+            "4fc006fbebf0e59ca28d0889b92ec9eb8cf5b46312708a53183a6d31404d0811",
+        "heisenberg_d12.fibers.txt":
+            "7d9c6c12d654392262cb92a1724e5e8419c8a3477e55b3f5cc3187f48fcb7b39",
+    },
 }
 
 
@@ -410,7 +419,7 @@ def test_spectrum_size_checked_before_build(capsys, monkeypatch):
 
 def test_heisenberg_size_checked_before_build(capsys, monkeypatch):
     # 2**20 vertices is above MAX_COVER_SIZE.
-    monkeypatch.setattr(covers, "HeisenbergGroup", _refuse_to_build)
+    monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
     for command in ("build", "verify"):
         code, out, err = run_cli(capsys, command, "--heisenberg", "--d", "19")
         assert code == 2
@@ -507,7 +516,7 @@ def out_of_range_argv(draw):
 def test_out_of_range_input_exits_2_before_any_build(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir, pytest.MonkeyPatch.context() as mp:
-        for module, name in ((covers, "extraspecial_group"), (covers, "HeisenbergGroup"),
+        for module, name in ((covers, "extraspecial_group"), (cli, "heisenberg_cover"),
                              (cli, "extraspecial_group"), (cli, "gain_from_cocycle")):
             mp.setattr(module, name, _refuse_to_build)
         if argv[0] == "build":

@@ -203,6 +203,23 @@ def test_z2_convolutions_match_oracle(d, data):
     assert list(twisted_convolve(f, g).values) == twisted_convolve_by_definition(f, g)
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_twisted_convolution_matches_oracle_at_each_d(d):
+    # The index and sign tables come from bit ids; the oracle forms y + x
+    # and the upper form coordinate by coordinate.
+    carrier = z2_carrier(d)
+    rng = random.Random(d)
+    f, g = _random_fn(carrier, rng), _random_fn(carrier, rng)
+    assert list(twisted_convolve(f, g).values) == twisted_convolve_by_definition(f, g)
+
+
+def test_twisted_convolution_needs_the_z2_carrier():
+    carrier = z2_carrier(2)[::-1]
+    f = GroupFunction(carrier, [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="z2_carrier"):
+        twisted_convolve(f, f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_lift_identity_matches_oracle(d, data):

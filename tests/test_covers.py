@@ -14,6 +14,7 @@ from cyclecovers.covers import (
     build_cover,
     cohen_tits_signing,
     connection_set,
+    heisenberg_cover,
     lifted_connection,
     modular_rank,
     pairwise_noncommuting_check,
@@ -23,17 +24,24 @@ from cyclecovers.covers import (
 )
 from cyclecovers.graphs import (
     Graph,
+    cayley,
     cycle_graph,
     girth,
     has_4cycle,
     has_cycle_of_length,
     hypercube,
 )
-from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup
+from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup, HeisenbergGroup
 from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 
-from helpers import VertexCodec, cover, cube_cover, is_regular, odd_cover
-from oracles import brute_isomorphic, signed_double_cover_by_edges, verify_cover_by_matched_pairs
+from helpers import VertexCodec, cover, cube_cover, heisenberg_generators, is_regular, odd_cover
+from oracles import (
+    brute_isomorphic,
+    cayley_by_definition,
+    hypercube_by_definition,
+    signed_double_cover_by_edges,
+    verify_cover_by_matched_pairs,
+)
 
 
 # ---------------------------------------------------------------- connection set
@@ -352,6 +360,29 @@ def test_heisenberg_cover_small():
     assert girth(cm.total) == 6
     assert verify_cover(cm) == 2
     assert cm.base == hypercube(3)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_heisenberg_cover_is_the_cayley_graph(d):
+    # The rows from bit ids against the group's products: cayley's rows s g,
+    # the build they replaced, at every d, and the pairwise definition where
+    # its 2^(2d+1) products stay cheap.
+    group = HeisenbergGroup(d)
+    carrier = list(group.elements())
+    generators = heisenberg_generators(group)
+    cm = heisenberg_cover(d)
+    assert cm.total == cayley(carrier, group.mul, group.inv, generators)
+    if d <= 8:
+        assert cm.total == cayley_by_definition(carrier, group.mul, group.inv, generators)
+    assert cm.base == hypercube_by_definition(d)
+    assert cm.fiber_map == tuple(u // 2 for u in range(cm.total.n))
+
+
+def test_heisenberg_cover_rejects_bad_d():
+    with pytest.raises(ValueError):
+        heisenberg_cover(0)
+    with pytest.raises(ValueError):
+        heisenberg_cover(19)
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -27,6 +27,7 @@ from oracles import (
     brute_has_4cycle,
     cartesian_product_by_definition,
     cayley_by_definition,
+    hypercube_by_definition,
     torus_by_definition,
 )
 
@@ -127,6 +128,11 @@ def test_cayley_cube():
         g = cayley(carrier, xor, lambda x: x, units)
         assert g == hypercube(d)
         assert is_regular(g) == d
+
+
+@pytest.mark.parametrize("d", range(0, 13))
+def test_hypercube_matches_definition(d):
+    assert hypercube(d) == hypercube_by_definition(d)
 
 
 def test_cayley_triangle():

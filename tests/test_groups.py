@@ -24,6 +24,7 @@ from helpers import (
     check_commutator_form_exhaustive,
     check_inverses_exhaustive,
     group_elements,
+    heisenberg_generators,
     max_order,
 )
 
@@ -285,7 +286,7 @@ def test_heisenberg_mul_example():
 def test_heisenberg_generator_commutators():
     for d in (2, 3, 4):
         h = HeisenbergGroup(d)
-        gens = h.generators()
+        gens = heisenberg_generators(h)
         central = h.element((0,) * d, 1)
         for i, gi in enumerate(gens):
             for j, gj in enumerate(gens):
