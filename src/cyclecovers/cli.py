@@ -37,6 +37,7 @@ from .modular import SUPPORTED_PRIMES
 from .reporting import stable_text, write_stable
 from .spectra import (
     MAX_EIGEN_SIZE,
+    SpectrumReport,
     adjacency_matrix,
     hermitian_eigenvalues,
     huang_degree_bound,
@@ -245,6 +246,29 @@ def _gain_graph_for_dims(p: int, dims: int, sign: str) -> GainGraph:
     return gg.restrict(keep)
 
 
+def _twists(twist: str, p: int) -> list[int]:
+    if twist == "all":
+        return list(range(1, p))
+    try:
+        k = int(twist)
+    except ValueError as exc:
+        raise UsageError("--twist must be an integer or 'all'") from exc
+    if not 0 <= k < p:
+        raise UsageError(f"--twist must lie in [0, {p})")
+    return [k]
+
+
+def _first_least_size(entries) -> dict[str, dict]:
+    """For each degree, the first of the entries with the least size, keyed
+    by the degree as text in ascending order."""
+    best: dict[int, dict] = {}
+    for entry in entries:
+        held = best.get(entry["degree"])
+        if held is None or entry["size"] < held["size"]:
+            best[entry["degree"]] = entry
+    return {str(t): best[t] for t in sorted(best)}
+
+
 def cmd_bound(args) -> int:
     if args.p is None or args.dims is None:
         raise UsageError("bound requires --p and --dims")
@@ -254,52 +278,26 @@ def cmd_bound(args) -> int:
     n = p ** args.dims
     if n > MAX_EIGEN_SIZE:
         raise UsageError(f"base has {n} vertices, above the {MAX_EIGEN_SIZE} eigensolver limit")
-    if args.twist == "all":
-        twists = list(range(1, p))
-    else:
-        try:
-            k = int(args.twist)
-        except ValueError as exc:
-            raise UsageError("--twist must be an integer or 'all'") from exc
-        if not 0 <= k < p:
-            raise UsageError(f"--twist must lie in [0, {p})")
-        twists = [k]
+    twists = _twists(args.twist, p)
     per_pair = []
-    best_by_degree: dict[int, dict] = {}
-    per_sign_best: dict[str, dict[int, dict]] = {}
+    per_sign_best = {}
     for sign in _signs(args.sign):
         gg = _gain_graph_for_dims(p, args.dims, sign)
-        sign_best: dict[int, dict] = {}
+        sign_entries = []
         for k in twists:
             matrix = twisted_adjacency(gg, k)
             report = hermitian_eigenvalues(matrix, source=f"twist k={k} of sign {sign} on C_{p}^{args.dims}")
             table = huang_degree_bound(report, ranking=args.ranking)
-            max_degree = max(r.integer_bound for r in table.rows)
-            minimal = {}
-            for degree in range(1, max_degree + 1):
-                size = table.minimal_size_for_degree(degree)
-                if size is None:
-                    continue
-                row = table.rows[size - 1]
-                entry = {
-                    "degree": degree,
-                    "size": size,
-                    "bound": row.bound,
-                    "sign": sign,
-                    "twist": k,
-                }
-                minimal[degree] = entry
-                if degree not in sign_best or size < sign_best[degree]["size"]:
-                    sign_best[degree] = entry
-                if degree not in best_by_degree or size < best_by_degree[degree]["size"]:
-                    best_by_degree[degree] = entry
+            entries = [{"degree": t, "size": row.size, "bound": row.bound, "sign": sign, "twist": k}
+                       for t, row in table.minimal_rows().items()]
+            sign_entries += entries
             per_pair.append({
                 "sign": sign,
                 "twist": k,
                 "largest_bound": table.rows[-1].bound,
-                "minimal_size_by_degree": {str(t): e for t, e in sorted(minimal.items())},
+                "minimal_size_by_degree": _first_least_size(entries),
             })
-        per_sign_best[sign] = sign_best
+        per_sign_best[sign] = _first_least_size(sign_entries)
     doc = {
         "command": "bound",
         "p": p,
@@ -307,10 +305,10 @@ def cmd_bound(args) -> int:
         "n": n,
         "ranking": args.ranking,
         "per_pair": per_pair,
-        "per_sign_best": {
-            s: {str(t): e for t, e in sorted(rows.items())} for s, rows in per_sign_best.items()
-        },
-        "best": {str(t): e for t, e in sorted(best_by_degree.items())},
+        "per_sign_best": per_sign_best,
+        # The first least size over all pairs is the first least over the
+        # per-sign bests, taken in sign order.
+        "best": _first_least_size(e for best in per_sign_best.values() for e in best.values()),
     }
     print(stable_text(doc), end="")
     return 0
@@ -319,10 +317,13 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------- spectrum
 
 
-def _multiset_match(a: np.ndarray, b: np.ndarray) -> float:
-    if len(a) != len(b):
-        return math.inf
-    return float(np.max(np.abs(np.sort(a) - np.sort(b)))) if len(a) else 0.0
+def _decomposition(cover: SpectrumReport, parts: list[SpectrumReport]) -> dict:
+    """The largest gap between the cover's eigenvalues and the union of its
+    parts' eigenvalues, both sorted, and whether it is below 1e-8."""
+    whole = np.sort(cover.eigenvalues)
+    union = np.sort(np.concatenate([part.eigenvalues for part in parts]))
+    err = float(np.max(np.abs(whole - union))) if len(whole) == len(union) else math.inf
+    return {"decomposition_max_error": err, "decomposition_ok": err < 1e-8}
 
 
 def cmd_spectrum(args) -> int:
@@ -331,54 +332,38 @@ def cmd_spectrum(args) -> int:
         if 2 ** (args.d + 1) > MAX_EIGEN_SIZE:
             raise UsageError("cover too large for the eigensolver")
         cm = heisenberg_cover(args.d)
-        cover_report = hermitian_eigenvalues(
+        cover = hermitian_eigenvalues(
             adjacency_matrix(cm.total), source=f"heisenberg cover of Q_{args.d}")
-        signing = cohen_tits_signing(args.d)
-        signing_report = hermitian_eigenvalues(
-            signing.entries.astype(float), source=f"recursive signing of Q_{args.d}")
-        base_report = hermitian_eigenvalues(
-            adjacency_matrix(cm.base), source=f"Q_{args.d}")
-        err = _multiset_match(
-            np.array(cover_report.eigenvalues),
-            np.concatenate([base_report.eigenvalues, signing_report.eigenvalues]),
-        )
-        ok = err < 1e-8
+        parts = [
+            hermitian_eigenvalues(adjacency_matrix(cm.base), source=f"Q_{args.d}"),
+            hermitian_eigenvalues(cohen_tits_signing(args.d).entries.astype(float),
+                                  source=f"recursive signing of Q_{args.d}"),
+        ]
         doc = {
             "command": "spectrum",
             "construction": {"kind": "heisenberg", "d": args.d},
-            "cover": cover_report.to_json_dict(),
-            "parts": [base_report.to_json_dict(), signing_report.to_json_dict()],
-            "decomposition_max_error": err,
-            "decomposition_ok": ok,
+            "cover": cover.to_json_dict(),
+            "parts": [part.to_json_dict() for part in parts],
+            **_decomposition(cover, parts),
         }
         print(stable_text(doc), end="")
-        return 0 if ok else 1
+        return 0 if doc["decomposition_ok"] else 1
     if p ** (1 + 2 * args.d) > MAX_EIGEN_SIZE:
         raise UsageError("cover too large for the eigensolver")
     constructions = []
-    passed = True
     for sign in _signs(args.sign):
-        cm = build_cover(p, args.d, sign)
-        cover_report = hermitian_eigenvalues(
-            adjacency_matrix(cm.total), source=f"cover p={p} d={args.d} sign={sign}")
+        cover = hermitian_eigenvalues(adjacency_matrix(build_cover(p, args.d, sign).total),
+                                      source=f"cover p={p} d={args.d} sign={sign}")
         gg = gain_from_cocycle(p, args.d, sign)
-        twist_reports = []
-        pieces = []
-        for k in range(p):
-            rep = hermitian_eigenvalues(
-                twisted_adjacency(gg, k), source=f"twist k={k} sign={sign}")
-            twist_reports.append({"twist": k, "report": rep.to_json_dict()})
-            pieces.append(np.array(rep.eigenvalues))
-        err = _multiset_match(np.array(cover_report.eigenvalues), np.concatenate(pieces))
-        ok = err < 1e-8
-        passed = passed and ok
+        twists = [hermitian_eigenvalues(twisted_adjacency(gg, k), source=f"twist k={k} sign={sign}")
+                  for k in range(p)]
         constructions.append({
             "construction": {"kind": "extraspecial", "p": p, "d": args.d, "sign": sign},
-            "cover": cover_report.to_json_dict(),
-            "twists": twist_reports,
-            "decomposition_max_error": err,
-            "decomposition_ok": ok,
+            "cover": cover.to_json_dict(),
+            "twists": [{"twist": k, "report": rep.to_json_dict()} for k, rep in enumerate(twists)],
+            **_decomposition(cover, twists),
         })
+    passed = all(c["decomposition_ok"] for c in constructions)
     print(stable_text({"command": "spectrum", "constructions": constructions,
                        "passed": passed}), end="")
     return 0 if passed else 1

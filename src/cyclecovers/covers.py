@@ -204,6 +204,13 @@ def pairwise_noncommuting_check(group: ExtraspecialGroup,
     return NoncommutingReport(ok, central_units, tuple(table), witness)
 
 
+def _fibers(base_ids: Sequence[int], fold: int) -> tuple[int, ...]:
+    """The fiber map that sends total vertex u to base_ids[u // fold]: each
+    id object repeated fold times, so the map holds one int per base vertex,
+    not one per total vertex."""
+    return tuple(itertools.chain.from_iterable(itertools.repeat(b, fold) for b in base_ids))
+
+
 def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     """Cayley cover of the 4d-regular Cartesian power of a p-cycle.
 
@@ -224,9 +231,7 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     carrier = list(group.elements())
     total = cayley(carrier, group.mul, group.inv, conn)
     base = cartesian_power(cycle_graph(p), 2 * d)
-    std = standard_ids(p, d)
-    gamma = tuple(std[u // p] for u in range(total.n))
-    return CoveringMap(total, base, gamma)
+    return CoveringMap(total, base, _fibers(standard_ids(p, d), p))
 
 
 def heisenberg_cover(d: int) -> CoveringMap:
@@ -248,9 +253,7 @@ def heisenberg_cover(d: int) -> CoveringMap:
         return np.column_stack([v ^ (2 << k) ^ parity for k, parity in enumerate(parities)])
 
     total = Graph._from_id_arithmetic(2 ** (d + 1), neighbours)
-    base = hypercube(d)
-    gamma = tuple(vid // 2 for vid in range(total.n))
-    return CoveringMap(total, base, gamma)
+    return CoveringMap(total, hypercube(d), _fibers(range(2 ** d), 2))
 
 
 class GainGraph:
@@ -301,8 +304,7 @@ def cover_from_gain(gg: GainGraph) -> CoveringMap:
         for j in range(p):
             edges.append((u * p + j, v * p + (j + g) % p))
     total = Graph(gg.base.n * p, edges)
-    gamma = tuple(vid // p for vid in range(total.n))
-    return CoveringMap(total, gg.base, gamma)
+    return CoveringMap(total, gg.base, _fibers(range(gg.base.n), p))
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ signed double cover is a lift at p = 2, and are imported from here as well.
 
 from __future__ import annotations
 
-import itertools
-import operator
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .covers import GainGraph, connection_set, cover_from_gain  # noqa: F401
 from .graphs import Graph, rooted_cycles
@@ -21,32 +21,28 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     """Label the Cayley form of the 4d-regular cycle power by the cocycle.
 
     The arc from g to s+g carries the cocycle evaluated at (s, g) for each
-    connection vector s; the opposite arc carries the negation. For odd p the
-    connection vectors and their negatives are disjoint, so every edge gets
-    exactly one defining arc (re-assignments are still checked).
+    connection vector s; the opposite arc carries the negation. Vertex ids
+    are the base-p numbers of the vectors, first digit most significant, so
+    each s takes one array sum over the digit columns of all ids and one
+    cocycle call on those columns. For odd p the connection vectors and their
+    negatives are disjoint, so every edge gets exactly one defining arc, and
+    the arcs are counted to check it.
     """
     p = Prime(p)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    steps = list(connection_set(p, d))
-    # Vertex ids are the base-p numbers of the vectors, first digit most
-    # significant: the order itertools.product lists them in.
-    vectors = list(itertools.product(range(p), repeat=2 * d))
+    n = p ** (2 * d)
     weights = [p ** k for k in reversed(range(2 * d))]
-
-    def add(u, v):
-        return tuple((a + b) % p for a, b in zip(u, v))
-
+    ids = np.arange(n)
+    columns = tuple(ids // w % p for w in weights)
     gains: dict[tuple[int, int], int] = {}
-    for gid, g in enumerate(vectors):
-        for s in steps:
-            tid = sum(map(operator.mul, add(s, g), weights))
-            val = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (g[:d], g[d:]))
-            key = (gid, tid)
-            if key in gains and gains[key] != val:
-                raise ValueError(f"inconsistent cocycle gain at arc {key}")
-            gains[key] = val
-    return GainGraph(Graph(len(vectors), gains.keys()), p, gains)
+    for s in connection_set(p, d):
+        heads = sum((column + x) % p * w for column, x, w in zip(columns, s, weights))
+        values = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (columns[:d], columns[d:]))
+        gains.update(zip(zip(range(n), heads.tolist()), values.tolist()))
+    if len(gains) != 2 * d * n:
+        raise ValueError("connection vectors give repeated arcs")
+    return GainGraph(Graph(n, gains.keys()), p, gains)
 
 
 def directed_cycles(base: Graph, length: int,

@@ -45,7 +45,9 @@ class HeisenbergElement(NamedTuple):
 def extraspecial_cocycle(p: int, sign: str, g: tuple[tuple[int, ...], tuple[int, ...]],
                          h: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
     """The 2-cocycle of ExtraspecialGroup(p, d, sign) on pairs ((a,b),(c,d)):
-    b.c, plus a carry term for minus. Needs no group, so none of its tables."""
+    b.c, plus a carry term for minus. Needs no group, so none of its tables.
+    The coordinates of h may be integer arrays, one per coordinate, for the
+    values at many h at once."""
     (a, b), (c, _) = g, h
     if len(a) != len(c):
         raise ValueError("dimension mismatch in cocycle arguments")
@@ -159,7 +161,8 @@ def extraspecial_group(p: int, d: int, sign: str) -> ExtraspecialGroup:
 
 
 class HeisenbergGroup:
-    """Central extension of Z_2^d by Z_2 via the strictly-upper bilinear form."""
+    """Central extension of Z_2^d by Z_2 via the strictly-upper bilinear form
+    form(x, y) = sum over i < j of x_i y_j, mod 2."""
 
     def __init__(self, d: int):
         if d < 1:
@@ -167,16 +170,6 @@ class HeisenbergGroup:
         self.d = d
         self.size = 2 ** (d + 1)
         self.identity = HeisenbergElement((0,) * d, 0)
-
-    def form(self, x: tuple[int, ...], y: tuple[int, ...]) -> int:
-        """sum over i < j of x_i y_j, mod 2."""
-        if len(x) != self.d or len(y) != self.d:
-            raise ValueError("dimension mismatch")
-        total = 0
-        for i in range(self.d):
-            if x[i]:
-                total += sum(y[i + 1:])
-        return total % 2
 
     def element(self, x, t: int) -> HeisenbergElement:
         x = tuple(int(v) % 2 for v in x)
@@ -226,19 +219,18 @@ class CocycleCheckResult:
     triples_checked: int
 
 
-def cocycle_check(
-    cocycle_fn: Callable[[tuple[int, ...], tuple[int, ...]], int],
-    p: int,
-    dim: int,
-    exhaustive_limit: int = 10 ** 7,
-    sample_size: int = 10 ** 5,
-    seed: int = 0,
-) -> CocycleCheckResult:
+EXHAUSTIVE_LIMIT = 10 ** 7
+SAMPLE_SIZE = 10 ** 5
+SAMPLE_SEED = 0
+
+
+def cocycle_check(cocycle_fn: Callable[[tuple[int, ...], tuple[int, ...]], int],
+                  p: int, dim: int) -> CocycleCheckResult:
     """Verify kappa(a+b,c) + kappa(a,b) = kappa(a,b+c) + kappa(b,c) mod p.
 
-    Exhausts all triples of Z_p^dim when p^(3*dim) <= exhaustive_limit,
-    otherwise checks a seeded deterministic sample of at least sample_size
-    triples. Returns the first violating triple on failure.
+    Exhausts all triples of Z_p^dim when p^(3*dim) <= EXHAUSTIVE_LIMIT,
+    otherwise checks SAMPLE_SIZE triples drawn with the fixed SAMPLE_SEED.
+    Returns the first violating triple on failure.
     """
     p = Prime(p)
 
@@ -251,7 +243,7 @@ def cocycle_check(
         return lhs != rhs
 
     total = p ** (3 * dim)
-    if total <= exhaustive_limit:
+    if total <= EXHAUSTIVE_LIMIT:
         count = 0
         vecs = list(itertools.product(range(p), repeat=dim))
         for a in vecs:
@@ -262,11 +254,11 @@ def cocycle_check(
                         return CocycleCheckResult(False, (a, b, c), True, count)
         return CocycleCheckResult(True, None, True, count)
 
-    rng = random.Random(seed)
-    for count in range(1, sample_size + 1):
+    rng = random.Random(SAMPLE_SEED)
+    for count in range(1, SAMPLE_SIZE + 1):
         a = tuple(rng.randrange(p) for _ in range(dim))
         b = tuple(rng.randrange(p) for _ in range(dim))
         c = tuple(rng.randrange(p) for _ in range(dim))
         if violates(a, b, c):
             return CocycleCheckResult(False, (a, b, c), False, count)
-    return CocycleCheckResult(True, None, False, sample_size)
+    return CocycleCheckResult(True, None, False, SAMPLE_SIZE)

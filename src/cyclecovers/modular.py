@@ -19,7 +19,7 @@ class Prime(int):
         return super().__new__(cls, p)
 
 
-def carry_int(a: int, b: int, p: int) -> int:
+def carry_int(a, b, p: int):
     """1 when a + b reaches the modulus p, else 0: the carry out of adding two
-    residues; a, b must already lie in [0, p)."""
-    return 1 if a + b >= p else 0
+    residues, ints or integer arrays; a, b must already lie in [0, p)."""
+    return (a + b) // p

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,14 +46,11 @@ def twisted_adjacency(gg: GainGraph, k: int) -> np.ndarray:
     return m
 
 
-def hermitian_eigenvalues(
-    m: np.ndarray,
-    cluster_tol: float = CLUSTER_TOLERANCE,
-    source: str = "",
-) -> "SpectrumReport":
+def hermitian_eigenvalues(m: np.ndarray, source: str = "") -> "SpectrumReport":
     """All real eigenvalues of a real symmetric or complex Hermitian matrix,
     by LAPACK through numpy.linalg.eigvalsh. Input must be conjugate-symmetric
-    to 1e-10.
+    to 1e-10. Eigenvalues whose successive gaps are at most CLUSTER_TOLERANCE
+    form one cluster.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -69,15 +66,15 @@ def hermitian_eigenvalues(
     # LAPACK build; report it as 0.
     eigenvalues[np.abs(eigenvalues) <= INTEGER_SNAP] = 0.0
     descending = tuple(float(x) for x in eigenvalues[::-1])
-    return SpectrumReport(descending, _cluster(descending, cluster_tol), n, source)
+    return SpectrumReport(descending, _cluster(descending), n, source)
 
 
-def _cluster(descending: Sequence[float], tol: float) -> tuple[tuple[float, int], ...]:
+def _cluster(descending: Sequence[float]) -> tuple[tuple[float, int], ...]:
     clusters = []
     i = 0
     while i < len(descending):
         j = i
-        while j + 1 < len(descending) and descending[j] - descending[j + 1] <= tol:
+        while j + 1 < len(descending) and descending[j] - descending[j + 1] <= CLUSTER_TOLERANCE:
             j += 1
         block = descending[i: j + 1]
         clusters.append((sum(block) / len(block), len(block)))
@@ -122,11 +119,16 @@ class DegreeBoundTable:
     ranking: str
     source: str
 
-    def minimal_size_for_degree(self, degree: int) -> Optional[int]:
+    def minimal_rows(self) -> dict[int, BoundRow]:
+        """For each degree t from 1 to the largest integer bound, the first
+        row whose integer bound is at least t. The integer bounds of a
+        huang_degree_bound table never decrease with the size, so one pass
+        over the rows finds them in order."""
+        first: dict[int, BoundRow] = {}
         for row in self.rows:
-            if row.integer_bound >= degree:
-                return row.size
-        return None
+            for degree in range(len(first) + 1, row.integer_bound + 1):
+                first[degree] = row
+        return first
 
     def to_json_dict(self) -> dict:
         return {

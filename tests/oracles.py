@@ -306,6 +306,15 @@ def upper_form(x, y) -> int:
     return sum(x[i] * y[j] for i in range(len(x)) for j in range(i + 1, len(y))) % 2
 
 
+def minimal_rows_by_scan(table) -> dict:
+    """For each degree from 1 to the largest integer bound of a degree-bound
+    table, the first row whose integer bound reaches it, by a scan of all
+    rows per degree."""
+    top = max((row.integer_bound for row in table.rows), default=0)
+    return {t: next(row for row in table.rows if row.integer_bound >= t)
+            for t in range(1, top + 1)}
+
+
 def twisted_convolve_by_definition(f, g) -> list:
     """sum over y in Z_2^d of (-1)^form(y, y + x) f(y) g(y + x), per pair."""
     out = []

@@ -254,6 +254,28 @@ def test_bound_untwisted_degenerates(capsys):
     assert doc["best"]["1"]["size"] < 9
 
 
+@pytest.mark.parametrize("argv", [
+    ("--p", "3", "--dims", "3"),
+    ("--p", "3", "--dims", "4", "--ranking", "eigenvalue"),
+    ("--p", "5", "--dims", "2", "--twist", "0"),
+    ("--p", "5", "--dims", "2"),
+], ids=" ".join)
+def test_bound_best_tables_are_the_first_least_sizes(argv, capsys):
+    code, out, _ = run_cli(capsys, "bound", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    pairs = doc["per_pair"]
+    tables = [(doc["best"], pairs)] + [
+        (best, [pair for pair in pairs if pair["sign"] == sign])
+        for sign, best in doc["per_sign_best"].items()]
+    for table, chosen in tables:
+        found = [pair["minimal_size_by_degree"] for pair in chosen]
+        degrees = {t for minimal in found for t in minimal}
+        # min keeps the first of equal sizes, in per_pair order.
+        assert table == {t: min((minimal[t] for minimal in found if t in minimal),
+                                key=lambda entry: entry["size"]) for t in degrees}
+
+
 def test_bound_odd_dims(capsys):
     code, out, _ = run_cli(capsys, "bound", "--p", "3", "--dims", "1", "--sign", "minus")
     assert code == 0
@@ -346,8 +368,11 @@ def test_convolve_check(capsys):
     assert doc["checks"]["lift_intertwining"]["center_order"] == 2
 
 
-# sha256 of the stdout of these commands, recorded before convolution moved
-# onto group tables and gain began summing cycles from vertex 0 alone.
+# sha256 of the stdout of these commands. The gain and convolve-check
+# digests were recorded before convolution moved onto group tables and gain
+# began summing cycles from vertex 0 alone; the bound and spectrum digests
+# before the gain graph was built from digit arrays, the bound minima were
+# derived in one pass and spectrum checked its decomposition in one routine.
 STDOUT_DIGESTS = {
     ("gain", "--p", "3", "--d", "3", "--sign", "both"):
         "52887345a14c0bfef07510c2c9e54f1052ace35c420aec5377cb7548f1f7eb31",
@@ -367,6 +392,24 @@ STDOUT_DIGESTS = {
         "d89ecc4068911062aa184528c976022d3324192aebf1869b9261e58bb00fa65c",
     ("convolve-check", "--d", "7"):
         "017c16b804b0219ec2881244997071be766d593e1676458de058a13c284baed6",
+    ("bound", "--p", "3", "--dims", "4", "--sign", "minus", "--twist", "1"):
+        "10cf798fd0cd1b3061ac51e50834a2f6cd03c7d74f8cf29847b20fa16c7609fa",
+    ("bound", "--p", "3", "--dims", "3"):
+        "7997799e1b611e369962b8355a69fa57a14450726bc90f686ba1628ff18d505d",
+    ("spectrum", "--p", "3", "--d", "1", "--sign", "both"):
+        "1b62118b4e1d0028360e72d2c2c19b24af8f5c9a80bd412667d16c9bfc7c1622",
+    ("spectrum", "--heisenberg", "--d", "5"):
+        "02423666da2b7caf2b3c9fceac298f0571ed3e22ec562c22d8c8a88a4497ad1d",
+    ("bound", "--p", "3", "--dims", "2", "--ranking", "eigenvalue"):
+        "53df8d5653059fbc066f9f0e50101db068d91f37c86b2df92faf6317a6402c25",
+    ("bound", "--p", "3", "--dims", "2", "--twist", "0"):
+        "97152d037181ad34a9ce028c9f3fa1304648ed7e171776a23b7c1fa6bb7f2f55",
+    ("bound", "--p", "5", "--dims", "3", "--sign", "plus", "--twist", "1"):
+        "3b76479eb5a6c5f685bdd405968d484f046770374a206d449a37b1213cbbf540",
+    ("spectrum", "--p", "3", "--d", "2", "--sign", "minus"):
+        "50f245c3015ded6e55950096758dfbbffb6f47a385d640727e259d8d65b8683a",
+    ("spectrum", "--p", "5", "--d", "1"):
+        "97be17d4b5b2723c91f9f5efb9b7eda6f7e83a91a1445e48a83a5912f3f4cdd5",
 }
 
 

@@ -71,7 +71,10 @@ def test_zero_gain_cover_is_disjoint_copies():
     assert cm.total.edge_set() == expected
 
 
-@pytest.mark.parametrize("p,d", [(3, 1), (3, 2)])
+# Every (p, d) whose cover has at most 3125 vertices. The Cayley cover is
+# built through ExtraspecialGroup.mul, so it checks the cocycle on arrays
+# that gain_from_cocycle evaluates against the group's own multiplication.
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)])
 @pytest.mark.parametrize("sign", SIGNS)
 def test_gain_cover_equals_cayley_cover(p, d, sign):
     gm = cover_from_gain(gain_graph(p, d, sign))
@@ -141,6 +144,15 @@ def test_gain_from_cocycle_validation():
         gain_from_cocycle(2, 1, PLUS)
     with pytest.raises(ValueError):
         gain_from_cocycle(3, 1, "other")
+
+
+def test_gain_from_cocycle_rejects_repeated_arcs(monkeypatch):
+    import cyclecovers.gains as gains
+
+    first = connection_set(3, 1)[0]
+    monkeypatch.setattr(gains, "connection_set", lambda p, d: (first, first))
+    with pytest.raises(ValueError, match="repeated arcs"):
+        gain_from_cocycle(3, 1, PLUS)
 
 
 # ---------------------------------------------------------------- cycles through one root

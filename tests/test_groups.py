@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from cyclecovers.groups import (
     HeisenbergElement,
     HeisenbergGroup,
     cocycle_check,
+    extraspecial_cocycle,
 )
 from cyclecovers.modular import carry_int
 
@@ -27,6 +29,7 @@ from helpers import (
     heisenberg_generators,
     max_order,
 )
+from oracles import upper_form
 
 
 def test_cocycle_examples():
@@ -36,6 +39,17 @@ def test_cocycle_examples():
     assert minus.cocycle(((1,), (2,)), ((2,), (1,))) == 2
     for g in (plus, minus):
         assert g.cocycle(((0,), (0,)), ((0,), (0,))) == 0
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("sign", SIGNS)
+def test_cocycle_on_arrays_matches_each_pair(p, d, sign):
+    vecs = list(itertools.product(range(p), repeat=2 * d))
+    columns = tuple(np.array(vecs).T)
+    for g in vecs:
+        values = extraspecial_cocycle(p, sign, (g[:d], g[d:]), (columns[:d], columns[d:]))
+        assert values.tolist() == [extraspecial_cocycle(p, sign, (g[:d], g[d:]), (h[:d], h[d:]))
+                                   for h in vecs]
 
 
 def test_mul_examples():
@@ -216,11 +230,11 @@ def test_mul_and_inv_match_oracles_sampled(case):
 
 
 def _heisenberg_mul_oracle(group, g, h):
-    return group.element([x + y for x, y in zip(g.x, h.x)], g.t + h.t + group.form(g.x, h.x))
+    return group.element([x + y for x, y in zip(g.x, h.x)], g.t + h.t + upper_form(g.x, h.x))
 
 
 def _heisenberg_inv_oracle(group, g):
-    return group.element(g.x, g.t + group.form(g.x, g.x))
+    return group.element(g.x, g.t + upper_form(g.x, g.x))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -268,12 +282,11 @@ def test_elements_hash_and_compare_by_value():
 
 
 def test_heisenberg_form():
-    h = HeisenbergGroup(3)
     e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
-    assert h.form(e1, e2) == 1
-    assert h.form(e2, e1) == 0
-    assert h.form(e1, e3) == 1
-    assert h.form(e1, e1) == 0
+    assert upper_form(e1, e2) == 1
+    assert upper_form(e2, e1) == 0
+    assert upper_form(e1, e3) == 1
+    assert upper_form(e1, e1) == 0
 
 
 def test_heisenberg_mul_example():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cyclecovers.modular import SUPPORTED_PRIMES, Prime, carry_int
@@ -27,6 +28,12 @@ def test_carry_zero_annihilates(p):
     for a in range(p):
         assert carry_int(a, 0, p) == 0
         assert carry_int(0, a, p) == 0
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_carry_on_arrays_matches_each_pair(p):
+    a, b = np.meshgrid(np.arange(p), np.arange(p), indexing="ij")
+    assert carry_int(a, b, p).tolist() == [[int(x + y >= p) for y in range(p)] for x in range(p)]
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)

@@ -3,12 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, polyroots
 
 from cyclecovers.covers import cohen_tits_signing
 from cyclecovers.graphs import cycle_graph
 from cyclecovers.groups import MINUS, PLUS, SIGNS
 from cyclecovers.spectra import (
+    CLUSTER_TOLERANCE,
     NotHermitianError,
     SpectrumReport,
     adjacency_matrix,
@@ -19,7 +22,7 @@ from cyclecovers.spectra import (
 )
 
 from helpers import cover, gain_graph
-from oracles import charpoly_eigenvalues
+from oracles import charpoly_eigenvalues, minimal_rows_by_scan
 
 
 # ---------------------------------------------------------------- twisted matrices
@@ -131,9 +134,10 @@ def test_trivial_sizes():
 
 
 def test_cluster_tolerance():
-    rep = hermitian_eigenvalues(np.diag([1.0, 1.0 + 5e-7, 2.0]), cluster_tol=1e-6)
+    # A gap of half the tolerance joins two eigenvalues, twice it splits them.
+    rep = hermitian_eigenvalues(np.diag([1.0, 1.0 + CLUSTER_TOLERANCE / 2, 2.0]))
     assert [m for _, m in rep.clusters] == [1, 2]
-    rep2 = hermitian_eigenvalues(np.diag([1.0, 1.0 + 5e-7, 2.0]), cluster_tol=1e-8)
+    rep2 = hermitian_eigenvalues(np.diag([1.0, 1.0 + 2 * CLUSTER_TOLERANCE, 2.0]))
     assert [m for _, m in rep2.clusters] == [1, 1, 1]
 
 
@@ -212,8 +216,8 @@ def test_bound_rankings_differ_for_minus_twist():
     rep = hermitian_eigenvalues(twisted_adjacency(gg, 1))
     signed = huang_degree_bound(rep, ranking="eigenvalue")
     magnitude = huang_degree_bound(rep, ranking="magnitude")
-    assert signed.minimal_size_for_degree(3) == 7
-    assert magnitude.minimal_size_for_degree(3) == 4
+    assert signed.minimal_rows()[3].size == 7
+    assert magnitude.minimal_rows()[3].size == 4
     # The magnitude bound at size 4 is the second-largest root magnitude of
     # x^3 - 6x + 2, each root having multiplicity 3.
     with mp.workdps(30):
@@ -222,6 +226,20 @@ def test_bound_rankings_differ_for_minus_twist():
     assert abs(magnitude.rows[3].bound - expected) < 1e-9
     with pytest.raises(ValueError):
         huang_degree_bound(rep, ranking="other")
+
+
+# Eigenvalues on, just off and between the integers, where snap_ceil decides.
+_EIGENVALUES = st.one_of(
+    st.floats(-6, 6, allow_nan=False),
+    st.tuples(st.integers(-6, 6), st.sampled_from([0.0, 1e-10, -1e-10, 1e-7, -1e-7])).map(sum),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_EIGENVALUES, min_size=1, max_size=12), st.sampled_from(["eigenvalue", "magnitude"]))
+def test_minimal_rows_match_the_scan(values, ranking):
+    table = huang_degree_bound(hermitian_eigenvalues(np.diag(values)), ranking=ranking)
+    assert table.minimal_rows() == minimal_rows_by_scan(table)
 
 
 def test_bound_table_serialization():
