@@ -35,7 +35,6 @@ from .graphs import (
     has_4cycle,
     has_cycle_of_length,
     hypercube,
-    induced_subgraph,
 )
 from .groups import (
     MINUS,

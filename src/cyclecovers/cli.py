@@ -27,6 +27,7 @@ from .covers import (
     lifted_connection,
     modular_rank,
     pairwise_noncommuting_check,
+    power_exceeds,
     standard_ids,
     verify_cover,
 )
@@ -73,14 +74,14 @@ def _cover_params(args) -> Optional[int]:
             raise UsageError("--heisenberg does not take --p")
         if args.d is None or args.d < 1:
             raise UsageError("--heisenberg requires --d >= 1")
-        p, size = None, 2 ** (args.d + 1)
+        p, base, exponent = None, 2, args.d + 1
     else:
         if args.p is None or args.d is None:
             raise UsageError(f"{args.command} requires --p and --d (or --heisenberg --d)")
         p = _require_odd_prime(args.p)
         _require_d(args.d)
-        size = p ** (1 + 2 * args.d)
-    if size > MAX_COVER_SIZE:
+        base, exponent = p, 1 + 2 * args.d
+    if power_exceeds(base, exponent, MAX_COVER_SIZE):
         raise UsageError(f"cover would exceed {MAX_COVER_SIZE} vertices")
     return p
 
@@ -157,7 +158,11 @@ def cmd_build(args) -> int:
         jobs = [(f"cover_p{p}_d{args.d}_{sign}", build_cover(p, args.d, sign))
                 for sign in _signs(args.sign)]
     for stem, cm in jobs:
-        for path in _write_cover(cm, stem, out_dir, args.format):
+        try:
+            written = _write_cover(cm, stem, out_dir, args.format)
+        except OSError as exc:
+            raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+        for path in written:
             print(path)
     return 0
 
@@ -275,9 +280,9 @@ def cmd_bound(args) -> int:
     p = _require_odd_prime(args.p)
     if args.dims < 1:
         raise UsageError("dims must be >= 1")
+    if power_exceeds(p, args.dims, MAX_EIGEN_SIZE):
+        raise UsageError(f"base has {p}^{args.dims} vertices, above the {MAX_EIGEN_SIZE} eigensolver limit")
     n = p ** args.dims
-    if n > MAX_EIGEN_SIZE:
-        raise UsageError(f"base has {n} vertices, above the {MAX_EIGEN_SIZE} eigensolver limit")
     twists = _twists(args.twist, p)
     per_pair = []
     per_sign_best = {}
@@ -329,7 +334,7 @@ def _decomposition(cover: SpectrumReport, parts: list[SpectrumReport]) -> dict:
 def cmd_spectrum(args) -> int:
     p = _cover_params(args)
     if p is None:
-        if 2 ** (args.d + 1) > MAX_EIGEN_SIZE:
+        if power_exceeds(2, args.d + 1, MAX_EIGEN_SIZE):
             raise UsageError("cover too large for the eigensolver")
         cm = heisenberg_cover(args.d)
         cover = hermitian_eigenvalues(
@@ -348,7 +353,7 @@ def cmd_spectrum(args) -> int:
         }
         print(stable_text(doc), end="")
         return 0 if doc["decomposition_ok"] else 1
-    if p ** (1 + 2 * args.d) > MAX_EIGEN_SIZE:
+    if power_exceeds(p, 1 + 2 * args.d, MAX_EIGEN_SIZE):
         raise UsageError("cover too large for the eigensolver")
     constructions = []
     for sign in _signs(args.sign):
@@ -377,7 +382,7 @@ def cmd_gain(args) -> int:
         raise UsageError("gain requires --p and --d")
     p = _require_odd_prime(args.p)
     _require_d(args.d)
-    if p ** (2 * args.d) > MAX_COVER_SIZE:
+    if power_exceeds(p, 2 * args.d, MAX_COVER_SIZE):
         raise UsageError(f"base would exceed {MAX_COVER_SIZE} vertices")
     docs = []
     for sign in _signs(args.sign):

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, cayley, cartesian_power, cycle_graph, hypercube, induced_subgraph
+from .graphs import Graph, cayley, cartesian_power, cycle_graph, hypercube
 from .groups import (
     SIGNS,
     ExtraspecialElement,
@@ -31,6 +31,11 @@ from .groups import (
 from .modular import Prime
 
 MAX_COVER_SIZE = 10 ** 6
+
+
+def power_exceeds(base: int, exponent: int, cap: int) -> bool:
+    """Whether base ** exponent > cap for base >= 2, forming no power past cap's bit length."""
+    return exponent > cap.bit_length() or base ** exponent > cap
 
 
 def connection_set(p: int, d: int) -> tuple[tuple[int, ...], ...]:
@@ -224,7 +229,7 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
         raise ValueError("p must be odd for extraspecial covers")
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    if p ** (1 + 2 * d) > MAX_COVER_SIZE:
+    if power_exceeds(p, 1 + 2 * d, MAX_COVER_SIZE):
         raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
     group = extraspecial_group(p, d, sign)
     conn = lifted_connection(group)
@@ -245,7 +250,7 @@ def heisenberg_cover(d: int) -> CoveringMap:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if 2 ** (d + 1) > MAX_COVER_SIZE:
+    if power_exceeds(2, d + 1, MAX_COVER_SIZE):
         raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
 
     def neighbours(v: np.ndarray) -> np.ndarray:
@@ -257,53 +262,61 @@ def heisenberg_cover(d: int) -> CoveringMap:
 
 
 class GainGraph:
-    """A base graph with an antisymmetric arc labeling into Z_p."""
+    """A base graph with an antisymmetric arc labeling into Z_p, held in rows
+    aligned with the base's neighbour rows: gains[u][i] is the gain of the
+    arc from u to base.neighbors(u)[i]. Raises ValueError unless each row
+    has one gain per neighbour and gain(v, u) = -gain(u, v) mod p."""
 
-    def __init__(self, base: Graph, p: int, arc_gains: dict[tuple[int, int], int]):
+    def __init__(self, base: Graph, p: int, gains: Sequence[Sequence[int]]):
         self.base = base
         self.p = Prime(p)
-        gains: dict[tuple[int, int], int] = {}
-        for (u, v), g in arc_gains.items():
-            if not base.has_edge(u, v):
-                raise ValueError(f"gain assigned to non-edge ({u},{v})")
-            g = int(g) % self.p
-            for key, val in (((u, v), g), ((v, u), (-g) % self.p)):
-                if key in gains and gains[key] != val:
-                    raise ValueError(f"inconsistent gain at arc {key}")
-                gains[key] = val
-        for u, v in base.edges():
-            if (u, v) not in gains:
-                raise ValueError(f"edge ({u},{v}) has no gain")
-        self._gains = gains
+        self.gains = tuple(tuple(int(g) % self.p for g in row) for row in gains)
+        if list(map(len, self.gains)) != list(map(len, base._adj)):
+            raise ValueError("gain rows must hold one gain per neighbour")
+        tails, heads, values = self.arc_arrays()
+        # Sorted by (head, tail), the arcs are the reverses of the row order's.
+        reverse = np.lexsort((tails, heads))
+        bad = np.flatnonzero((values + values[reverse]) % self.p)
+        if bad.size:
+            raise ValueError(f"inconsistent gain at arc ({tails[bad[0]]},{heads[bad[0]]})")
+
+    def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tails, heads and gains of every arc in row order, as int64 arrays."""
+        rows = self.base._adj
+        tails = np.repeat(np.arange(len(rows)), np.fromiter(map(len, rows), np.int64, len(rows)))
+        heads = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(tails))
+        values = np.fromiter(itertools.chain.from_iterable(self.gains), np.int64, len(tails))
+        return tails, heads, values
 
     def gain(self, u: int, v: int) -> int:
-        return self._gains[(u, v)]
+        """The gain of the arc u -> v; ValueError when uv is not an edge."""
+        return self.gains[u][self.base.neighbors(u).index(v)]
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Canonical arcs (u, v, gain) with u < v, ascending."""
-        for u, v in self.base.edges():
-            yield u, v, self._gains[(u, v)]
+        for u, (row, gains) in enumerate(zip(self.base._adj, self.gains)):
+            for v, g in zip(row, gains):
+                if v > u:
+                    yield u, v, g
 
-    def restrict(self, vertices: list[int]) -> "GainGraph":
+    def restrict(self, vertices: Sequence[int]) -> "GainGraph":
         """Induced gain graph on the given vertices, relabeled in list order."""
         remap = {v: i for i, v in enumerate(vertices)}
-        sub = induced_subgraph(self.base, vertices)
-        gains = {
-            (remap[u], remap[v]): g
-            for u, v, g in self.arcs()
-            if u in remap and v in remap
-        }
-        return GainGraph(sub, self.p, gains)
+        if len(remap) != len(vertices):
+            raise ValueError("vertex list contains repeats")
+        kept = [sorted((remap[w], g) for w, g in zip(self.base.neighbors(v), self.gains[v])
+                       if w in remap) for v in vertices]
+        sub = Graph._from_rows(tuple(w for w, _ in row) for row in kept)
+        return GainGraph(sub, self.p, [[g for _, g in row] for row in kept])
 
 
 def cover_from_gain(gg: GainGraph) -> CoveringMap:
-    """p-fold cover on V x Z_p: (u, j) ~ (v, j + gain(u, v)); ids are u*p + j."""
+    """p-fold cover on V x Z_p: (u, j) ~ (v, j + gain(u, v)); ids are u*p + j,
+    so row u*p + j, made from row u, ascends as row u does."""
     p = gg.p
-    edges = []
-    for u, v, g in gg.arcs():
-        for j in range(p):
-            edges.append((u * p + j, v * p + (j + g) % p))
-    total = Graph(gg.base.n * p, edges)
+    total = Graph._from_rows(
+        tuple(v * p + (j + g) % p for v, g in zip(row, gains))
+        for row, gains in zip(gg.base._adj, gg.gains) for j in range(p))
     return CoveringMap(total, gg.base, _fibers(range(gg.base.n), p))
 
 
@@ -330,9 +343,7 @@ class SignedMatrix:
         return self.entries.shape[0]
 
     def support_graph(self) -> Graph:
-        edges = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                 if self.entries[u, v] != 0]
-        return Graph(self.n, edges)
+        return Graph._from_rows(tuple(np.flatnonzero(row).tolist()) for row in self.entries)
 
 
 def cohen_tits_signing(d: int) -> SignedMatrix:
@@ -351,6 +362,5 @@ def signed_double_cover(sm: SignedMatrix) -> CoveringMap:
     """2-fold cover of the support graph, the lift of the Z_2 gain graph with
     gain 1 on the negative entries: vertex v becomes 2v and 2v+1; positive
     edges lift parallel, negative edges lift crossed."""
-    base = sm.support_graph()
-    gains = {(u, v): int(sm.entries[u, v] == -1) for u, v in base.edges()}
-    return cover_from_gain(GainGraph(base, 2, gains))
+    gains = [(row == -1)[row != 0].tolist() for row in sm.entries]
+    return cover_from_gain(GainGraph(sm.support_graph(), 2, gains))

@@ -24,9 +24,10 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     connection vector s; the opposite arc carries the negation. Vertex ids
     are the base-p numbers of the vectors, first digit most significant, so
     each s takes one array sum over the digit columns of all ids and one
-    cocycle call on those columns. For odd p the connection vectors and their
-    negatives are disjoint, so every edge gets exactly one defining arc, and
-    the arcs are counted to check it.
+    cocycle call on those columns; the inverse permutation of the heads of s
+    gives the heads of -s and the arcs whose negated gains they carry. For
+    odd p the connection vectors and their negatives are disjoint, so no
+    sorted row repeats a vertex or holds its own, and the rows are checked.
     """
     p = Prime(p)
     if sign not in SIGNS:
@@ -35,14 +36,23 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     weights = [p ** k for k in reversed(range(2 * d))]
     ids = np.arange(n)
     columns = tuple(ids // w % p for w in weights)
-    gains: dict[tuple[int, int], int] = {}
+    heads, values = [], []
     for s in connection_set(p, d):
-        heads = sum((column + x) % p * w for column, x, w in zip(columns, s, weights))
-        values = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (columns[:d], columns[d:]))
-        gains.update(zip(zip(range(n), heads.tolist()), values.tolist()))
-    if len(gains) != 2 * d * n:
+        ahead = sum((column + x) % p * w for column, x, w in zip(columns, s, weights))
+        gains = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (columns[:d], columns[d:]))
+        behind = np.empty_like(ahead)
+        behind[ahead] = ids
+        heads += [ahead, behind]
+        values += [gains, -gains[behind] % p]
+    heads, values = np.column_stack(heads), np.column_stack(values)
+    # Stable: the sort GainGraph's lexsort runs, so numpy maps one sort kernel.
+    order = np.argsort(heads, axis=1, kind="stable")
+    heads = np.take_along_axis(heads, order, axis=1)
+    steps = np.diff(heads, axis=1)
+    if np.count_nonzero(steps) < steps.size or np.count_nonzero(heads - ids[:, None]) < heads.size:
         raise ValueError("connection vectors give repeated arcs")
-    return GainGraph(Graph(n, gains.keys()), p, gains)
+    base = Graph._from_rows(map(tuple, heads.tolist()))
+    return GainGraph(base, p, np.take_along_axis(values, order, axis=1).tolist())
 
 
 def directed_cycles(base: Graph, length: int,

@@ -156,19 +156,6 @@ def hypercube(d: int) -> Graph:
     return Graph._from_id_arithmetic(1 << d, lambda v: v[:, None] ^ (1 << np.arange(d)))
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> Graph:
-    """Subgraph induced on the given vertices, relabeled 0..len-1 in list order."""
-    remap = {v: i for i, v in enumerate(vertices)}
-    if len(remap) != len(vertices):
-        raise ValueError("vertex list contains repeats")
-    edges = []
-    for v in vertices:
-        for w in g.neighbors(v):
-            if w in remap and remap[v] < remap[w]:
-                edges.append((remap[v], remap[w]))
-    return Graph(len(vertices), edges)
-
-
 def girth(g: Graph, cap: int = 13, root: Optional[int] = None) -> Optional[int]:
     """Length of a shortest cycle when it is below cap, else None (girth >= cap).
 

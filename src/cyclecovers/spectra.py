@@ -35,14 +35,14 @@ def twisted_adjacency(gg: GainGraph, k: int) -> np.ndarray:
     arc gain; zero off the edge set. k = 0 returns the plain adjacency."""
     if not 0 <= k < gg.p:
         raise ValueError(f"twist must lie in [0, {gg.p})")
-    n = gg.base.n
-    powers = [np.exp(2j * math.pi * j / gg.p) for j in range(gg.p)]
-    m = np.zeros((n, n), dtype=complex)
-    for u, v, g in gg.arcs():
-        w = powers[(k * g) % gg.p]
-        m[u, v] = w
-        # Exact conjugate symmetry by construction.
-        m[v, u] = w.conjugate()
+    powers = np.array([np.exp(2j * math.pi * j / gg.p) for j in range(gg.p)])
+    tails, heads, values = gg.arc_arrays()
+    up = tails < heads
+    tails, heads = tails[up], heads[up]
+    m = np.zeros((gg.base.n, gg.base.n), dtype=complex)
+    m[tails, heads] = powers[k * values[up] % gg.p]
+    # Exact conjugate symmetry by construction.
+    m[heads, tails] = m[tails, heads].conj()
     return m
 
 
@@ -116,8 +116,6 @@ class DegreeBoundTable:
     """Per-subgraph-size lower bounds on the maximum degree."""
 
     rows: tuple[BoundRow, ...]
-    ranking: str
-    source: str
 
     def minimal_rows(self) -> dict[int, BoundRow]:
         """For each degree t from 1 to the largest integer bound, the first
@@ -129,16 +127,6 @@ class DegreeBoundTable:
             for degree in range(len(first) + 1, row.integer_bound + 1):
                 first[degree] = row
         return first
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "ranking": self.ranking,
-            "rows": [
-                {"size": r.size, "bound": r.bound, "integer_bound": r.integer_bound}
-                for r in self.rows
-            ],
-        }
 
 
 def snap_ceil(x: float, tol: float = INTEGER_SNAP) -> int:
@@ -173,4 +161,4 @@ def huang_degree_bound(report: SpectrumReport, ranking: str = "eigenvalue") -> D
     for s in range(1, n + 1):
         bound = vals[n - s]
         rows.append(BoundRow(s, float(bound), snap_ceil(bound)))
-    return DegreeBoundTable(tuple(rows), ranking, report.source)
+    return DegreeBoundTable(tuple(rows))

@@ -10,8 +10,10 @@ from typing import Sequence
 
 from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
-from cyclecovers.graphs import Graph, induced_subgraph
+from cyclecovers.graphs import Graph
 from cyclecovers.groups import SIGNS, ExtraspecialGroup, HeisenbergElement, HeisenbergGroup
+
+from oracles import induced_subgraph
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +272,75 @@ def signed_double_cover_by_edges(sm):
     total = Graph(2 * sm.n, edges)
     gamma = tuple(vid // 2 for vid in range(2 * sm.n))
     return CoveringMap(total, sm.support_graph(), gamma)
+
+
+def induced_subgraph(g, vertices):
+    """Subgraph induced on the given vertices, relabeled 0..len-1 in list
+    order, from its edge list."""
+    remap = {v: i for i, v in enumerate(vertices)}
+    if len(remap) != len(vertices):
+        raise ValueError("vertex list contains repeats")
+    return Graph(len(vertices), [(remap[u], remap[v]) for u, v in g.edges()
+                                 if u in remap and v in remap])
+
+
+class DictGainGraph:
+    """A gain graph held as a dict from each ordered adjacent pair to its
+    gain, filled and checked arc by arc from the gains given to either
+    direction of each edge."""
+
+    def __init__(self, base, p, arc_gains):
+        self.base = base
+        self.p = p
+        gains = {}
+        for (u, v), g in arc_gains.items():
+            if not base.has_edge(u, v):
+                raise ValueError(f"gain assigned to non-edge ({u},{v})")
+            g = int(g) % p
+            for key, val in (((u, v), g), ((v, u), (-g) % p)):
+                if key in gains and gains[key] != val:
+                    raise ValueError(f"inconsistent gain at arc {key}")
+                gains[key] = val
+        for u, v in base.edges():
+            if (u, v) not in gains:
+                raise ValueError(f"edge ({u},{v}) has no gain")
+        self._gains = gains
+
+    def gain(self, u, v):
+        return self._gains[(u, v)]
+
+    def arcs(self):
+        """Canonical arcs (u, v, gain) with u < v, ascending."""
+        for u, v in self.base.edges():
+            yield u, v, self._gains[(u, v)]
+
+    def rows(self):
+        """The gains in rows aligned with the base's neighbour rows."""
+        return [[self.gain(u, v) for v in self.base.neighbors(u)] for u in range(self.base.n)]
+
+    def restrict(self, vertices):
+        """Induced gain graph on the given vertices, relabeled in list order."""
+        remap = {v: i for i, v in enumerate(vertices)}
+        gains = {(remap[u], remap[v]): g for u, v, g in self.arcs() if u in remap and v in remap}
+        return DictGainGraph(induced_subgraph(self.base, vertices), self.p, gains)
+
+
+def cover_from_gain_by_edges(gg):
+    """The lift edge by edge: (u, j) ~ (v, j + gain(u, v)) with ids u*p + j."""
+    p = gg.p
+    edges = [(u * p + j, v * p + (j + g) % p) for u, v, g in gg.arcs() for j in range(p)]
+    return Graph(gg.base.n * p, edges)
+
+
+def twisted_adjacency_by_arcs(gg, k):
+    """Entry (u, v) is exp(2 pi i k gain(u, v) / p), set arc by arc, with the
+    lower triangle the exact conjugate of the upper."""
+    m = np.zeros((gg.base.n, gg.base.n), dtype=complex)
+    for u, v, g in gg.arcs():
+        w = np.exp(2j * math.pi * (k * g % gg.p) / gg.p)
+        m[u, v] = w
+        m[v, u] = w.conjugate()
+    return m
 
 
 def canonical(obj):

@@ -105,6 +105,17 @@ def test_build_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch)
     assert err.startswith("error:") and "output directory" in err
 
 
+@pytest.mark.parametrize("fmt,name", [("edges", "heisenberg_d2.total.edges"),
+                                      ("json", "heisenberg_d2.json")])
+def test_build_write_failure_is_a_usage_error(fmt, name, tmp_path, capsys):
+    (tmp_path / name).mkdir()
+    code, out, err = run_cli(capsys, "build", "--heisenberg", "--d", "2", "--format", fmt,
+                             "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path / name}:")
+
+
 def test_build_deterministic_bytes(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     run_cli(capsys, "build", "--p", "3", "--d", "1", "--sign", "minus", "--out", str(out1))
@@ -372,7 +383,8 @@ def test_convolve_check(capsys):
 # digests were recorded before convolution moved onto group tables and gain
 # began summing cycles from vertex 0 alone; the bound and spectrum digests
 # before the gain graph was built from digit arrays, the bound minima were
-# derived in one pass and spectrum checked its decomposition in one routine.
+# derived in one pass and spectrum checked its decomposition in one routine;
+# the last five before the gain graph was held in rows.
 STDOUT_DIGESTS = {
     ("gain", "--p", "3", "--d", "3", "--sign", "both"):
         "52887345a14c0bfef07510c2c9e54f1052ace35c420aec5377cb7548f1f7eb31",
@@ -410,6 +422,16 @@ STDOUT_DIGESTS = {
         "50f245c3015ded6e55950096758dfbbffb6f47a385d640727e259d8d65b8683a",
     ("spectrum", "--p", "5", "--d", "1"):
         "97be17d4b5b2723c91f9f5efb9b7eda6f7e83a91a1445e48a83a5912f3f4cdd5",
+    ("bound", "--p", "3", "--dims", "5"):
+        "7ecf8e477aa67b2c8e52f220bd0cac0fb1295ba7ba2e1331c6ebdbfe322f96d2",
+    ("bound", "--p", "7", "--dims", "3"):
+        "2d2eab0e94d55c4845a9ac04cca8f1dfc75ea4c6d81273407fcb92f2a18f0038",
+    ("bound", "--p", "3", "--dims", "6", "--sign", "minus", "--twist", "1"):
+        "dbba267d52b2d60a4f36fe14ad7e574671245843836e4028588a991b2c36e036",
+    ("gain", "--p", "7", "--d", "2", "--sign", "minus"):
+        "38ae1816df822205b0a887ed7de4f0340d5bccd1af47e7ec63a30177f80f2eb3",
+    ("spectrum", "--p", "7", "--d", "1"):
+        "4cf31f576fd41663449fbe0ef35d0ac3cb577d0c634be3c88cff7fbc30b4c4b7",
 }
 
 
@@ -430,6 +452,7 @@ def _assert_usage_error(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "cyclecovers", *argv],
         capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=10,
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
@@ -439,6 +462,17 @@ def _assert_usage_error(*argv):
 
 def test_verify_over_size_cap_exits_2():
     _assert_usage_error("verify", "--p", "13", "--d", "3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "--p", "3", "--dims", "10000"),
+    ("verify", "--p", "13", "--d", "30000000"),
+    ("verify", "--heisenberg", "--d", "3000000000"),
+    ("gain", "--p", "3", "--d", str(10 ** 12)),
+], ids=" ".join)
+def test_huge_exponents_exit_2_within_10_s(argv):
+    # The size checks compare exponents and never form the power.
+    _assert_usage_error(*argv)
 
 
 def test_gain_rejects_d0():
@@ -519,6 +553,11 @@ def _first_over(cap, size):
     return n
 
 
+# How far past the first size over the cap: a step or two, or an exponent
+# whose power no check may form.
+_EXCESS = st.one_of(st.integers(0, 3), st.integers(4, 10 ** 12))
+
+
 @st.composite
 def out_of_range_argv(draw):
     """argv with one parameter out of range: p, d or dims, a size cap, or
@@ -531,7 +570,7 @@ def out_of_range_argv(draw):
             d = draw(st.integers(-5, 0))
         elif kind == "heisenberg_size":
             cap = HEISENBERG_CAPS[command]
-            d = _first_over(cap, lambda d: 2 ** (d + 1)) + draw(st.integers(0, 3))
+            d = _first_over(cap, lambda d: 2 ** (d + 1)) + draw(_EXCESS)
         else:
             d = draw(st.integers(-3, 25))
         argv = [command, "--heisenberg", f"--d={d}"]
@@ -548,7 +587,7 @@ def out_of_range_argv(draw):
     else:
         p = draw(st.sampled_from(ODD_PRIMES))
         cap, size = SIZE_CHECKS[command]
-        n = _first_over(cap, lambda n: size(p, n)) + draw(st.integers(0, 3))
+        n = _first_over(cap, lambda n: size(p, n)) + draw(_EXCESS)
     size_flag = "--dims" if command == "bound" else "--d"
     sign = draw(st.sampled_from(("plus", "minus", "both")))
     return [command, f"--p={p}", f"{size_flag}={n}", f"--sign={sign}"]

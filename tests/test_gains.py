@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,12 @@ from cyclecovers.gains import (
     directed_cycles,
     gain_from_cocycle,
 )
-from cyclecovers.graphs import cycle_graph
+from cyclecovers.graphs import Graph, cycle_graph
 from cyclecovers.groups import MINUS, PLUS, SIGNS
+from cyclecovers.spectra import twisted_adjacency
 
 from helpers import VertexCodec, cover, gain_graph, gains_along, is_regular, odd_cover
+from oracles import DictGainGraph, cover_from_gain_by_edges, twisted_adjacency_by_arcs
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2)])
@@ -63,7 +66,7 @@ def test_cycle_sums_match_both_orientations():
 
 def test_zero_gain_cover_is_disjoint_copies():
     base = cycle_graph(3)
-    gg = GainGraph(base, 3, {(u, v): 0 for u, v in base.edges()})
+    gg = GainGraph(base, 3, [[0] * base.degree(u) for u in range(base.n)])
     cm = cover_from_gain(gg)
     assert verify_cover(cm) == 3
     expected = {(min(u * 3 + j, v * 3 + j), max(u * 3 + j, v * 3 + j))
@@ -93,12 +96,10 @@ def test_restricted_gain_cover_matches_induced_cover():
 
 
 def _random_gain_graph(rng, n, p):
-    from cyclecovers.graphs import Graph
-
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
     base = Graph(n, edges)
     gains = {(u, v): rng.randrange(p) for u, v in base.edges()}
-    return GainGraph(base, p, gains)
+    return GainGraph(base, p, DictGainGraph(base, p, gains).rows())
 
 
 def test_random_gain_covers_verify():
@@ -130,13 +131,17 @@ def test_cover_4cycles_match_zero_gain_sums():
 
 
 def test_gain_graph_validation():
+    # Rows of the 3-cycle: 0 -> (1, 2), 1 -> (0, 2), 2 -> (0, 1).
     base = cycle_graph(3)
-    with pytest.raises(ValueError):
-        GainGraph(base, 3, {(0, 1): 1})  # missing edges
-    with pytest.raises(ValueError):
-        GainGraph(cycle_graph(4), 3, {(0, 2): 1, (0, 1): 0, (1, 2): 0, (2, 3): 0, (0, 3): 0})
-    with pytest.raises(ValueError):
-        GainGraph(base, 3, {(0, 1): 1, (1, 0): 1, (1, 2): 0, (0, 2): 0})
+    assert GainGraph(base, 3, [[1, 0], [2, 0], [0, 0]]).gain(1, 0) == 2
+    with pytest.raises(ValueError, match="one gain per neighbour"):
+        GainGraph(base, 3, [[1], [2, 0], [0, 0]])  # a missing gain
+    with pytest.raises(ValueError, match="one gain per neighbour"):
+        GainGraph(base, 3, [[1, 0, 0], [2, 0], [0, 0]])  # a gain on a non-edge
+    with pytest.raises(ValueError, match="one gain per neighbour"):
+        GainGraph(base, 3, [[1, 0], [2, 0]])  # a missing row
+    with pytest.raises(ValueError, match="inconsistent"):
+        GainGraph(base, 3, [[1, 0], [1, 0], [0, 0]])  # gain(1, 0) != -gain(0, 1)
 
 
 def test_gain_from_cocycle_validation():
@@ -201,6 +206,54 @@ def test_one_root_misses_a_zero_sum_cycle_without_cocycle_gains():
     u, v = far[0], far[1]
     gains = {(a, b): g for a, b, g in gg.arcs() if {a, b} != {u, v}}
     gains[(u, v)] = (gg.gain(u, v) - _gain_sum(gg, far)) % 3
-    broken = GainGraph(gg.base, 3, gains)
+    broken = GainGraph(gg.base, 3, DictGainGraph(gg.base, 3, gains).rows())
     assert all_cycle_sums_nonzero(broken, 3, root=0) == (True, None)
     assert all_cycle_sums_nonzero(broken, 3) == (False, far)
+
+
+# ---------------------------------------------------------------- rows against the dict oracle
+
+@st.composite
+def dict_gain_graphs(draw):
+    """A random base graph on 0 to 8 vertices, isolated vertices and the
+    empty edge set included, p in {2, 3, 5, 7}, and random gains given to
+    one direction of each edge."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    base = Graph(n, edges)
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    gains = {}
+    for u, v in base.edges():
+        arc = (u, v) if draw(st.booleans()) else (v, u)
+        gains[arc] = draw(st.integers(-10, 10))
+    return DictGainGraph(base, p, gains)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dict_gain_graphs(), st.data())
+def test_row_gain_graph_matches_the_dict_oracle(oracle, data):
+    base, p = oracle.base, oracle.p
+    gg = GainGraph(base, p, oracle.rows())
+    assert list(gg.arcs()) == list(oracle.arcs())
+    for u, v in base.edges():
+        assert (gg.gain(u, v), gg.gain(v, u)) == (oracle.gain(u, v), oracle.gain(v, u))
+    assert cover_from_gain(gg).total == cover_from_gain_by_edges(oracle)
+    for k in range(p):
+        assert np.array_equal(twisted_adjacency(gg, k), twisted_adjacency_by_arcs(oracle, k))
+    order = data.draw(st.permutations(range(base.n)))
+    vertices = order[: data.draw(st.integers(0, base.n))]
+    sub, sub_oracle = gg.restrict(vertices), oracle.restrict(vertices)
+    assert sub.base == sub_oracle.base
+    assert list(sub.arcs()) == list(sub_oracle.arcs())
+
+
+def test_row_gain_graph_rejects_a_short_row_and_a_non_antisymmetric_pair():
+    base = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    rows = DictGainGraph(base, 5, {(0, 1): 1, (1, 2): 2, (2, 3): 3}).rows()
+    assert GainGraph(base, 5, rows).gains == ((1,), (4, 2), (3, 3), (2,))
+    with pytest.raises(ValueError):
+        GainGraph(base, 5, rows[:2] + [rows[2][:1]] + rows[3:])
+    rows[3] = [3]
+    with pytest.raises(ValueError, match=r"inconsistent gain at arc \(2,3\)"):
+        GainGraph(base, 5, rows)

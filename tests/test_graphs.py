@@ -16,12 +16,12 @@ from cyclecovers.graphs import (
     has_4cycle,
     has_cycle_of_length,
     hypercube,
-    induced_subgraph,
 )
 from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
 from helpers import VertexCodec, graph_from_edge_list_text, is_regular
 from oracles import (
+    induced_subgraph,
     brute_cycle_lengths,
     brute_girth,
     brute_has_4cycle,
