@@ -7,7 +7,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -44,6 +46,12 @@ from .spectra import (
     huang_degree_bound,
     twisted_adjacency,
 )
+
+# A CLI process imports this module once, runs one command and exits, so
+# everything alive now (numpy's modules, types and tables, and ours) lives
+# until exit. Frozen, those objects are walked by no collection again, during
+# the run or at shutdown. Code that imports only the library is unaffected.
+gc.freeze()
 
 GIRTH_CAP = 13
 
@@ -92,6 +100,22 @@ def _signs(sign: str) -> list[str]:
     if sign in (PLUS, MINUS):
         return [sign]
     raise UsageError(f"sign must be plus, minus, or both, got {sign!r}")
+
+
+def _write_stdout(text: str) -> None:
+    """Write text to standard output and flush it. A failed write is a
+    usage error; standard output then points at os.devnull, so the
+    interpreter's final flush of what stays buffered cannot fail again."""
+    if sys.stdout is None:  # the process started with descriptor 1 closed
+        raise UsageError("cannot write standard output: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise UsageError(f"cannot write standard output: {exc.strerror}") from exc
 
 
 def _check(passed: bool, witness=None, **extra) -> dict:
@@ -162,8 +186,7 @@ def cmd_build(args) -> int:
             written = _write_cover(cm, stem, out_dir, args.format)
         except OSError as exc:
             raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
-        for path in written:
-            print(path)
+        _write_stdout("".join(f"{path}\n" for path in written))
     return 0
 
 
@@ -233,7 +256,7 @@ def cmd_verify(args) -> int:
     else:
         reports = [_verify_extraspecial(p, args.d, sign, args.girth) for sign in _signs(args.sign)]
     passed = all(r["passed"] for r in reports)
-    print(stable_text({"command": "verify", "constructions": reports, "passed": passed}), end="")
+    _write_stdout(stable_text({"command": "verify", "constructions": reports, "passed": passed}))
     return 0 if passed else 1
 
 
@@ -315,7 +338,7 @@ def cmd_bound(args) -> int:
         # per-sign bests, taken in sign order.
         "best": _first_least_size(e for best in per_sign_best.values() for e in best.values()),
     }
-    print(stable_text(doc), end="")
+    _write_stdout(stable_text(doc))
     return 0
 
 
@@ -351,7 +374,7 @@ def cmd_spectrum(args) -> int:
             "parts": [part.to_json_dict() for part in parts],
             **_decomposition(cover, parts),
         }
-        print(stable_text(doc), end="")
+        _write_stdout(stable_text(doc))
         return 0 if doc["decomposition_ok"] else 1
     if power_exceeds(p, 1 + 2 * args.d, MAX_EIGEN_SIZE):
         raise UsageError("cover too large for the eigensolver")
@@ -369,8 +392,8 @@ def cmd_spectrum(args) -> int:
             **_decomposition(cover, twists),
         })
     passed = all(c["decomposition_ok"] for c in constructions)
-    print(stable_text({"command": "spectrum", "constructions": constructions,
-                       "passed": passed}), end="")
+    _write_stdout(stable_text({"command": "spectrum", "constructions": constructions,
+                               "passed": passed}))
     return 0 if passed else 1
 
 
@@ -400,7 +423,7 @@ def cmd_gain(args) -> int:
             "four_cycle_sums_nonzero": ok4,
             "four_cycle_zero_witness": list(wit4) if wit4 else None,
         })
-    print(stable_text({"command": "gain", "gains": docs}), end="")
+    _write_stdout(stable_text({"command": "gain", "gains": docs}))
     return 0
 
 
@@ -445,8 +468,8 @@ def cmd_convolve_check(args) -> int:
                                      adjacency_matrix(hypercube(d))))
         checks["convolution_is_cube_adjacency"] = _check(adj_ok)
     passed = all(c["pass"] for c in checks.values())
-    print(stable_text({"command": "convolve-check", "d": d, "checks": checks,
-                       "passed": passed}), end="")
+    _write_stdout(stable_text({"command": "convolve-check", "d": d, "checks": checks,
+                               "passed": passed}))
     return 0 if passed else 1
 
 

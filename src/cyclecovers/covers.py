@@ -270,10 +270,20 @@ class GainGraph:
     def __init__(self, base: Graph, p: int, gains: Sequence[Sequence[int]]):
         self.base = base
         self.p = Prime(p)
-        self.gains = tuple(tuple(int(g) % self.p for g in row) for row in gains)
-        if list(map(len, self.gains)) != list(map(len, base._adj)):
+        lengths = list(map(len, gains))
+        if lengths != list(map(len, base._adj)):
             raise ValueError("gain rows must hold one gain per neighbour")
-        tails, heads, values = self.arc_arrays()
+        flat = itertools.chain.from_iterable(gains)
+        try:
+            values = np.fromiter(flat, np.int64, sum(lengths))
+        except OverflowError:  # a gain past int64 is reduced as a Python int
+            flat = (int(g) % self.p for g in itertools.chain.from_iterable(gains))
+            values = np.fromiter(flat, np.int64, sum(lengths))
+        values %= self.p
+        residues = values.tolist()
+        ends = itertools.accumulate(lengths)
+        self.gains = tuple(tuple(residues[end - k:end]) for k, end in zip(lengths, ends))
+        tails, heads, _ = self.arc_arrays()
         # Sorted by (head, tail), the arcs are the reverses of the row order's.
         reverse = np.lexsort((tails, heads))
         bad = np.flatnonzero((values + values[reverse]) % self.p)

@@ -610,10 +610,53 @@ def test_out_of_range_input_exits_2_before_any_build(argv):
     assert stderr.getvalue().startswith("error:")
 
 
-def test_module_entry_point():
+def test_module_entry_point(capsys):
+    # The process that imports cyclecovers.cli (and so freezes the heap)
+    # prints the bytes that main prints in process.
+    argv = ("verify", "--p", "3", "--d", "1", "--sign", "minus", "--girth")
     proc = subprocess.run(
-        [sys.executable, "-m", "cyclecovers", "verify", "--heisenberg", "--d", "2"],
+        [sys.executable, "-m", "cyclecovers", *argv],
+        capture_output=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["passed"] is True
+    assert proc.stdout == run_cli(capsys, *argv)[1].encode()
+
+
+@pytest.mark.parametrize("module,frozen", [("cyclecovers", False), ("cyclecovers.cli", True)])
+def test_only_the_cli_freezes_the_heap(module, frozen):
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import gc, {module}; print(gc.get_freeze_count())"],
         capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["passed"] is True
+    assert (int(proc.stdout) > 0) is frozen
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--p", "3", "--d", "1", "--sign", "minus"),  # 1.2 kB, less than a buffer
+    ("gain", "--p", "7", "--d", "2", "--sign", "plus"),  # 0.6 MB, many buffers
+], ids=" ".join)
+def test_stdout_write_failure_exits_2(argv, unbuffered):
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cyclecovers", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+def test_closed_stdout_exits_2():
+    proc = subprocess.run(
+        ["/bin/sh", "-c", 'exec "$0" -m cyclecovers verify --p 3 --d 1 --sign minus >&-',
+         sys.executable],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: it is closed\n"

@@ -257,3 +257,19 @@ def test_row_gain_graph_rejects_a_short_row_and_a_non_antisymmetric_pair():
     rows[3] = [3]
     with pytest.raises(ValueError, match=r"inconsistent gain at arc \(2,3\)"):
         GainGraph(base, 5, rows)
+
+
+def test_gain_graph_reduces_any_int_to_python_int_residues():
+    base = Graph(3, [(0, 1), (1, 2)])
+    big = 2 ** 70 + 3  # past int64
+    gg = GainGraph(base, 5, [[big], [-big, np.int64(-6)], [True]])
+    assert gg.gains == ((big % 5,), (-big % 5, 4), (1,))
+    assert all(type(g) is int for row in gg.gains for g in row)
+    assert GainGraph(base, 5, [[7], [-7, np.int64(-6)], [6]]).gains == ((2,), (3, 4), (1,))
+    # Bools, as signed_double_cover passes them, read as 0 and 1.
+    assert GainGraph(base, 2, [[True], [True, False], [False]]).gains == ((1,), (1, 0), (0,))
+    with pytest.raises(ValueError, match=r"inconsistent gain at arc \(0,1\)"):
+        GainGraph(base, 5, [[big], [big, 0], [0]])
+    # A short row is reported before a pair that is not antisymmetric.
+    with pytest.raises(ValueError, match="one gain per neighbour"):
+        GainGraph(base, 5, [[big], [big], [0]])
