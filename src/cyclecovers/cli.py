@@ -476,8 +476,19 @@ def cmd_convolve_check(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Writes --help to standard output through _write_stdout, so a failed
+    write is a usage error; subcommand parsers are of this class too."""
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _write_stdout(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cyclecovers",
         description="Build and certify 4-cycle-free p-fold covers of products of p-cycles.",
     )
@@ -528,8 +539,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,6 +66,8 @@ class ExtraspecialGroup:
     mul and inv read two tables over Z_p^d x Z_p^d built here, the
     componentwise sum mod p and the dot product mod p, and do not validate
     their arguments; cocycle is the checked definition they agree with.
+    The tables are nested dicts, table[u][v], so a product hashes the
+    vectors it holds and builds no pair key.
     """
 
     def __init__(self, p: int, d: int, sign: str):
@@ -78,12 +80,12 @@ class ExtraspecialGroup:
         self.sign = sign
         self.size = p ** (1 + 2 * d)
         self.identity = ExtraspecialElement((0,) * d, (0,) * d, 0)
+        self._minus = sign == MINUS
         vectors = {v: v for v in itertools.product(range(p), repeat=d)}
-        pairs = [(u, v) for u in vectors for v in vectors]
         # Each sum is the tuple held in vectors, so the table shares p^d tuples.
-        self._sum = {(u, v): vectors[tuple((x + y) % p for x, y in zip(u, v))]
-                     for u, v in pairs}
-        self._dot = {(u, v): sum(map(operator.mul, u, v)) % p for u, v in pairs}
+        self._sum = {u: {v: vectors[tuple((x + y) % p for x, y in zip(u, v))] for v in vectors}
+                     for u in vectors}
+        self._dot = {u: {v: sum(map(operator.mul, u, v)) % p for v in vectors} for u in vectors}
 
     def element(self, a, b, z: int) -> ExtraspecialElement:
         a = tuple(int(x) % self.p for x in a)
@@ -105,19 +107,22 @@ class ExtraspecialGroup:
 
     def mul(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
         (ga, gb, gz), (ha, hb, hz) = g, h
-        z = gz + hz + self._dot[gb, ha]
-        if self.sign == MINUS and ga[0] + ha[0] >= self.p:
+        z = gz + hz + self._dot[gb][ha]
+        if self._minus and ga[0] + ha[0] >= self.p:
             z += 1
-        return ExtraspecialElement(self._sum[ga, ha], self._sum[gb, hb], z % self.p)
+        sums = self._sum
+        # tuple.__new__ skips the NamedTuple's Python-level __new__.
+        return tuple.__new__(ExtraspecialElement, (sums[ga][ha], sums[gb][hb], z % self.p))
 
     def inv(self, g: ExtraspecialElement) -> ExtraspecialElement:
         # (a, b, z)^-1 = (-a, -b, a.b - z), less the carry of a_1 + (-a_1) for minus.
         a, b, z = g
         p = self.p
-        z = self._dot[a, b] - z
-        if self.sign == MINUS and a[0]:
+        z = self._dot[a][b] - z
+        if self._minus and a[0]:
             z -= 1
-        return ExtraspecialElement(tuple(-x % p for x in a), tuple(-x % p for x in b), z % p)
+        return tuple.__new__(ExtraspecialElement,
+                             (tuple(-x % p for x in a), tuple(-x % p for x in b), z % p))
 
     def commutator(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
         """g^-1 h^-1 g h, computed by composition."""

@@ -9,6 +9,7 @@ tuples both become JSON arrays.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
@@ -45,10 +46,33 @@ def _scalar_text(obj: Any) -> Optional[str]:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+# Members of an int array written by one write call.
+BLOCK = 1024
+
+
+def _int_array_format(obj: Any, inner: str) -> Optional[str]:
+    """The %-template of one member when every member of the non-empty
+    list or tuple obj is an exact int, or when all are lists or tuples of
+    one nonzero length holding exact ints; None otherwise. inner is the
+    line break and indent of obj's members. bool and int subclasses are
+    not exact ints, so they keep the general path."""
+    types = set(map(type, obj))
+    if types == {int}:
+        return "%d"
+    if not types <= {list, tuple}:
+        return None
+    lengths = set(map(len, obj))
+    if len(lengths) != 1 or 0 in lengths or set(map(type, chain.from_iterable(obj))) != {int}:
+        return None
+    row_inner = inner + "  "
+    return "[" + row_inner + ("," + row_inner).join(["%d"] * lengths.pop()) + inner + "]"
+
+
 def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
     """Write a container; newline is a line break plus the indent of the
     line the container opens on. Scalar members go out in one write with
-    the separator before them."""
+    the separator before them; an int array (see _int_array_format) goes
+    out BLOCK members per write."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -71,14 +95,22 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
         return
     inner = newline + "  "
     sep = "[" + inner
-    for value in obj:
-        text = _scalar_text(value)
-        if text is None:
-            write(sep)
-            _write_value(value, write, inner)
-        else:
-            write(sep + text)
-        sep = "," + inner
+    fmt = _int_array_format(obj, inner)
+    if fmt is not None:
+        for start in range(0, len(obj), BLOCK):
+            block = obj[start:start + BLOCK]
+            rows = block if fmt == "%d" else map(tuple, block)
+            write(sep + ("," + inner).join(map(fmt.__mod__, rows)))
+            sep = "," + inner
+    else:
+        for value in obj:
+            text = _scalar_text(value)
+            if text is None:
+                write(sep)
+                _write_value(value, write, inner)
+            else:
+                write(sep + text)
+            sep = "," + inner
     write(newline + "]")
 
 

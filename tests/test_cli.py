@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -156,6 +157,10 @@ BUILD_DIGESTS = {
             "5c30ba68ca2559343636e53c829fbf9d971399555a68c2496c3759f8f0f1deba",
     },
     # The benchmark's recorded digests (perfbench/recorded.json).
+    ("--p", "7", "--d", "2", "--sign", "plus", "--format", "json"): {
+        "cover_p7_d2_plus.json":
+            "3e9db31eabdb5e264947006c24cbdf9dc8ec842501fee90c47a2037a13d95861",
+    },
     ("--heisenberg", "--d", "12"): {
         "heisenberg_d12.total.edges":
             "bf4d6808b758c2320e9f3ba2594c516f9de64263687f968cf0078bd94c7a9950",
@@ -432,6 +437,8 @@ STDOUT_DIGESTS = {
         "38ae1816df822205b0a887ed7de4f0340d5bccd1af47e7ec63a30177f80f2eb3",
     ("spectrum", "--p", "7", "--d", "1"):
         "4cf31f576fd41663449fbe0ef35d0ac3cb577d0c634be3c88cff7fbc30b4c4b7",
+    ("gain", "--p", "13", "--d", "2", "--sign", "plus"):
+        "f5b324127446fe13ff06d06c2d7f5fbe3330fbc11477854699cc5b649b891e6a",
 }
 
 
@@ -639,6 +646,8 @@ def test_only_the_cli_freezes_the_heap(module, frozen):
 @pytest.mark.parametrize("argv", [
     ("verify", "--p", "3", "--d", "1", "--sign", "minus"),  # 1.2 kB, less than a buffer
     ("gain", "--p", "7", "--d", "2", "--sign", "plus"),  # 0.6 MB, many buffers
+    ("--help",),  # printed by argparse inside parse_args
+    ("build", "--help"),
 ], ids=" ".join)
 def test_stdout_write_failure_exits_2(argv, unbuffered):
     env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
@@ -660,3 +669,19 @@ def test_closed_stdout_exits_2():
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: cannot write standard output: it is closed\n"
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("build", "--help")], ids=" ".join)
+def test_help_to_a_working_stdout_exits_0(argv, capsys, monkeypatch):
+    # The process prints the text that argparse's own print_help prints.
+    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "cyclecovers", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: cyclecovers")
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli._ArgumentParser, "print_help", argparse.ArgumentParser.print_help)
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 0
+    assert capsys.readouterr() == (proc.stdout, "")

@@ -202,13 +202,27 @@ def _inv_oracle(group, g):
 
 
 @pytest.mark.parametrize("sign", SIGNS)
-@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 1)])
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_mul_and_inv_match_oracles_exhaustive(p, d, sign):
     group, els = group_elements(p, d, sign)
     for g in els:
         assert group.inv(g) == _inv_oracle(group, g)
         for h in els:
             assert group.mul(g, h) == _mul_oracle(group, g, h)
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_products_are_extraspecial_elements(sign):
+    # mul and inv build their results with tuple.__new__; they must still be
+    # the named tuple, not plain tuples that only compare equal.
+    group = ExtraspecialGroup(5, 2, sign)
+    g, h = group.element([1, 4], [2, 3], 1), group.element([3, 0], [4, 4], 2)
+    for value in (group.mul(g, h), group.inv(g), group.power(g, 3), group.commutator(g, h)):
+        assert type(value) is ExtraspecialElement
+        assert value == (value.a, value.b, value.z)
+        assert all(type(x) is tuple and len(x) == 2 for x in (value.a, value.b))
+    assert group.mul(g, h).a == (4, 4) and group.mul(g, h).b == (1, 2)
+    assert group.commutator(g, h) == (group.identity.a, group.identity.b, group.commutator(g, h).z)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecovers.reporting import round_sig, stable_text
+from cyclecovers.reporting import BLOCK, round_sig, stable_text, write_stable
 
 from oracles import json_stable_text
 
@@ -70,3 +70,85 @@ DOCUMENTS = st.recursive(
 @given(DOCUMENTS)
 def test_stable_text_matches_the_json_encoder(doc):
     assert stable_text(doc) == json_stable_text(doc)
+
+
+# ---------------------------------------------------------------- int arrays
+# Arrays of exact ints, and arrays of equal-length rows of exact ints, are
+# written BLOCK members per write; every other value keeps the general path.
+# Both must give the text of the standard library's encoder.
+
+
+class Count(int):
+    def __repr__(self):
+        return "Count()"
+
+
+def _assert_oracle_text(*docs):
+    for doc in docs:
+        assert stable_text(doc) == json_stable_text(doc)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+def test_int_arrays_across_the_block_edge(n):
+    ints = list(range(-(n // 2), n - n // 2))
+    rows = [[i, -i, 7 * i] for i in range(n)]
+    _assert_oracle_text(ints, tuple(ints), rows, {"ints": ints, "rows": rows})
+
+
+@pytest.mark.parametrize("kind", ["list", "tuple", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_int_rows_as_lists_tuples_and_mixed(k, kind):
+    rows = [list(range(i, i + k)) for i in range(1500)]
+    if kind != "list":
+        rows = [tuple(row) if kind == "tuple" or i % 3 else row for i, row in enumerate(rows)]
+    _assert_oracle_text(rows, tuple(rows), [rows])
+
+
+def test_ragged_and_empty_rows():
+    pairs = [[i, i + 1] for i in range(1500)]
+    _assert_oracle_text(
+        [[1, 2], [3]], [(1,), (2, 3)], [[]], [[], []], [(), ()], [[1, 2], []], [[], [1, 2]],
+        pairs + [[3]], [[3]] + pairs, pairs[:1100] + [()] + pairs[1100:],
+        [[1, 2], [3, 4, 5]] * 700,
+    )
+
+
+ODD_MEMBERS = {"true": True, "false": False, "none": None, "float": 0.1 + 0.2,
+               "str": "7", "int_subclass": Count(7)}
+
+
+@pytest.mark.parametrize("where", [0, 1100, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("odd", list(ODD_MEMBERS.values()), ids=list(ODD_MEMBERS))
+def test_one_odd_member_keeps_the_general_path(odd, where):
+    ints = list(range(2500))
+    ints[where] = odd
+    rows = [[i, -i] for i in range(2500)]
+    rows[where] = [odd, 1]
+    inner_last = [[i, -i] for i in range(2500)]
+    inner_last[where] = (1, odd)
+    scalar_row = [[i, -i] for i in range(2500)]
+    scalar_row[where] = odd
+    _assert_oracle_text(ints, rows, inner_last, scalar_row)
+
+
+def test_negative_and_past_int64_ints():
+    values = [-(2 ** 70), -(2 ** 63) - 1, -(2 ** 63), -1, 0, 2 ** 63 - 1, 2 ** 63, 10 ** 30]
+    _assert_oracle_text(values * 300, [[x, -x, x // 3] for x in values * 300])
+
+
+def test_int_arrays_nested_at_several_indents():
+    ints = list(range(-5, 1100))
+    rows = [(i, i * i) for i in range(1100)]
+    doc = {"a": ints, "b": {"c": rows, "d": {"e": [rows, ints, []], "f": [[ints]]}},
+           "g": [{"h": rows}, ints, [[1], [2]]], "i": []}
+    _assert_oracle_text(doc, [doc, doc])
+
+
+def test_int_array_writes_at_most_one_block_per_piece():
+    rows = [[i, i + 1] for i in range(100_000)]
+    pieces: list[str] = []
+    write_stable(rows, pieces.append)
+    assert "".join(pieces) == json_stable_text(rows)
+    # The last rows have the most digits, so their text is the longest block.
+    assert max(map(len, pieces)) <= len(stable_text(rows[-BLOCK:]))
+    assert len(pieces) == -(-len(rows) // BLOCK) + 2
