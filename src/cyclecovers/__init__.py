@@ -31,6 +31,7 @@ from .graphs import (
     cartesian_power,
     cayley,
     cycle_graph,
+    cycle_power,
     girth,
     has_4cycle,
     has_cycle_of_length,

@@ -144,8 +144,8 @@ def _empty_report(construction: dict) -> dict:
 
 def _graph_json(cm: CoveringMap) -> dict:
     return {
-        "total": {"n": cm.total.n, "edges": list(cm.total.edges())},
-        "base": {"n": cm.base.n, "edges": list(cm.base.edges())},
+        "total": {"n": cm.total.n, "edges": np.column_stack(cm.total.edge_arrays())},
+        "base": {"n": cm.base.n, "edges": np.column_stack(cm.base.edge_arrays())},
         "fiber_map": cm.fiber_map,
     }
 
@@ -270,8 +270,7 @@ def _gain_graph_for_dims(p: int, dims: int, sign: str) -> GainGraph:
         return gg
     # Odd dims: restrict to the hyperplane whose last standard coordinate
     # vanishes, the base of the induced covers.
-    keep = [v for v, s in enumerate(standard_ids(p, d)) if s % p == 0]
-    return gg.restrict(keep)
+    return gg.restrict(np.flatnonzero(standard_ids(p, d) % p == 0))
 
 
 def _twists(twist: str, p: int) -> list[int]:
@@ -417,7 +416,7 @@ def cmd_gain(args) -> int:
         docs.append({
             "construction": {"kind": "gain", "p": p, "d": args.d, "sign": sign},
             "n": gg.base.n,
-            "arcs": [[u, v, g] for u, v, g in gg.arcs()],
+            "arcs": gg.arc_table(),
             "three_cycle_sums_nonzero": ok3,
             "three_cycle_zero_witness": list(wit3) if wit3 else None,
             "four_cycle_sums_nonzero": ok4,

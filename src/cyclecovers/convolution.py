@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -93,11 +92,31 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _division_table(carrier: tuple, mul: Callable, inv: Callable) -> np.ndarray:
-    """Carrier index of y^-1 x at [y, x]: mul runs once per pair, inv once
-    per element."""
+    """Carrier index of y^-1 x at [y, x] in any group: mul runs once per
+    pair, inv once per element."""
     index = {g: i for i, g in enumerate(carrier)}
     return _frozen(np.array([[index[mul(y_inv, x)] for x in carrier]
                              for y_inv in map(inv, carrier)], dtype=np.intp))
+
+
+@functools.lru_cache(maxsize=8)
+def _heisenberg_division_table(d: int) -> np.ndarray:
+    """_division_table of HeisenbergGroup(d) over heisenberg_carrier(d),
+    from bit ids: element (x, t) has index 2 xid + t, xid the bit id of x.
+    The inverse of (y, s) is (y, s + C(k, 2)), k the number of ones in y,
+    and the product adds form(y, x) to the central bit, so y^-1 x is
+    (y XOR x, s + t + C(k, 2) + form(y, x)), with the form summed over the
+    bits of y (groups.low_bit_parities)."""
+    ids = np.arange(2 ** d)
+    y, x = ids[:, None], ids[None, :]
+    ones = sum((ids >> k) & 1 for k in range(d))
+    central = np.repeat((ones * (ones - 1) // 2 % 2)[:, None], len(ids), axis=1)
+    for k, parity in enumerate(low_bit_parities(x, d)):
+        central ^= (y >> k) & parity
+    s = np.arange(2)
+    table = (2 * (y ^ x)[:, None, :, None]
+             + (central[:, None, :, None] ^ s[:, None, None] ^ s))
+    return _frozen(table.reshape(2 * len(ids), 2 * len(ids)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,7 +161,8 @@ def _gather_sum(f: GroupFunction, g: GroupFunction, ids: np.ndarray,
 
 
 def convolve(f: GroupFunction, g: GroupFunction, mul: Callable, inv: Callable) -> GroupFunction:
-    """(f * g)(x) = sum over y of f(y) g(y^-1 x)."""
+    """(f * g)(x) = sum over y of f(y) g(y^-1 x) in the group that mul and
+    inv give f's carrier."""
     return _gather_sum(f, g, _division_table(f.carrier, mul, inv))
 
 
@@ -171,9 +191,9 @@ def central_lift(f: GroupFunction) -> GroupFunction:
 def check_central_lift_identity(f: GroupFunction, g: GroupFunction) -> tuple[bool, int]:
     """Verify convolve(lift f, lift g) equals the lift of the twisted
     convolution scaled by the center order. Returns (ok, center_order)."""
-    group = _heisenberg(len(f.carrier[0]))
     center_order = 2
-    lhs = convolve(central_lift(f), central_lift(g), group.mul, group.inv)
+    table = _heisenberg_division_table(len(f.carrier[0]))
+    lhs = _gather_sum(central_lift(f), central_lift(g), table)
     rhs = central_lift(twisted_convolve(f, g)).scale(center_order)
     return lhs == rhs, center_order
 
@@ -189,18 +209,12 @@ def operator_matrix(transform: Callable[[GroupFunction], GroupFunction],
     return m
 
 
-def _z2_add(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(operator.xor, u, v))
-
-
-def _z2_neg(u: tuple[int, ...]) -> tuple[int, ...]:
-    return u
-
-
 def convolution_operator_matrix(d: int) -> np.ndarray:
-    """Matrix of f -> f * (standard basis indicator) over Z_2^d."""
+    """Matrix of f -> f * (standard basis indicator) over Z_2^d, where
+    y^-1 x = y + x is the XOR of the bit ids (_twist_tables)."""
     mu = standard_basis_indicator(d)
-    return operator_matrix(lambda f: convolve(f, mu, _z2_add, _z2_neg), z2_carrier(d))
+    sums, _ = _twist_tables(z2_carrier(d))
+    return operator_matrix(lambda f: _gather_sum(f, mu, sums), z2_carrier(d))
 
 
 def twisted_operator_matrix(d: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, cayley, cartesian_power, cycle_graph, hypercube
+from .graphs import Graph, cayley, cycle_power, hypercube, pair_lines
 from .groups import (
     SIGNS,
     ExtraspecialElement,
@@ -31,6 +31,9 @@ from .groups import (
 from .modular import Prime
 
 MAX_COVER_SIZE = 10 ** 6
+
+# Total-graph rows per block of verify_cover's array comparison.
+_ROWS = 1024
 
 
 def power_exceeds(base: int, exponent: int, cap: int) -> bool:
@@ -63,12 +66,13 @@ def connection_set(p: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def standard_ids(p: int, d: int) -> tuple[int, ...]:
+def standard_ids(p: int, d: int) -> np.ndarray:
     """The change of basis that sends the standard basis to the connection
     vectors, as a table: indexed by a base vertex's id in connection (group)
-    coordinates, it gives the vertex's id in standard coordinates. The vector
-    sum_j x_j c_j gets the id of x. Raises ValueError unless the table is a
-    bijection, that is unless the connection vectors are a basis mod p."""
+    coordinates, it gives the vertex's id in standard coordinates, as an
+    int64 array. The vector sum_j x_j c_j gets the id of x. Raises
+    ValueError unless the table is a bijection, that is unless the
+    connection vectors are a basis mod p."""
     vectors = np.array(connection_set(p, d), dtype=np.int64)
     dim = 2 * d
     x = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
@@ -77,7 +81,7 @@ def standard_ids(p: int, d: int) -> tuple[int, ...]:
     table[connection_ids] = np.arange(len(x))
     if (table < 0).any():
         raise ValueError(f"connection vectors are not a basis mod {p}")
-    return tuple(table.tolist())
+    return table
 
 
 def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -97,17 +101,24 @@ def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringMap:
-    """A graph homomorphism total -> base given as a per-vertex array."""
+    """A graph homomorphism total -> base given as a per-vertex array: an
+    int array from the builders, any int sequence from a caller. Maps are
+    equal when their graphs and fiber maps are."""
 
     total: Graph
     base: Graph
-    fiber_map: tuple[int, ...]
+    fiber_map: Sequence[int]
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, CoveringMap) and self.total == other.total
+                and self.base == other.base and np.array_equal(self.fiber_map, other.fiber_map))
 
     def fiber_map_text(self) -> str:
         """One line per total vertex: "total_id base_id"."""
-        return "\n".join(f"{u} {b}" for u, b in enumerate(self.fiber_map)) + "\n"
+        gamma = np.asarray(self.fiber_map, dtype=np.int64)
+        return pair_lines(np.arange(len(gamma)), gamma)
 
 
 class CoverVerificationError(Exception):
@@ -122,46 +133,62 @@ class CoverVerificationError(Exception):
 def verify_cover(cm: CoveringMap) -> int:
     """Check the covering axioms and return the fold count.
 
-    After the map's domain and range and the fiber sizes, one comparison per
-    total vertex u: the images of u's neighbours, sorted, must be the
-    neighbours of u's image. That holds exactly when the map is a
-    homomorphism, fibers are independent sets (the base has no loops) and
-    every base edge induces a perfect matching between its two fibers.
-    Raises CoverVerificationError with the offending vertex or edge.
+    After the map's domain and range and the fiber sizes, one array
+    comparison: row u of the total graph, mapped through the fiber map and
+    sorted, must be the base row of u's image, for every u. That holds
+    exactly when the map is a homomorphism, fibers are independent sets (the
+    base has no loops) and every base edge induces a perfect matching
+    between its two fibers. Raises CoverVerificationError with the
+    offending vertex or edge.
     """
-    total, base, gamma = cm.total, cm.base, cm.fiber_map
+    total, base = cm.total, cm.base
+    gamma = np.asarray(cm.fiber_map, dtype=np.int64)
     if len(gamma) != total.n:
         raise CoverVerificationError("map_domain", len(gamma))
-    if any(not 0 <= b < base.n for b in gamma):
-        raise CoverVerificationError("map_range", next(b for b in gamma if not 0 <= b < base.n))
-    if not gamma:
+    outside = (gamma < 0) | (gamma >= base.n)
+    if outside.any():
+        raise CoverVerificationError("map_range", int(gamma[outside.argmax()]))
+    if not len(gamma):
         raise CoverVerificationError("equal_fibers", "empty fibers")
-    sizes = Counter(gamma)
-    if len(sizes) < base.n or len(set(sizes.values())) > 1:
-        small = min(range(base.n), key=sizes.__getitem__)
-        big = max(range(base.n), key=sizes.__getitem__)
-        raise CoverVerificationError("equal_fibers", (small, sizes[small], big, sizes[big]))
-    image = gamma.__getitem__
-    for u in range(total.n):
-        if tuple(sorted(map(image, total.neighbors(u)))) != base.neighbors(gamma[u]):
-            raise _broken_axiom(cm, u)
-    return len(gamma) // base.n
+    sizes = np.bincount(gamma, minlength=base.n)
+    if sizes.min() != sizes.max():
+        small, big = int(sizes.argmin()), int(sizes.argmax())
+        raise CoverVerificationError("equal_fibers", (small, int(sizes[small]),
+                                                      big, int(sizes[big])))
+    # Rows before the first one whose degree differs from its image's line
+    # up entry by entry with the base rows they must equal. They are
+    # compared _ROWS at a time, so the temporaries stay small.
+    degrees = np.diff(total.indptr)
+    fits = degrees == np.diff(base.indptr)[gamma]
+    stop = total.n if fits.all() else int(fits.argmin())
+    for start in range(0, stop, _ROWS):
+        rows = np.arange(start, min(start + _ROWS, stop))
+        tails = np.repeat(rows, degrees[rows])
+        # Sorting row-major keys sorts each row's images and keeps rows in order.
+        keys = np.sort(tails * base.n + gamma[total.indices[total.row_entries(rows)]])
+        expected = base.indices[base.row_entries(gamma[rows])]
+        differ = np.flatnonzero(keys - tails * base.n != expected)
+        if differ.size:
+            raise _broken_axiom(cm, gamma, int(tails[differ[0]]))
+    if stop < total.n:
+        raise _broken_axiom(cm, gamma, stop)
+    return total.n // base.n
 
 
-def _broken_axiom(cm: CoveringMap, u: int) -> CoverVerificationError:
+def _broken_axiom(cm: CoveringMap, gamma: np.ndarray, u: int) -> CoverVerificationError:
     """The error for the first broken axiom, row u being the first row that
     fails: the first edge, in edges() order, that lies inside a fiber or maps
     onto a non-edge; with no such edge, the first neighbour of u's image that
     u's neighbours do not hit exactly once."""
-    total, base, gamma = cm.total, cm.base, cm.fiber_map
+    total, base, image = cm.total, cm.base, gamma.tolist()
     for a, b in total.edges():
-        if gamma[a] == gamma[b]:
+        if image[a] == image[b]:
             return CoverVerificationError("fiber_independence", (a, b))
-        if not base.has_edge(gamma[a], gamma[b]):
+        if not base.has_edge(image[a], image[b]):
             return CoverVerificationError("homomorphism", (a, b))
-    hits = Counter(gamma[v] for v in total.neighbors(u))
-    y = next(y for y in base.neighbors(gamma[u]) if hits[y] != 1)
-    return CoverVerificationError("perfect_matching", (u, gamma[u], y))
+    hits = Counter(image[v] for v in total.neighbors(u))
+    y = next(y for y in base.neighbors(image[u]) if hits[y] != 1)
+    return CoverVerificationError("perfect_matching", (u, image[u], y))
 
 
 def lifted_connection(group: ExtraspecialGroup) -> tuple[ExtraspecialElement, ...]:
@@ -209,20 +236,13 @@ def pairwise_noncommuting_check(group: ExtraspecialGroup,
     return NoncommutingReport(ok, central_units, tuple(table), witness)
 
 
-def _fibers(base_ids: Sequence[int], fold: int) -> tuple[int, ...]:
-    """The fiber map that sends total vertex u to base_ids[u // fold]: each
-    id object repeated fold times, so the map holds one int per base vertex,
-    not one per total vertex."""
-    return tuple(itertools.chain.from_iterable(itertools.repeat(b, fold) for b in base_ids))
-
-
 def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     """Cayley cover of the 4d-regular Cartesian power of a p-cycle.
 
     Total vertices are group elements in codec order, so u // p is the id of
     u's first 2d coordinates; base vertices are standard coordinates of
-    Z_p^{2d}, reached through standard_ids, so the base equals the iterated
-    Cartesian product of p-cycles.
+    Z_p^{2d}, reached through standard_ids, so the base is the Cartesian
+    power of the p-cycle that cycle_power builds.
     """
     p = Prime(p)
     if p == 2:
@@ -235,8 +255,7 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     conn = lifted_connection(group)
     carrier = list(group.elements())
     total = cayley(carrier, group.mul, group.inv, conn)
-    base = cartesian_power(cycle_graph(p), 2 * d)
-    return CoveringMap(total, base, _fibers(standard_ids(p, d), p))
+    return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
 
 
 def heisenberg_cover(d: int) -> CoveringMap:
@@ -258,76 +277,69 @@ def heisenberg_cover(d: int) -> CoveringMap:
         return np.column_stack([v ^ (2 << k) ^ parity for k, parity in enumerate(parities)])
 
     total = Graph._from_id_arithmetic(2 ** (d + 1), neighbours)
-    return CoveringMap(total, hypercube(d), _fibers(range(2 ** d), 2))
+    return CoveringMap(total, hypercube(d), np.arange(2 ** d).repeat(2))
 
 
 class GainGraph:
-    """A base graph with an antisymmetric arc labeling into Z_p, held in rows
-    aligned with the base's neighbour rows: gains[u][i] is the gain of the
-    arc from u to base.neighbors(u)[i]. Raises ValueError unless each row
-    has one gain per neighbour and gain(v, u) = -gain(u, v) mod p."""
+    """A base graph with an antisymmetric arc labeling into Z_p, held as an
+    int64 array aligned with the base's indices: gains[i] is the gain of the
+    arc from base.tails()[i] to base.indices[i]. Gains are reduced mod p;
+    a gain past int64 is reduced as a Python int. Raises ValueError unless
+    there is one gain per entry of base.indices and gain(v, u) = -gain(u, v)
+    mod p."""
 
-    def __init__(self, base: Graph, p: int, gains: Sequence[Sequence[int]]):
+    def __init__(self, base: Graph, p: int, gains: Sequence[int]):
         self.base = base
         self.p = Prime(p)
-        lengths = list(map(len, gains))
-        if lengths != list(map(len, base._adj)):
-            raise ValueError("gain rows must hold one gain per neighbour")
-        flat = itertools.chain.from_iterable(gains)
         try:
-            values = np.fromiter(flat, np.int64, sum(lengths))
-        except OverflowError:  # a gain past int64 is reduced as a Python int
-            flat = (int(g) % self.p for g in itertools.chain.from_iterable(gains))
-            values = np.fromiter(flat, np.int64, sum(lengths))
-        values %= self.p
-        residues = values.tolist()
-        ends = itertools.accumulate(lengths)
-        self.gains = tuple(tuple(residues[end - k:end]) for k, end in zip(lengths, ends))
-        tails, heads, _ = self.arc_arrays()
+            values = np.asarray(gains, dtype=np.int64)
+        except OverflowError:
+            values = np.array([int(g) % self.p for g in gains], dtype=np.int64)
+        if values.shape != base.indices.shape:
+            raise ValueError("gains must hold one gain per neighbour entry")
+        self.gains = values % self.p
+        self.gains.flags.writeable = False
+        tails, heads = base.tails(), base.indices
         # Sorted by (head, tail), the arcs are the reverses of the row order's.
-        reverse = np.lexsort((tails, heads))
-        bad = np.flatnonzero((values + values[reverse]) % self.p)
+        reverse = np.argsort(heads * base.n + tails, kind="stable")
+        bad = np.flatnonzero((self.gains + self.gains[reverse]) % self.p)
         if bad.size:
             raise ValueError(f"inconsistent gain at arc ({tails[bad[0]]},{heads[bad[0]]})")
 
     def arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Tails, heads and gains of every arc in row order, as int64 arrays."""
-        rows = self.base._adj
-        tails = np.repeat(np.arange(len(rows)), np.fromiter(map(len, rows), np.int64, len(rows)))
-        heads = np.fromiter(itertools.chain.from_iterable(rows), np.int64, len(tails))
-        values = np.fromiter(itertools.chain.from_iterable(self.gains), np.int64, len(tails))
-        return tails, heads, values
+        return self.base.tails(), self.base.indices, self.gains
 
     def gain(self, u: int, v: int) -> int:
         """The gain of the arc u -> v; ValueError when uv is not an edge."""
-        return self.gains[u][self.base.neighbors(u).index(v)]
+        return int(self.gains[self.base.indptr[u] + self.base.neighbors(u).index(v)])
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Canonical arcs (u, v, gain) with u < v, ascending."""
-        for u, (row, gains) in enumerate(zip(self.base._adj, self.gains)):
-            for v, g in zip(row, gains):
-                if v > u:
-                    yield u, v, g
+        return zip(*(array.tolist() for array in self.arc_table().T))
+
+    def arc_table(self) -> np.ndarray:
+        """The canonical arcs as rows (u, v, gain) of an int64 array."""
+        tails, heads, values = self.arc_arrays()
+        up = tails < heads
+        return np.column_stack((tails[up], heads[up], values[up]))
 
     def restrict(self, vertices: Sequence[int]) -> "GainGraph":
         """Induced gain graph on the given vertices, relabeled in list order."""
-        remap = {v: i for i, v in enumerate(vertices)}
-        if len(remap) != len(vertices):
-            raise ValueError("vertex list contains repeats")
-        kept = [sorted((remap[w], g) for w, g in zip(self.base.neighbors(v), self.gains[v])
-                       if w in remap) for v in vertices]
-        sub = Graph._from_rows(tuple(w for w, _ in row) for row in kept)
-        return GainGraph(sub, self.p, [[g for _, g in row] for row in kept])
+        sub, positions = self.base.induced(vertices)
+        return GainGraph(sub, self.p, self.gains[positions])
 
 
 def cover_from_gain(gg: GainGraph) -> CoveringMap:
     """p-fold cover on V x Z_p: (u, j) ~ (v, j + gain(u, v)); ids are u*p + j,
     so row u*p + j, made from row u, ascends as row u does."""
-    p = gg.p
-    total = Graph._from_rows(
-        tuple(v * p + (j + g) % p for v, g in zip(row, gains))
-        for row, gains in zip(gg.base._adj, gg.gains) for j in range(p))
-    return CoveringMap(total, gg.base, _fibers(range(gg.base.n), p))
+    p, base = gg.p, gg.base
+    rows = np.arange(base.n).repeat(p)
+    positions = base.row_entries(rows)
+    degrees = np.diff(base.indptr)[rows]
+    shifts = np.repeat(np.tile(np.arange(p), base.n), degrees)
+    indices = base.indices[positions] * p + (shifts + gg.gains[positions]) % p
+    return CoveringMap(Graph._from_degrees(degrees, indices), base, rows)
 
 
 @dataclass(frozen=True)
@@ -353,7 +365,8 @@ class SignedMatrix:
         return self.entries.shape[0]
 
     def support_graph(self) -> Graph:
-        return Graph._from_rows(tuple(np.flatnonzero(row).tolist()) for row in self.entries)
+        _, heads = np.nonzero(self.entries)
+        return Graph._from_degrees(np.count_nonzero(self.entries, axis=1), heads)
 
 
 def cohen_tits_signing(d: int) -> SignedMatrix:
@@ -372,5 +385,6 @@ def signed_double_cover(sm: SignedMatrix) -> CoveringMap:
     """2-fold cover of the support graph, the lift of the Z_2 gain graph with
     gain 1 on the negative entries: vertex v becomes 2v and 2v+1; positive
     edges lift parallel, negative edges lift crossed."""
-    gains = [(row == -1)[row != 0].tolist() for row in sm.entries]
+    # The nonzero entries in row-major order are the support graph's arcs.
+    gains = sm.entries[sm.entries != 0] == -1
     return cover_from_gain(GainGraph(sm.support_graph(), 2, gains))

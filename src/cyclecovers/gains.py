@@ -45,14 +45,13 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
         heads += [ahead, behind]
         values += [gains, -gains[behind] % p]
     heads, values = np.column_stack(heads), np.column_stack(values)
-    # Stable: the sort GainGraph's lexsort runs, so numpy maps one sort kernel.
+    # Stable: the sort GainGraph runs, so numpy maps one sort kernel.
     order = np.argsort(heads, axis=1, kind="stable")
     heads = np.take_along_axis(heads, order, axis=1)
     steps = np.diff(heads, axis=1)
     if np.count_nonzero(steps) < steps.size or np.count_nonzero(heads - ids[:, None]) < heads.size:
         raise ValueError("connection vectors give repeated arcs")
-    base = Graph._from_rows(map(tuple, heads.tolist()))
-    return GainGraph(base, p, np.take_along_axis(values, order, axis=1).tolist())
+    return GainGraph(Graph._from_table(heads), p, np.take_along_axis(values, order, axis=1).ravel())
 
 
 def directed_cycles(base: Graph, length: int,

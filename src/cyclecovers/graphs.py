@@ -4,103 +4,162 @@ and short-cycle scans the cover constructions rely on."""
 from __future__ import annotations
 
 import collections
-from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Vertex ids per block when rows are computed from id arithmetic.
-_ROW_BLOCK = 4096
+# Vertex ids per block when rows are computed from id arithmetic, and lines
+# per block when pairs are formatted as text.
+_BLOCK = 4096
 
 
 class Graph:
-    """Immutable simple graph: vertex ids 0..n-1, sorted neighbor tuples."""
+    """Immutable simple graph on vertex ids 0..n-1 in CSR form: row v,
+    indices[indptr[v]:indptr[v + 1]], holds v's neighbours in ascending
+    order. Both arrays are int64 and read-only."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ("indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
+        pairs = np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
+        tails, heads = pairs[:, 0], pairs[:, 1]
+        bad = (tails == heads) | (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
+        if bad.any():
+            u, v = pairs[bad.argmax()].tolist()
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        keys = np.unique(np.concatenate((tails * n + heads, heads * n + tails)))
+        if n:
+            self._set(np.bincount(keys // n, minlength=n), keys % n)
+        else:
+            self._set(keys, keys)
+
+    def _set(self, degrees: np.ndarray, indices: np.ndarray) -> None:
+        self.indptr = np.concatenate(([0], np.cumsum(degrees, dtype=np.int64)))
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[tuple[int, ...]]) -> "Graph":
-        """Graph with the given neighbor rows. The caller guarantees what
-        __init__ checks: each row sorted, without repeats or the row's own
-        vertex, in range, and v in row u exactly when u is in row v."""
+    def _from_degrees(cls, degrees: np.ndarray, indices: np.ndarray) -> "Graph":
+        """Graph whose rows, of the given lengths, fill indices in order.
+        The caller guarantees what __init__ ensures: each row ascending,
+        without repeats or the row's own vertex, in range, and v in row u
+        exactly when u is in row v."""
         g = cls.__new__(cls)
-        g._adj = tuple(rows)
+        g._set(degrees, indices)
         return g
+
+    @classmethod
+    def _from_table(cls, table: np.ndarray) -> "Graph":
+        """Regular graph whose row v is row v of the 2-D table, with the
+        guarantees of _from_degrees."""
+        n, k = table.shape
+        return cls._from_degrees(np.full(n, k), table.ravel())
 
     @classmethod
     def _from_id_arithmetic(cls, n: int,
                             neighbours: Callable[[np.ndarray], np.ndarray]) -> "Graph":
         """Graph on n vertices whose row v holds, sorted, row i of
         neighbours(ids) where ids[i] = v: neighbours maps an int64 array of
-        ids to a 2-D array, one row of neighbour ids per id. The caller
-        guarantees what _from_rows requires of the sorted rows. Rows are made
-        one block of ids at a time, so no table of all rows exists, and they
-        share one int object per vertex id."""
-        shared = np.array(range(n), dtype=object)
-        blocks = (shared[np.sort(neighbours(np.arange(start, min(start + _ROW_BLOCK, n))), axis=1)]
-                  for start in range(0, n, _ROW_BLOCK))
-        return cls._from_rows(map(tuple, chain.from_iterable(block.tolist() for block in blocks)))
+        ids to a 2-D array, one row of neighbour ids per id, and the caller
+        guarantees what _from_degrees requires of the sorted rows. Rows are
+        made one block of ids at a time, so no intermediate array spans them
+        all."""
+        table = None
+        for start in range(0, n, _BLOCK):
+            rows = np.sort(neighbours(np.arange(start, min(start + _BLOCK, n))), axis=1)
+            if table is None:
+                table = np.empty((n, rows.shape[1]), np.int64)
+            table[start:start + len(rows)] = rows
+        return cls._from_table(table)
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return len(self.indptr) - 1
 
     @property
     def m(self) -> int:
-        return sum(len(nb) for nb in self._adj) // 2
+        return len(self.indices) // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        nb = self._adj[u]
-        i = bisect_left(nb, v)
-        return i < len(nb) and nb[i] == v
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        i = row.searchsorted(v)
+        return bool(i < len(row) and row[i] == v)
+
+    def tails(self) -> np.ndarray:
+        """The row of each entry of indices: with indices, every arc u -> v
+        in row order."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def row_entries(self, rows: np.ndarray) -> np.ndarray:
+        """Positions in indices of the entries of the given rows, row after
+        row in the order given."""
+        starts = self.indptr[rows]
+        counts = self.indptr[np.asarray(rows) + 1] - starts
+        return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edges (u, v) with u < v, ascending lexicographic, as two
+        int64 arrays."""
+        tails = self.tails()
+        up = self.indices > tails
+        return tails[up], self.indices[up]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges (u, v) with u < v, ascending lexicographic."""
-        for u in range(self.n):
-            for v in self._adj[u]:
-                if v > u:
-                    yield (u, v)
+        tails, heads = self.edge_arrays()
+        return zip(tails.tolist(), heads.tolist())
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.edges())
 
+    def induced(self, vertices: Sequence[int]) -> tuple["Graph", np.ndarray]:
+        """The subgraph induced on the given vertices, relabeled in list
+        order, and for each entry of its indices the position of the same
+        arc in this graph's indices."""
+        kept = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        remap = np.full(self.n, -1)
+        remap[kept] = np.arange(len(kept))
+        if np.count_nonzero(remap >= 0) != len(kept):
+            raise ValueError("vertex list contains repeats")
+        positions = self.row_entries(kept)
+        heads = remap[self.indices[positions]]
+        tails = np.repeat(np.arange(len(kept)), self.indptr[kept + 1] - self.indptr[kept])
+        inside = heads >= 0
+        positions, tails, heads = positions[inside], tails[inside], heads[inside]
+        order = np.argsort(tails * len(kept) + heads, kind="stable")
+        degrees = np.bincount(tails, minlength=len(kept))
+        return Graph._from_degrees(degrees, heads[order]), positions[order]
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self._adj == other._adj
+        return (isinstance(other, Graph) and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices))
 
     def __hash__(self) -> int:
-        return hash(self._adj)
+        return hash((self.indptr.tobytes(), self.indices.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
     def to_edge_list_text(self) -> str:
         """First line "n m", then one "u v" line per edge, u < v, ascending."""
-        rows = [f"{self.n} {self.m}"]
-        for u, nb in enumerate(self._adj):
-            upper = nb[bisect_right(nb, u):]
-            if upper:
-                # The lines of row u as one string: "u v1\nu v2\n...".
-                sep = f"\n{u} "
-                rows.append(sep[1:] + sep.join(map(str, upper)))
-        return "\n".join(rows) + "\n"
+        return f"{self.n} {self.m}\n" + pair_lines(*self.edge_arrays())
+
+
+def pair_lines(left: np.ndarray, right: np.ndarray) -> str:
+    """One "l r" line per position of the two int arrays, formatted _BLOCK
+    lines at a time with one % per block."""
+    blocks = (np.column_stack((left[start:start + _BLOCK], right[start:start + _BLOCK])).ravel()
+              for start in range(0, len(left), _BLOCK))
+    return "".join("%d %d\n" * (len(block) // 2) % tuple(block.tolist()) for block in blocks)
 
 
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:
@@ -122,11 +181,15 @@ def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence
     for s in conn:
         if inv(s) not in conn_set:
             raise ValueError(f"connection set not closed under inverse at {s!r}")
-    # One column of neighbor ids per connection element, read row by row:
-    # s g = s' g only when s = s', and h = s g gives g = s^-1 h, so each row
-    # is free of repeats and the rows are symmetric.
-    columns = [map(index.__getitem__, map(mul, repeat(s), carrier)) for s in conn]
-    return Graph._from_rows(tuple(sorted(row)) for row in zip(*columns))
+    # One column of neighbour ids per connection element: s g = s' g only
+    # when s = s', and h = s g gives g = s^-1 h, so each row is free of
+    # repeats and the rows are symmetric.
+    table = np.empty((len(carrier), len(conn)), np.int64)
+    for j, s in enumerate(conn):
+        table[:, j] = np.fromiter(map(index.__getitem__, map(mul, repeat(s), carrier)),
+                                  np.int64, len(carrier))
+    table.sort(axis=1)
+    return Graph._from_table(table)
 
 
 def cycle_graph(k: int) -> Graph:
@@ -138,9 +201,11 @@ def cycle_graph(k: int) -> Graph:
 def cartesian_product(x: Graph, y: Graph) -> Graph:
     """Vertex (u, v) gets id u * y.n + v."""
     ny = y.n
-    return Graph._from_rows(
-        tuple(sorted([u * ny + w for w in yv] + [w * ny + v for w in xu]))
-        for u, xu in enumerate(x._adj) for v, yv in enumerate(y._adj))
+    (xu, xv), (yu, yv) = x.edge_arrays(), y.edge_arrays()
+    firsts, seconds = np.arange(x.n)[:, None] * ny, np.arange(ny)
+    tails = np.concatenate(((firsts + yu).ravel(), (xu[:, None] * ny + seconds).ravel()))
+    heads = np.concatenate(((firsts + yv).ravel(), (xv[:, None] * ny + seconds).ravel()))
+    return Graph(x.n * ny, np.column_stack((tails, heads)).tolist())
 
 
 def cartesian_power(x: Graph, k: int) -> Graph:
@@ -148,6 +213,24 @@ def cartesian_power(x: Graph, k: int) -> Graph:
     for _ in range(k - 1):
         out = cartesian_product(out, x)
     return out
+
+
+def cycle_power(p: int, k: int) -> Graph:
+    """The k-th Cartesian power of the p-cycle, the graph cartesian_power
+    (cycle_graph(p), k) builds: ids are the base-p numbers of Z_p^k, first
+    digit most significant, and an edge adds +-1 mod p to one digit, so the
+    neighbours of v are v +- p^j, wrapped within digit j."""
+    if p < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    weights = p ** np.arange(k)
+
+    def neighbours(v: np.ndarray) -> np.ndarray:
+        digits = v[:, None] // weights % p
+        up = np.where(digits == p - 1, (1 - p) * weights, weights)
+        down = np.where(digits == 0, (p - 1) * weights, -weights)
+        return np.concatenate((v[:, None] + up, v[:, None] + down), axis=1)
+
+    return Graph._from_id_arithmetic(p ** k, neighbours)
 
 
 def hypercube(d: int) -> Graph:
@@ -214,23 +297,50 @@ def has_4cycle(g: Graph,
     return False, None
 
 
+def _ball(g: Graph, root: int, radius: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """BFS distances from root of the vertices at most radius away, and the
+    neighbour rows of those vertices."""
+    dist = {root: 0}
+    rows = {}
+    frontier = [root]
+    for depth in range(1, radius + 2):
+        reached = []
+        for u in frontier:
+            row = rows[u] = g.neighbors(u)
+            if depth <= radius:
+                for w in row:
+                    if w not in dist:
+                        dist[w] = depth
+                        reached.append(w)
+        frontier = reached
+    return dist, rows
+
+
 def rooted_cycles(g: Graph, length: int,
                   root: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Every simple cycle of this length by rooted DFS, as its path from the
     root, once in each orientation. With root given, the cycles through root;
     without, every vertex roots the cycles whose minimum vertex it is, since
-    vertices below it belong to cycles already searched."""
+    vertices below it belong to cycles already searched.
+
+    A vertex at position i of a cycle through the root is within min(i,
+    length - i) <= length // 2 steps of it, so the DFS steps to w only when
+    w's distance from the root, from a BFS truncated at that depth, is at
+    most the length - i edges left. Each cut branch holds no cycle, so the
+    cycles come in the order of the unpruned DFS."""
     for r in range(g.n) if root is None else (root,):
         lowest = r if root is None else 0
+        dist, rows = _ball(g, r, length // 2)
         stack: list[tuple[int, tuple[int, ...]]] = [(r, (r,))]
         while stack:
             u, path = stack.pop()
             if len(path) == length:
-                if g.has_edge(u, r):
+                if dist[u] == 1:
                     yield path
                 continue
-            for w in g.neighbors(u):
-                if w < lowest or w in path:
+            left = length - len(path)
+            for w in rows[u]:
+                if w < lowest or dist.get(w, length) > left or w in path:
                     continue
                 stack.append((w, path + (w,)))
 

@@ -145,10 +145,13 @@ class ExtraspecialGroup:
         return n
 
     def elements(self) -> Iterator[ExtraspecialElement]:
-        """All elements, ordered a_1..a_d, b_1..b_d, z with a_1 most significant."""
-        rng = range(self.p)
-        for digits in itertools.product(rng, repeat=2 * self.d + 1):
-            yield ExtraspecialElement(digits[: self.d], digits[self.d: 2 * self.d], digits[-1])
+        """All elements, ordered a_1..a_d, b_1..b_d, z with a_1 most
+        significant. The blocks a and b are shared tuples, one per vector
+        of Z_p^d, and tuple.__new__ skips the NamedTuple's Python-level
+        __new__."""
+        vectors = list(itertools.product(range(self.p), repeat=self.d))
+        triples = itertools.product(vectors, vectors, range(self.p))
+        return map(tuple.__new__, itertools.repeat(ExtraspecialElement), triples)
 
 
 _shared_groups: "weakref.WeakValueDictionary[tuple, ExtraspecialGroup]" = (

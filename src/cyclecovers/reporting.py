@@ -2,8 +2,8 @@
 
 Documents are JSON with sorted keys and an indent of two spaces; every float
 is rounded to 12 significant digits before it is written, so identical runs
-emit identical bytes. Dict keys are written as str(key), and lists and
-tuples both become JSON arrays.
+emit identical bytes. Dict keys are written as str(key), and lists,
+tuples and 1-D or 2-D integer numpy arrays all become JSON arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
+
+import numpy as np
 
 
 def round_sig(x: float, digits: int = 12) -> float:
@@ -41,9 +43,13 @@ def _scalar_text(obj: Any) -> Optional[str]:
         if x == -math.inf:
             return "-Infinity"
         return float.__repr__(x)
-    if isinstance(obj, (dict, list, tuple)):
+    if isinstance(obj, (dict, list, tuple)) or _is_int_array(obj):
         return None
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _is_int_array(obj: Any) -> bool:
+    return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
 
 
 # Members of an int array written by one write call.
@@ -51,28 +57,37 @@ BLOCK = 1024
 
 
 def _int_array_format(obj: Any, inner: str) -> Optional[str]:
-    """The %-template of one member when every member of the non-empty
-    list or tuple obj is an exact int, or when all are lists or tuples of
-    one nonzero length holding exact ints; None otherwise. inner is the
-    line break and indent of obj's members. bool and int subclasses are
-    not exact ints, so they keep the general path."""
-    types = set(map(type, obj))
-    if types == {int}:
-        return "%d"
-    if not types <= {list, tuple}:
-        return None
-    lengths = set(map(len, obj))
-    if len(lengths) != 1 or 0 in lengths or set(map(type, chain.from_iterable(obj))) != {int}:
+    """The %-template of one member when obj is a non-empty 1-D integer
+    ndarray or list or tuple of exact ints, or a 2-D integer ndarray with
+    columns, or a list or tuple of lists or tuples of one nonzero length
+    holding exact ints; None otherwise. inner is the line break and indent
+    of obj's members. bool and int subclasses are not exact ints, so they
+    keep the general path."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1:
+            return "%d"
+        width = obj.shape[1]
+    else:
+        types = set(map(type, obj))
+        if types == {int}:
+            return "%d"
+        if not types <= {list, tuple}:
+            return None
+        lengths = set(map(len, obj))
+        if len(lengths) != 1 or set(map(type, chain.from_iterable(obj))) != {int}:
+            return None
+        width = lengths.pop()
+    if not width:
         return None
     row_inner = inner + "  "
-    return "[" + row_inner + ("," + row_inner).join(["%d"] * lengths.pop()) + inner + "]"
+    return "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]"
 
 
 def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
     """Write a container; newline is a line break plus the indent of the
     line the container opens on. Scalar members go out in one write with
     the separator before them; an int array (see _int_array_format) goes
-    out BLOCK members per write."""
+    out BLOCK members per write, each block formatted by one %."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -90,7 +105,7 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
             sep = "," + inner
         write(newline + "}")
         return
-    if not obj:
+    if not len(obj):
         write("[]")
         return
     inner = newline + "  "
@@ -99,8 +114,11 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
     if fmt is not None:
         for start in range(0, len(obj), BLOCK):
             block = obj[start:start + BLOCK]
-            rows = block if fmt == "%d" else map(tuple, block)
-            write(sep + ("," + inner).join(map(fmt.__mod__, rows)))
+            if isinstance(block, np.ndarray):
+                values = block.ravel().tolist()
+            else:
+                values = block if fmt == "%d" else chain.from_iterable(block)
+            write(sep + ("," + inner).join([fmt] * len(block)) % tuple(values))
             sep = "," + inner
     else:
         for value in obj:

@@ -24,9 +24,7 @@ class NotHermitianError(ValueError):
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     m = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        m[u, v] = 1.0
-        m[v, u] = 1.0
+    m[g.tails(), g.indices] = 1.0
     return m
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,78 @@ from mpmath import mp, polyroots
 from cyclecovers.covers import CoveringMap, CoverVerificationError
 from cyclecovers.graphs import Graph
 from cyclecovers.reporting import round_sig
+
+
+class TupleGraph:
+    """The graph the library held before its CSR form: one sorted tuple of
+    neighbours per vertex, built from a set per vertex."""
+
+    def __init__(self, n, edges):
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            adj[u].add(v)
+            adj[v].add(u)
+        self._adj = tuple(tuple(sorted(s)) for s in adj)
+
+    @property
+    def n(self):
+        return len(self._adj)
+
+    @property
+    def m(self):
+        return sum(len(nb) for nb in self._adj) // 2
+
+    def neighbors(self, v):
+        return self._adj[v]
+
+    def degree(self, v):
+        return len(self._adj[v])
+
+    def has_edge(self, u, v):
+        nb = self._adj[u]
+        i = bisect_left(nb, v)
+        return i < len(nb) and nb[i] == v
+
+    def edges(self):
+        for u in range(self.n):
+            for v in self._adj[u]:
+                if v > u:
+                    yield (u, v)
+
+    def __eq__(self, other):
+        return isinstance(other, TupleGraph) and self._adj == other._adj
+
+    def __hash__(self):
+        return hash(self._adj)
+
+    def to_edge_list_text(self):
+        rows = [f"{self.n} {self.m}"]
+        for u, nb in enumerate(self._adj):
+            rows += [f"{u} {v}" for v in nb[bisect_right(nb, u):]]
+        return "\n".join(rows) + "\n"
+
+
+def rooted_cycles_unpruned(graph, length, root=None):
+    """The rooted DFS of graphs.rooted_cycles without its distance cut:
+    every path of length vertices from the root, over vertices not below
+    the lowest allowed one, that closes back to the root."""
+    for r in range(graph.n) if root is None else (root,):
+        lowest = r if root is None else 0
+        stack = [(r, (r,))]
+        while stack:
+            u, path = stack.pop()
+            if len(path) == length:
+                if graph.has_edge(u, r):
+                    yield path
+                continue
+            for w in graph.neighbors(u):
+                if w < lowest or w in path:
+                    continue
+                stack.append((w, path + (w,)))
 
 
 def enumerate_simple_cycles(graph):
@@ -314,9 +387,10 @@ class DictGainGraph:
         for u, v in self.base.edges():
             yield u, v, self._gains[(u, v)]
 
-    def rows(self):
-        """The gains in rows aligned with the base's neighbour rows."""
-        return [[self.gain(u, v) for v in self.base.neighbors(u)] for u in range(self.base.n)]
+    def aligned(self):
+        """The gains in a list aligned with the base's indices: row by row,
+        one gain per neighbour."""
+        return [self.gain(u, v) for u in range(self.base.n) for v in self.base.neighbors(u)]
 
     def restrict(self, vertices):
         """Induced gain graph on the given vertices, relabeled in list order."""
@@ -345,7 +419,8 @@ def twisted_adjacency_by_arcs(gg, k):
 
 def canonical(obj):
     """The document stable_text writes: floats rounded by round_sig, dict keys
-    made str, tuples made lists; TypeError on any other type."""
+    made str, tuples and 1-D or 2-D integer arrays made lists; TypeError on
+    any other type."""
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, float):
@@ -358,6 +433,8 @@ def canonical(obj):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -93,7 +93,7 @@ def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
         int(line.split()[1])
         for line in (tmp_path / "cover_p3_d1_minus.fibers.txt").read_text().splitlines()
     )
-    assert fibers == cm.fiber_map
+    assert fibers == tuple(cm.fiber_map.tolist())
 
 
 def test_build_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -168,6 +168,42 @@ BUILD_DIGESTS = {
             "4fc006fbebf0e59ca28d0889b92ec9eb8cf5b46312708a53183a6d31404d0811",
         "heisenberg_d12.fibers.txt":
             "7d9c6c12d654392262cb92a1724e5e8419c8a3477e55b3f5cc3187f48fcb7b39",
+    },
+    ("--p", "7", "--d", "2", "--sign", "minus"): {
+        "cover_p7_d2_minus.total.edges":
+            "a20921a04682449ba471f2bbd256ed7d9f7ecffe0dd8b691cc1014a7c2b6160c",
+        "cover_p7_d2_minus.base.edges":
+            "a87eb40855330a464e067e62e6a2162a7a3acc5006d482d953856f8ea9fba484",
+        "cover_p7_d2_minus.fibers.txt":
+            "ed580703b1f23df732001456a85b4e02041041fa82937baee5ef43fca81e764f",
+    },
+    ("--p", "3", "--d", "3", "--sign", "both"): {
+        "cover_p3_d3_plus.total.edges":
+            "b6232493f748442b0a628327c7ddf140357ebe81ced05aa23953eae996ce6f19",
+        "cover_p3_d3_plus.base.edges":
+            "a7fc4f0f711a197a74c6248ac85f885d87c65d147fe4e835fdb8202afb47610a",
+        "cover_p3_d3_plus.fibers.txt":
+            "6ab726e3a43aa970e453366a98f92328248aa34dbb5e6b5d8beeb81a7c0e4b76",
+        "cover_p3_d3_minus.total.edges":
+            "bfb2ea397dd6a68bf8ff46aecd6196ff6446fe4c0f630ec4d59c4f75e8257862",
+        "cover_p3_d3_minus.base.edges":
+            "a7fc4f0f711a197a74c6248ac85f885d87c65d147fe4e835fdb8202afb47610a",
+        "cover_p3_d3_minus.fibers.txt":
+            "6ab726e3a43aa970e453366a98f92328248aa34dbb5e6b5d8beeb81a7c0e4b76",
+    },
+    ("--p", "5", "--d", "2", "--sign", "both"): {
+        "cover_p5_d2_plus.total.edges":
+            "482d7d63c05edf8b9615daaa64503c094b1e0f9b362496ca319bf5a6cad48318",
+        "cover_p5_d2_plus.base.edges":
+            "e477a184272902398b2577d7d86dfe08226a7dd11a8ca06e1ff5033c59ace773",
+        "cover_p5_d2_plus.fibers.txt":
+            "5f329eed47008f65082074b145d32883c54bd814d4be48989073269e2d4349d8",
+        "cover_p5_d2_minus.total.edges":
+            "d2ea72b849f95d8fce51f88020788496e1b3616f5d550e30c37e9b7551a4da14",
+        "cover_p5_d2_minus.base.edges":
+            "e477a184272902398b2577d7d86dfe08226a7dd11a8ca06e1ff5033c59ace773",
+        "cover_p5_d2_minus.fibers.txt":
+            "5f329eed47008f65082074b145d32883c54bd814d4be48989073269e2d4349d8",
     },
 }
 

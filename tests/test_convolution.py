@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclecovers.convolution as conv
 from cyclecovers.convolution import (
     GroupFunction,
     central_lift,
@@ -234,6 +235,18 @@ def test_lift_identity_matches_oracle(d, data):
     rhs = [2 * v for v in central_lift_by_definition(twisted, lifted)]
     assert lhs == rhs
     assert check_central_lift_identity(f, g) == (True, 2)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_bit_id_division_tables_match_the_per_pair_tables(d):
+    # The per-pair table makes one product per pair of elements: the
+    # definition the Heisenberg and Z_2^d tables from bit ids must equal.
+    h = HeisenbergGroup(d)
+    assert np.array_equal(conv._heisenberg_division_table(d),
+                          conv._division_table(heisenberg_carrier(d), h.mul, h.inv))
+    add, neg = _z2_ops(d)
+    sums, _ = conv._twist_tables(z2_carrier(d))
+    assert np.array_equal(sums, conv._division_table(z2_carrier(d), add, neg))
 
 
 def test_convolution_refuses_values_that_could_overflow_int64():

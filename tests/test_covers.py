@@ -10,10 +10,12 @@ import cyclecovers.covers as covers
 from cyclecovers.covers import (
     CoveringMap,
     CoverVerificationError,
+    GainGraph,
     SignedMatrix,
     build_cover,
     cohen_tits_signing,
     connection_set,
+    cover_from_gain,
     heisenberg_cover,
     lifted_connection,
     modular_rank,
@@ -36,6 +38,7 @@ from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 
 from helpers import VertexCodec, cover, cube_cover, heisenberg_generators, is_regular, odd_cover
 from oracles import (
+    DictGainGraph,
     brute_isomorphic,
     cayley_by_definition,
     hypercube_by_definition,
@@ -329,26 +332,56 @@ def _verdict(check, cm):
         return err.axiom, err.witness
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(MUTANT_SOURCES),
-       st.sampled_from(("drop_edge", "add_edge", "relabel", "swap")), st.data())
-def test_verify_cover_matches_the_oracle_on_mutants(source, mutation, data):
-    cm = source()
-    n, edges, gamma = cm.total.n, list(cm.total.edges()), list(cm.fiber_map)
+MUTATIONS = ("drop_edge", "add_edge", "rewire", "relabel", "swap")
+
+
+def _mutant(cm, mutation, data):
+    n, edges, gamma = cm.total.n, list(cm.total.edges()), cm.fiber_map.tolist()
     total = cm.total
-    if mutation == "drop_edge":
+    if mutation in ("drop_edge", "rewire") and edges:
         i = data.draw(st.integers(0, len(edges) - 1))
-        total = Graph(n, edges[:i] + edges[i + 1:])
-    elif mutation == "add_edge":
+        kept = edges[:i] + edges[i + 1:]
+        if mutation == "rewire":
+            # Move the edge's second end, so its first keeps its degree.
+            u = edges[i][0]
+            kept.append((u, data.draw(st.sampled_from([w for w in range(n) if w != u]))))
+        total = Graph(n, kept)
+    elif mutation == "add_edge" and n > 1:
         u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         total = Graph(n, edges + [(u, v)])
     elif mutation == "relabel":
         # One past either end of the base's ids tests the map's range.
         gamma[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(-1, cm.base.n))
-    else:
+    elif mutation == "swap" and n > 1:
         u, v = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         gamma[u], gamma[v] = gamma[v], gamma[u]
-    mutant = CoveringMap(total, cm.base, tuple(gamma))
+    return CoveringMap(total, cm.base, tuple(gamma))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MUTANT_SOURCES), st.sampled_from(MUTATIONS), st.data())
+def test_verify_cover_matches_the_oracle_on_mutants(source, mutation, data):
+    mutant = _mutant(source(), mutation, data)
+    assert _verdict(verify_cover, mutant) == _verdict(verify_cover_by_matched_pairs, mutant)
+
+
+@st.composite
+def random_gain_covers(draw):
+    """The lift of random gains mod 2, 3 or 5 on a random base graph of 1 to
+    8 vertices, isolated ones included, so rows differ in degree."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    base = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    p = draw(st.sampled_from((2, 3, 5)))
+    gains = {(u, v): draw(st.integers(0, p - 1)) for u, v in base.edges()}
+    return cover_from_gain(GainGraph(base, p, DictGainGraph(base, p, gains).aligned()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_gain_covers(), st.sampled_from(MUTATIONS), st.data())
+def test_verify_cover_matches_the_oracle_on_mutants_of_irregular_covers(cm, mutation, data):
+    assert _verdict(verify_cover, cm) == _verdict(verify_cover_by_matched_pairs, cm)
+    mutant = _mutant(cm, mutation, data)
     assert _verdict(verify_cover, mutant) == _verdict(verify_cover_by_matched_pairs, mutant)
 
 
@@ -375,7 +408,7 @@ def test_heisenberg_cover_is_the_cayley_graph(d):
     if d <= 8:
         assert cm.total == cayley_by_definition(carrier, group.mul, group.inv, generators)
     assert cm.base == hypercube_by_definition(d)
-    assert cm.fiber_map == tuple(u // 2 for u in range(cm.total.n))
+    assert cm.fiber_map.tolist() == [u // 2 for u in range(cm.total.n)]
 
 
 def test_heisenberg_cover_rejects_bad_d():

@@ -66,7 +66,7 @@ def test_cycle_sums_match_both_orientations():
 
 def test_zero_gain_cover_is_disjoint_copies():
     base = cycle_graph(3)
-    gg = GainGraph(base, 3, [[0] * base.degree(u) for u in range(base.n)])
+    gg = GainGraph(base, 3, [0] * len(base.indices))
     cm = cover_from_gain(gg)
     assert verify_cover(cm) == 3
     expected = {(min(u * 3 + j, v * 3 + j), max(u * 3 + j, v * 3 + j))
@@ -99,7 +99,7 @@ def _random_gain_graph(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.45]
     base = Graph(n, edges)
     gains = {(u, v): rng.randrange(p) for u, v in base.edges()}
-    return GainGraph(base, p, DictGainGraph(base, p, gains).rows())
+    return GainGraph(base, p, DictGainGraph(base, p, gains).aligned())
 
 
 def test_random_gain_covers_verify():
@@ -131,17 +131,17 @@ def test_cover_4cycles_match_zero_gain_sums():
 
 
 def test_gain_graph_validation():
-    # Rows of the 3-cycle: 0 -> (1, 2), 1 -> (0, 2), 2 -> (0, 1).
+    # Arcs of the 3-cycle in row order: 0 -> 1, 0 -> 2, 1 -> 0, 1 -> 2, 2 -> 0, 2 -> 1.
     base = cycle_graph(3)
-    assert GainGraph(base, 3, [[1, 0], [2, 0], [0, 0]]).gain(1, 0) == 2
+    assert GainGraph(base, 3, [1, 0, 2, 0, 0, 0]).gain(1, 0) == 2
     with pytest.raises(ValueError, match="one gain per neighbour"):
-        GainGraph(base, 3, [[1], [2, 0], [0, 0]])  # a missing gain
+        GainGraph(base, 3, [1, 2, 0, 0, 0])  # a missing gain
     with pytest.raises(ValueError, match="one gain per neighbour"):
-        GainGraph(base, 3, [[1, 0, 0], [2, 0], [0, 0]])  # a gain on a non-edge
+        GainGraph(base, 3, [1, 0, 0, 2, 0, 0, 0])  # a gain on a non-edge
     with pytest.raises(ValueError, match="one gain per neighbour"):
-        GainGraph(base, 3, [[1, 0], [2, 0]])  # a missing row
+        GainGraph(base, 3, [[1, 0], [2, 0], [0, 0]])  # rows, not aligned with the indices
     with pytest.raises(ValueError, match="inconsistent"):
-        GainGraph(base, 3, [[1, 0], [1, 0], [0, 0]])  # gain(1, 0) != -gain(0, 1)
+        GainGraph(base, 3, [1, 0, 1, 0, 0, 0])  # gain(1, 0) != -gain(0, 1)
 
 
 def test_gain_from_cocycle_validation():
@@ -206,7 +206,7 @@ def test_one_root_misses_a_zero_sum_cycle_without_cocycle_gains():
     u, v = far[0], far[1]
     gains = {(a, b): g for a, b, g in gg.arcs() if {a, b} != {u, v}}
     gains[(u, v)] = (gg.gain(u, v) - _gain_sum(gg, far)) % 3
-    broken = GainGraph(gg.base, 3, DictGainGraph(gg.base, 3, gains).rows())
+    broken = GainGraph(gg.base, 3, DictGainGraph(gg.base, 3, gains).aligned())
     assert all_cycle_sums_nonzero(broken, 3, root=0) == (True, None)
     assert all_cycle_sums_nonzero(broken, 3) == (False, far)
 
@@ -234,7 +234,7 @@ def dict_gain_graphs(draw):
 @given(dict_gain_graphs(), st.data())
 def test_row_gain_graph_matches_the_dict_oracle(oracle, data):
     base, p = oracle.base, oracle.p
-    gg = GainGraph(base, p, oracle.rows())
+    gg = GainGraph(base, p, oracle.aligned())
     assert list(gg.arcs()) == list(oracle.arcs())
     for u, v in base.edges():
         assert (gg.gain(u, v), gg.gain(v, u)) == (oracle.gain(u, v), oracle.gain(v, u))
@@ -250,26 +250,28 @@ def test_row_gain_graph_matches_the_dict_oracle(oracle, data):
 
 def test_row_gain_graph_rejects_a_short_row_and_a_non_antisymmetric_pair():
     base = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    rows = DictGainGraph(base, 5, {(0, 1): 1, (1, 2): 2, (2, 3): 3}).rows()
-    assert GainGraph(base, 5, rows).gains == ((1,), (4, 2), (3, 3), (2,))
-    with pytest.raises(ValueError):
-        GainGraph(base, 5, rows[:2] + [rows[2][:1]] + rows[3:])
-    rows[3] = [3]
+    gains = DictGainGraph(base, 5, {(0, 1): 1, (1, 2): 2, (2, 3): 3}).aligned()
+    assert GainGraph(base, 5, gains).gains.tolist() == [1, 4, 2, 3, 3, 2]
+    with pytest.raises(ValueError, match="one gain per neighbour"):
+        GainGraph(base, 5, gains[:4] + gains[5:])  # row 2 one gain short
+    gains[5] = 3
     with pytest.raises(ValueError, match=r"inconsistent gain at arc \(2,3\)"):
-        GainGraph(base, 5, rows)
+        GainGraph(base, 5, gains)
 
 
 def test_gain_graph_reduces_any_int_to_python_int_residues():
     base = Graph(3, [(0, 1), (1, 2)])
     big = 2 ** 70 + 3  # past int64
-    gg = GainGraph(base, 5, [[big], [-big, np.int64(-6)], [True]])
-    assert gg.gains == ((big % 5,), (-big % 5, 4), (1,))
-    assert all(type(g) is int for row in gg.gains for g in row)
-    assert GainGraph(base, 5, [[7], [-7, np.int64(-6)], [6]]).gains == ((2,), (3, 4), (1,))
+    gg = GainGraph(base, 5, [big, -big, np.int64(-6), True])
+    assert gg.gains.dtype == np.int64 and gg.gains.tolist() == [big % 5, -big % 5, 4, 1]
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert [gg.gain(u, v) for u, v in arcs] == [big % 5, -big % 5, 4, 1]
+    assert all(type(gg.gain(u, v)) is int for u, v in arcs)
+    assert GainGraph(base, 5, [7, -7, np.int64(-6), 6]).gains.tolist() == [2, 3, 4, 1]
     # Bools, as signed_double_cover passes them, read as 0 and 1.
-    assert GainGraph(base, 2, [[True], [True, False], [False]]).gains == ((1,), (1, 0), (0,))
+    assert GainGraph(base, 2, [True, True, False, False]).gains.tolist() == [1, 1, 0, 0]
     with pytest.raises(ValueError, match=r"inconsistent gain at arc \(0,1\)"):
-        GainGraph(base, 5, [[big], [big, 0], [0]])
-    # A short row is reported before a pair that is not antisymmetric.
+        GainGraph(base, 5, [big, big, 0, 0])
+    # A missing gain is reported before a pair that is not antisymmetric.
     with pytest.raises(ValueError, match="one gain per neighbour"):
-        GainGraph(base, 5, [[big], [big], [0]])
+        GainGraph(base, 5, [big, big, 0])

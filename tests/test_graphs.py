@@ -12,16 +12,20 @@ from cyclecovers.graphs import (
     cartesian_product,
     cayley,
     cycle_graph,
+    cycle_power,
     girth,
     has_4cycle,
     has_cycle_of_length,
     hypercube,
+    rooted_cycles,
 )
 from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
-from helpers import VertexCodec, graph_from_edge_list_text, is_regular
+from helpers import VertexCodec, cover, graph_from_edge_list_text, is_regular
 from oracles import (
+    TupleGraph,
     induced_subgraph,
+    rooted_cycles_unpruned,
     brute_cycle_lengths,
     brute_girth,
     brute_has_4cycle,
@@ -103,6 +107,43 @@ def test_edge_list_text_format():
     g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3)])
     assert g.to_edge_list_text() == "4 4\n0 1\n0 2\n1 3\n2 3\n"
     assert graph_from_edge_list_text(g.to_edge_list_text()) == g
+
+
+@st.composite
+def edge_lists(draw, max_n=12):
+    """n from 0 to max_n and a list of ordered vertex pairs without loops,
+    repeats and both orientations allowed, so isolated vertices, the empty
+    graph and n = 0 and 1 all come up."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return n, draw(st.lists(st.sampled_from(pairs), max_size=40)) if pairs else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(), edge_lists(), st.randoms(use_true_random=False))
+def test_csr_graph_matches_the_tuple_row_graph(a, b, rng):
+    for n, edges in (a, b):
+        g, rows = Graph(n, edges), TupleGraph(n, edges)
+        assert (g.n, g.m) == (rows.n, rows.m)
+        assert [g.neighbors(v) for v in range(n)] == [rows.neighbors(v) for v in range(n)]
+        assert [g.degree(v) for v in range(n)] == [rows.degree(v) for v in range(n)]
+        assert all(g.has_edge(u, v) == rows.has_edge(u, v) for u in range(n) for v in range(n))
+        assert list(g.edges()) == list(rows.edges())
+        assert g.to_edge_list_text() == rows.to_edge_list_text()
+        # The same graph from its edges reversed, shuffled and repeated.
+        again = [(v, u) for u, v in edges] + edges
+        rng.shuffle(again)
+        assert Graph(n, again) == g and hash(Graph(n, again)) == hash(g)
+    (g, h), (tg, th) = (Graph(*a), Graph(*b)), (TupleGraph(*a), TupleGraph(*b))
+    assert (g == h) == (tg == th)
+
+
+def test_edge_list_text_across_the_block_edge():
+    # Path graphs whose edge counts sit at and around the 4096-line block.
+    for m in (0, 1, 4095, 4096, 4097, 8193):
+        edges = [(i, i + 1) for i in range(m)]
+        text = TupleGraph(m + 1, edges).to_edge_list_text()
+        assert Graph(m + 1, edges).to_edge_list_text() == text
 
 
 # ---------------------------------------------------------------- codec
@@ -233,6 +274,15 @@ def test_cartesian_power_matches_the_definition(p, k):
     assert cartesian_power(cycle_graph(p), k) == torus_by_definition(p, k)
 
 
+@pytest.mark.parametrize("p,k", [(3, 0), (3, 1), (3, 2), (3, 4), (4, 3), (5, 2), (5, 3),
+                                 (7, 2), (7, 4), (13, 2)])
+def test_cycle_power_is_the_cartesian_power(p, k):
+    expected = cartesian_power(cycle_graph(p), k) if k else Graph(1, [])
+    assert cycle_power(p, k) == expected
+    if p ** k <= 343:
+        assert cycle_power(p, k) == torus_by_definition(p, k)
+
+
 def test_cartesian_product_matches_the_definition_on_the_corpus():
     names = ["path", "tree", "empty", "k4", "petersen", "random0", "random3"]
     for a in names:
@@ -356,6 +406,40 @@ def test_rooted_scans_match_all_roots_on_cayley_graphs(case, cap):
             assert all(g.has_edge(closed[i], closed[i + 1]) for i in range(length))
     assert girth(g, cap, root=0) == girth(g, cap)
     assert girth(g, root=0) == girth(g)
+
+
+def _yields(g, length, root):
+    return list(rooted_cycles(g, length, root)), list(rooted_cycles_unpruned(g, length, root))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(max_n=10), st.integers(3, 8), st.data())
+def test_distance_cut_keeps_every_cycle_in_order(graph, length, data):
+    n, edges = graph
+    g = Graph(n, edges)
+    root = data.draw(st.one_of(st.none(), st.integers(0, n - 1))) if n else None
+    pruned, unpruned = _yields(g, length, root)
+    assert pruned == unpruned
+
+
+# Every extraspecial cover of at most 3125 vertices, with the rows of the
+# oracle's DFS in tuples so that it stays fast.
+SMALL_COVERS = [(p, d) for p, d in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1))]
+
+
+@pytest.mark.parametrize("p,d", SMALL_COVERS)
+@pytest.mark.parametrize("sign", SIGNS)
+def test_distance_cut_keeps_every_cycle_of_the_covers(p, d, sign):
+    g = cover(p, d, sign).total
+    rows = TupleGraph(g.n, g.edges())
+    for length in range(3, p + 1):
+        # The oracle walks up to this many paths from each root.
+        paths = 4 * d * (4 * d - 1) ** (length - 2)
+        roots = [0, g.n - 1] if paths <= 2 * 10 ** 4 else [0]
+        roots += [None] if g.n * paths <= 3 * 10 ** 5 else []
+        for root in roots:
+            assert list(rooted_cycles(g, length, root)) == list(
+                rooted_cycles_unpruned(rows, length, root)), (length, root)
 
 
 def test_rooted_scans_search_through_the_root_only():

@@ -152,3 +152,45 @@ def test_int_array_writes_at_most_one_block_per_piece():
     # The last rows have the most digits, so their text is the longest block.
     assert max(map(len, pieces)) <= len(stable_text(rows[-BLOCK:]))
     assert len(pieces) == -(-len(rows) // BLOCK) + 2
+
+
+# ---------------------------------------------------------------- int ndarrays
+# 1-D and 2-D integer arrays are written like the lists of their values,
+# BLOCK members per write; arrays of any other dtype or rank are refused.
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+def test_int_ndarrays_across_the_block_edge(n, dtype):
+    ints = np.arange(n, dtype=dtype)
+    pairs = np.arange(2 * n, dtype=dtype).reshape(n, 2)
+    triples = (np.arange(3 * n, dtype=dtype) % 100).reshape(n, 3)
+    no_columns = np.zeros((n, 0), dtype=dtype)
+    _assert_oracle_text(ints, pairs, triples, no_columns,
+                        {"ints": ints, "rows": {"pairs": pairs, "triples": [triples, ints]}})
+    assert stable_text(pairs) == stable_text(pairs.tolist())
+
+
+def test_signed_int_ndarrays_match_their_lists():
+    values = np.array([-(2 ** 63), -1, 0, 1, 2 ** 63 - 1] * 500, dtype=np.int64)
+    _assert_oracle_text(values, values.reshape(-1, 5), values.astype(np.int32) // 7)
+
+
+def test_int_ndarray_writes_at_most_one_block_per_piece():
+    rows = np.arange(200_000).reshape(-1, 2)
+    pieces: list[str] = []
+    write_stable(rows, pieces.append)
+    assert "".join(pieces) == json_stable_text(rows)
+    assert len(pieces) == -(-len(rows) // BLOCK) + 2
+
+
+@pytest.mark.parametrize("array", [np.zeros(3), np.ones((2, 2), dtype=bool),
+                                   np.zeros((2, 2, 2), int), np.array(5), np.array([1 + 2j]),
+                                   np.array(["a"])],
+                         ids=["float", "bool", "3-d", "0-d", "complex", "str"])
+def test_other_ndarrays_are_refused(array):
+    for doc in ({"x": array}, [1, array], array):
+        with pytest.raises(TypeError):
+            stable_text(doc)
+        with pytest.raises(TypeError):
+            json_stable_text(doc)

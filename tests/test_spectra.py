@@ -181,7 +181,7 @@ def test_random_gain_spectra_decompose():
             if base.m == 0:
                 continue
             gains = {e: rng.randrange(p) for e in base.edges()}
-            gg = GainGraph(base, p, DictGainGraph(base, p, gains).rows())
+            gg = GainGraph(base, p, DictGainGraph(base, p, gains).aligned())
             cm = cover_from_gain(gg)
             full = np.sort(np.array(
                 hermitian_eigenvalues(adjacency_matrix(cm.total)).eigenvalues))
