@@ -95,11 +95,7 @@ def _cover_params(args) -> Optional[int]:
 
 
 def _signs(sign: str) -> list[str]:
-    if sign == "both":
-        return [PLUS, MINUS]
-    if sign in (PLUS, MINUS):
-        return [sign]
-    raise UsageError(f"sign must be plus, minus, or both, got {sign!r}")
+    return [PLUS, MINUS] if sign == "both" else [sign]
 
 
 def _write_stdout(text: str) -> None:
@@ -493,12 +489,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, sign=True):
+    def common(sp):
         sp.add_argument("--p", type=int, default=None, help="odd prime modulus")
         sp.add_argument("--d", type=int, default=None, help="half the base dimension")
         sp.add_argument("--heisenberg", action="store_true", help="mod-2 cube cover instead")
-        if sign:
-            sp.add_argument("--sign", default="both", choices=["plus", "minus", "both"])
+        sp.add_argument("--sign", default="both", choices=["plus", "minus", "both"])
 
     sp = sub.add_parser("build", help="write edge lists and the fiber map")
     common(sp)

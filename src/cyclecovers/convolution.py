@@ -76,13 +76,8 @@ def z2_carrier(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _heisenberg(d: int) -> HeisenbergGroup:
-    return HeisenbergGroup(d)
-
-
-@functools.lru_cache(maxsize=None)
 def heisenberg_carrier(d: int) -> tuple[HeisenbergElement, ...]:
-    return tuple(_heisenberg(d).elements())
+    return tuple(HeisenbergGroup(d).elements())
 
 
 def _frozen(table: np.ndarray) -> np.ndarray:
@@ -105,18 +100,14 @@ def _heisenberg_division_table(d: int) -> np.ndarray:
     from bit ids: element (x, t) has index 2 xid + t, xid the bit id of x.
     The inverse of (y, s) is (y, s + C(k, 2)), k the number of ones in y,
     and the product adds form(y, x) to the central bit, so y^-1 x is
-    (y XOR x, s + t + C(k, 2) + form(y, x)), with the form summed over the
-    bits of y (groups.low_bit_parities)."""
-    ids = np.arange(2 ** d)
-    y, x = ids[:, None], ids[None, :]
-    ones = sum((ids >> k) & 1 for k in range(d))
-    central = np.repeat((ones * (ones - 1) // 2 % 2)[:, None], len(ids), axis=1)
-    for k, parity in enumerate(low_bit_parities(x, d)):
-        central ^= (y >> k) & parity
+    (y XOR x, s + t + C(k, 2) + form(y, x)). As form(y, y XOR x) = C(k, 2)
+    + form(y, x) mod 2, that central bit is s + t + 1 exactly where
+    _twist_tables gives the sign -1."""
+    sums, signs = _twist_tables(z2_carrier(d))
+    central = (signs < 0)[:, None, :, None]
     s = np.arange(2)
-    table = (2 * (y ^ x)[:, None, :, None]
-             + (central[:, None, :, None] ^ s[:, None, None] ^ s))
-    return _frozen(table.reshape(2 * len(ids), 2 * len(ids)))
+    table = 2 * sums[:, None, :, None] + (central ^ s[:, None, None] ^ s)
+    return _frozen(table.reshape(2 ** (d + 1), 2 ** (d + 1)))
 
 
 @functools.lru_cache(maxsize=8)

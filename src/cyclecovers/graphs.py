@@ -3,7 +3,6 @@ and short-cycle scans the cover constructions rely on."""
 
 from __future__ import annotations
 
-import collections
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -239,41 +238,64 @@ def hypercube(d: int) -> Graph:
     return Graph._from_id_arithmetic(1 << d, lambda v: v[:, None] ^ (1 << np.arange(d)))
 
 
+def _roots(g: Graph, root: Optional[int]) -> Iterable[int]:
+    """Every vertex when root is None, else root alone; ValueError for a
+    root outside 0..n-1."""
+    if root is None:
+        return range(g.n)
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} out of range for n={g.n}")
+    return (root,)
+
+
+def _bfs(g: Graph, root: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Level-synchronous BFS from root on the CSR arrays. For each level j
+    = 0, 1, ... until one is empty, yields the vertices at distance j,
+    ascending; their rows, concatenated in that order; and the distance of
+    each entry of those rows, -1 for the entries at distance j + 1."""
+    depth = np.full(g.n, -1)
+    depth[root] = 0
+    level = np.array([root])
+    j = 0
+    while len(level):
+        heads = g.indices[g.row_entries(level)]
+        depths = depth[heads]
+        yield level, heads, depths
+        # Sort and drop repeats: np.unique costs a numpy.ma import per process.
+        fresh = np.sort(heads[depths < 0])
+        level = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
+        j += 1
+        depth[level] = j
+
+
 def girth(g: Graph, cap: int = 13, root: Optional[int] = None) -> Optional[int]:
     """Length of a shortest cycle when it is below cap, else None (girth >= cap).
 
-    Per-root BFS truncated at depth ceil(cap/2); the minimum over roots of
-    dist(u) + dist(w) + 1 over non-tree edges is exact whenever it is < cap.
-    With root given, only that root's BFS runs. Its value is invariant under
-    automorphisms, so on a vertex-transitive graph, such as a Cayley graph,
-    every root gives the same value, which is then the minimum: the girth.
+    From each root, the BFS stops at the first level j that closes a walk:
+    an edge inside level j closes one of length 2j + 1, a vertex of level
+    j + 1 reached from two vertices of level j one of length 2j + 2 (README,
+    "Girth by BFS levels"). That length is the minimum of dist(u) + dist(w)
+    + 1 over non-tree edges, exact whenever it is < cap. With root given,
+    only that root's BFS runs. Its value is invariant under automorphisms,
+    so on a vertex-transitive graph, such as a Cayley graph, every root
+    gives the same value, which is then the minimum: the girth.
     """
     if cap < 3:
         raise ValueError("cap must be >= 3")
-    best: Optional[int] = None
-    max_depth = (cap + 1) // 2
-    for r in range(g.n) if root is None else (root,):
-        dist = {r: 0}
-        parent = {r: -1}
-        queue = collections.deque([r])
-        while queue:
-            u = queue.popleft()
-            if dist[u] >= max_depth:
-                continue
-            for w in g.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    c = dist[u] + dist[w] + 1
-                    if best is None or c < best:
-                        best = c
+    best = cap
+    for r in _roots(g, root):
+        # Levels j with 2j + 1 < best, the ones that can close a shorter walk.
+        for j, (_, heads, depths) in zip(range(best // 2), _bfs(g, r)):
+            if (depths == j).any():
+                best = 2 * j + 1
+                break
+            fresh = np.sort(heads[depths < 0])
+            if 2 * j + 2 < best and (fresh[1:] == fresh[:-1]).any():
+                best = 2 * j + 2
+                break
         if best == 3:
             break
-    if best is not None and best < cap:
-        return best
-    return None
+    return best if best < cap else None
 
 
 def has_4cycle(g: Graph,
@@ -297,25 +319,6 @@ def has_4cycle(g: Graph,
     return False, None
 
 
-def _ball(g: Graph, root: int, radius: int) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
-    """BFS distances from root of the vertices at most radius away, and the
-    neighbour rows of those vertices."""
-    dist = {root: 0}
-    rows = {}
-    frontier = [root]
-    for depth in range(1, radius + 2):
-        reached = []
-        for u in frontier:
-            row = rows[u] = g.neighbors(u)
-            if depth <= radius:
-                for w in row:
-                    if w not in dist:
-                        dist[w] = depth
-                        reached.append(w)
-        frontier = reached
-    return dist, rows
-
-
 def rooted_cycles(g: Graph, length: int,
                   root: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Every simple cycle of this length by rooted DFS, as its path from the
@@ -328,9 +331,14 @@ def rooted_cycles(g: Graph, length: int,
     w's distance from the root, from a BFS truncated at that depth, is at
     most the length - i edges left. Each cut branch holds no cycle, so the
     cycles come in the order of the unpruned DFS."""
-    for r in range(g.n) if root is None else (root,):
+    for r in _roots(g, root):
         lowest = r if root is None else 0
-        dist, rows = _ball(g, r, length // 2)
+        dist, rows = {}, {}
+        for j, (level, heads, _) in zip(range(length // 2 + 1), _bfs(g, r)):
+            vertices, flat = level.tolist(), heads.tolist()
+            dist.update(dict.fromkeys(vertices, j))
+            ends = (g.indptr[level + 1] - g.indptr[level]).cumsum().tolist()
+            rows.update(zip(vertices, map(flat.__getitem__, map(slice, [0] + ends, ends))))
         stack: list[tuple[int, tuple[int, ...]]] = [(r, (r,))]
         while stack:
             u, path = stack.pop()

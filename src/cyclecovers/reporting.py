@@ -9,7 +9,6 @@ tuples and 1-D or 2-D integer numpy arrays all become JSON arrays.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
@@ -52,41 +51,28 @@ def _is_int_array(obj: Any) -> bool:
     return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
 
 
-# Members of an int array written by one write call.
+# Members of an integer ndarray written by one write call.
 BLOCK = 1024
 
 
 def _int_array_format(obj: Any, inner: str) -> Optional[str]:
-    """The %-template of one member when obj is a non-empty 1-D integer
-    ndarray or list or tuple of exact ints, or a 2-D integer ndarray with
-    columns, or a list or tuple of lists or tuples of one nonzero length
-    holding exact ints; None otherwise. inner is the line break and indent
-    of obj's members. bool and int subclasses are not exact ints, so they
-    keep the general path."""
-    if isinstance(obj, np.ndarray):
-        if obj.ndim == 1:
-            return "%d"
-        width = obj.shape[1]
-    else:
-        types = set(map(type, obj))
-        if types == {int}:
-            return "%d"
-        if not types <= {list, tuple}:
-            return None
-        lengths = set(map(len, obj))
-        if len(lengths) != 1 or set(map(type, chain.from_iterable(obj))) != {int}:
-            return None
-        width = lengths.pop()
-    if not width:
+    """The %-template of one member when obj is a 1-D integer ndarray or a
+    2-D one with columns; None otherwise. inner is the line break and
+    indent of obj's members."""
+    if not isinstance(obj, np.ndarray):
+        return None
+    if obj.ndim == 1:
+        return "%d"
+    if not obj.shape[1]:
         return None
     row_inner = inner + "  "
-    return "[" + row_inner + ("," + row_inner).join(["%d"] * width) + inner + "]"
+    return "[" + row_inner + ("," + row_inner).join(["%d"] * obj.shape[1]) + inner + "]"
 
 
 def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
     """Write a container; newline is a line break plus the indent of the
     line the container opens on. Scalar members go out in one write with
-    the separator before them; an int array (see _int_array_format) goes
+    the separator before them; an integer ndarray (_int_array_format) goes
     out BLOCK members per write, each block formatted by one %."""
     if isinstance(obj, dict):
         if not obj:
@@ -114,11 +100,7 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
     if fmt is not None:
         for start in range(0, len(obj), BLOCK):
             block = obj[start:start + BLOCK]
-            if isinstance(block, np.ndarray):
-                values = block.ravel().tolist()
-            else:
-                values = block if fmt == "%d" else chain.from_iterable(block)
-            write(sep + ("," + inner).join([fmt] * len(block)) % tuple(values))
+            write(sep + ("," + inner).join([fmt] * len(block)) % tuple(block.ravel().tolist()))
             sep = "," + inner
     else:
         for value in obj:

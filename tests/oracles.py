@@ -9,6 +9,7 @@ and stable JSON text from the standard library's encoder.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import math
@@ -132,6 +133,36 @@ def brute_girth(graph):
                     continue
                 stack.append((w, path + (w,)))
     return best
+
+
+def girth_by_parent_bfs(graph, cap=13, root=None):
+    """graphs.girth as a queue BFS with parent and distance dicts: per root,
+    truncated at depth ceil(cap/2), the minimum of dist(u) + dist(w) + 1
+    over the non-tree edges it sees, kept when it is below cap."""
+    best = None
+    max_depth = (cap + 1) // 2
+    for r in range(graph.n) if root is None else (root,):
+        dist = {r: 0}
+        parent = {r: -1}
+        queue = collections.deque([r])
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= max_depth:
+                continue
+            for w in graph.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    c = dist[u] + dist[w] + 1
+                    if best is None or c < best:
+                        best = c
+        if best == 3:
+            break
+    if best is not None and best < cap:
+        return best
+    return None
 
 
 def brute_cycle_lengths(graph) -> set[int]:

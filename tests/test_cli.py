@@ -475,6 +475,16 @@ STDOUT_DIGESTS = {
         "4cf31f576fd41663449fbe0ef35d0ac3cb577d0c634be3c88cff7fbc30b4c4b7",
     ("gain", "--p", "13", "--d", "2", "--sign", "plus"):
         "f5b324127446fe13ff06d06c2d7f5fbe3330fbc11477854699cc5b649b891e6a",
+    ("verify", "--p", "3", "--d", "2", "--sign", "both", "--girth"):
+        "8f02b9f4e2721f152ca561213bbebbd4a2e49db1f52c388ceea19ab6f6d7816f",
+    ("verify", "--p", "5", "--d", "1", "--sign", "minus", "--girth"):
+        "352f16f4a8f4dc224193f0bfb712dc2a0461493482e78d7e88524e2fe83490e6",
+    ("verify", "--p", "7", "--d", "1", "--sign", "both", "--girth"):
+        "213a428b3beff0b2a47f76849cbb1349321c1693c39be18cdc5fd8cffac4cf9f",
+    ("verify", "--heisenberg", "--d", "8", "--girth"):
+        "29e6587eefe292d82c735043fa776461de86d712a16470e6173f890e43fa56fb",
+    ("verify", "--p", "5", "--d", "2", "--sign", "minus"):
+        "72852b7e1f5304215cf2480b0693a54c334c1612cb1a86b61603d59d9783c0dd",
 }
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclecovers.covers import lifted_connection
+from cyclecovers.gains import all_cycle_sums_nonzero, gain_from_cocycle
 from cyclecovers.graphs import (
     Graph,
     cartesian_power,
@@ -29,6 +30,7 @@ from oracles import (
     brute_cycle_lengths,
     brute_girth,
     brute_has_4cycle,
+    girth_by_parent_bfs,
     cartesian_product_by_definition,
     cayley_by_definition,
     hypercube_by_definition,
@@ -317,6 +319,23 @@ def test_girth_against_brute_corpus():
         assert got == expected, name
 
 
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(max_n=13), st.integers(3, 13))
+def test_girth_matches_the_parent_tracking_bfs(graph, cap):
+    n, edges = graph
+    g = Graph(n, edges)
+    for root in [None, *range(n)]:
+        assert girth(g, cap, root) == girth_by_parent_bfs(g, cap, root), root
+
+
+def test_girth_stops_at_an_empty_level():
+    # A BFS that ran ceil(cap/2) levels would not return.
+    for g in (CORPUS["tree"], CORPUS["path"], CORPUS["empty"]):
+        assert girth(g, cap=10 ** 12) is None
+        assert girth(g, cap=10 ** 12, root=0) is None
+    assert girth(cycle_graph(9), cap=10 ** 12, root=0) == 9
+
+
 # ---------------------------------------------------------------- 4-cycles
 
 def test_has_4cycle_examples():
@@ -456,6 +475,25 @@ def test_rooted_scans_search_through_the_root_only():
         has_cycle_of_length(g, 2, root=0)
     with pytest.raises(ValueError):
         girth(g, cap=2, root=0)
+
+
+def test_rooted_scans_refuse_a_root_outside_the_graph():
+    # Negative roots used to index from the end and give false
+    # certificates: no 4-cycle in C_4, no zero-sum triangle in a gain graph
+    # that has one.
+    g = cycle_graph(4)
+    gg = gain_from_cocycle(3, 1, "plus")
+    assert all_cycle_sums_nonzero(gg, 3)[0] is False
+    searches = (lambda r: has_4cycle(g, root=r), lambda r: girth(g, root=r),
+                lambda r: has_cycle_of_length(g, 4, root=r),
+                lambda r: list(rooted_cycles(g, 3, r)))
+    for root in (-1, -4, 4, 5):
+        for search in searches:
+            with pytest.raises(ValueError, match="out of range"):
+                search(root)
+    for root in (-1, -9, 9):
+        with pytest.raises(ValueError, match="out of range"):
+            all_cycle_sums_nonzero(gg, 3, root=root)
 
 
 # ---------------------------------------------------------------- induced

@@ -73,9 +73,8 @@ def test_stable_text_matches_the_json_encoder(doc):
 
 
 # ---------------------------------------------------------------- int arrays
-# Arrays of exact ints, and arrays of equal-length rows of exact ints, are
-# written BLOCK members per write; every other value keeps the general path.
-# Both must give the text of the standard library's encoder.
+# Lists and tuples of ints, and of rows of ints, go through the general path,
+# which must give the text of the standard library's encoder.
 
 
 class Count(int):
@@ -142,16 +141,6 @@ def test_int_arrays_nested_at_several_indents():
     doc = {"a": ints, "b": {"c": rows, "d": {"e": [rows, ints, []], "f": [[ints]]}},
            "g": [{"h": rows}, ints, [[1], [2]]], "i": []}
     _assert_oracle_text(doc, [doc, doc])
-
-
-def test_int_array_writes_at_most_one_block_per_piece():
-    rows = [[i, i + 1] for i in range(100_000)]
-    pieces: list[str] = []
-    write_stable(rows, pieces.append)
-    assert "".join(pieces) == json_stable_text(rows)
-    # The last rows have the most digits, so their text is the longest block.
-    assert max(map(len, pieces)) <= len(stable_text(rows[-BLOCK:]))
-    assert len(pieces) == -(-len(rows) // BLOCK) + 2
 
 
 # ---------------------------------------------------------------- int ndarrays
