@@ -82,16 +82,21 @@ class Graph:
     def m(self) -> int:
         return len(self.indices) // 2
 
+    def _vertex(self, v: int) -> int:
+        """v; ValueError for an id outside 0..n-1, which numpy would wrap or reject."""
+        if not 0 <= v < len(self.indptr) - 1:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
+        return v
+
     def neighbors(self, v: int) -> tuple[int, ...]:
+        v = self._vertex(v)
         return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
-        i = row.searchsorted(v)
-        return bool(i < len(row) and row[i] == v)
+        return v in self.neighbors(u)
 
     def tails(self) -> np.ndarray:
         """The row of each entry of indices: with indices, every arc u -> v
@@ -125,6 +130,8 @@ class Graph:
         order, and for each entry of its indices the position of the same
         arc in this graph's indices."""
         kept = np.asarray(vertices, dtype=np.int64).reshape(-1)
+        for v in (kept.min(), kept.max()) if len(kept) else ():
+            self._vertex(v)  # every id is in range when these two are
         remap = np.full(self.n, -1)
         remap[kept] = np.arange(len(kept))
         if np.count_nonzero(remap >= 0) != len(kept):
@@ -192,9 +199,8 @@ def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence
 
 
 def cycle_graph(k: int) -> Graph:
-    if k < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+    """The k-cycle on 0..k-1 in cyclic order; ValueError for k < 3."""
+    return cycle_power(k, 1)
 
 
 def cartesian_product(x: Graph, y: Graph) -> Graph:
@@ -239,20 +245,18 @@ def hypercube(d: int) -> Graph:
 
 
 def _roots(g: Graph, root: Optional[int]) -> Iterable[int]:
-    """Every vertex when root is None, else root alone; ValueError for a
-    root outside 0..n-1."""
+    """Every vertex when root is None, else root alone, checked by _vertex."""
     if root is None:
         return range(g.n)
-    if not 0 <= root < g.n:
-        raise ValueError(f"root {root} out of range for n={g.n}")
-    return (root,)
+    return (g._vertex(root),)
 
 
-def _bfs(g: Graph, root: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _bfs(g: Graph, root: int) -> Iterator[tuple[np.ndarray, ...]]:
     """Level-synchronous BFS from root on the CSR arrays. For each level j
     = 0, 1, ... until one is empty, yields the vertices at distance j,
-    ascending; their rows, concatenated in that order; and the distance of
-    each entry of those rows, -1 for the entries at distance j + 1."""
+    ascending; their rows, concatenated in that order; the distance of
+    each entry, -1 for those at distance j + 1; and those entries sorted,
+    with repeats: level j + 1 once per edge into it."""
     depth = np.full(g.n, -1)
     depth[root] = 0
     level = np.array([root])
@@ -260,9 +264,9 @@ def _bfs(g: Graph, root: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarr
     while len(level):
         heads = g.indices[g.row_entries(level)]
         depths = depth[heads]
-        yield level, heads, depths
-        # Sort and drop repeats: np.unique costs a numpy.ma import per process.
         fresh = np.sort(heads[depths < 0])
+        yield level, heads, depths, fresh
+        # Drop repeats: np.unique costs a numpy.ma import per process.
         level = np.concatenate((fresh[:1], fresh[1:][fresh[1:] != fresh[:-1]]))
         j += 1
         depth[level] = j
@@ -285,11 +289,10 @@ def girth(g: Graph, cap: int = 13, root: Optional[int] = None) -> Optional[int]:
     best = cap
     for r in _roots(g, root):
         # Levels j with 2j + 1 < best, the ones that can close a shorter walk.
-        for j, (_, heads, depths) in zip(range(best // 2), _bfs(g, r)):
+        for j, (_, _, depths, fresh) in zip(range(best // 2), _bfs(g, r)):
             if (depths == j).any():
                 best = 2 * j + 1
                 break
-            fresh = np.sort(heads[depths < 0])
             if 2 * j + 2 < best and (fresh[1:] == fresh[:-1]).any():
                 best = 2 * j + 2
                 break
@@ -300,22 +303,23 @@ def girth(g: Graph, cap: int = 13, root: Optional[int] = None) -> Optional[int]:
 
 def has_4cycle(g: Graph,
                root: Optional[int] = None) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """True when some vertex pair has two common neighbors; witness is the
-    4-cycle (v, u, w, u') in cyclic order. With root given, only 4-cycles
-    through root are searched, as has_cycle_of_length does, and the witness
-    starts at root; on a vertex-transitive graph that decides the same."""
-    if root is not None:
-        return _first(rooted_cycles(g, 4, root))
-    seen: dict[tuple[int, int], int] = {}
-    for u in range(g.n):
-        nb = g.neighbors(u)
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                pair = (nb[i], nb[j])
-                other = seen.get(pair)
-                if other is not None and other != u:
-                    return True, (nb[i], other, nb[j], u)
-                seen[pair] = u
+    """True when some vertex r lies on a 4-cycle r a x b: a != b neighbours of
+    r and x != r in both their rows (README, "4-cycles from the first BFS
+    level"). The witness is (r, a, x, b), least x, then least a < b. With
+    root given, only r = root is tried, which decides on a vertex-transitive graph."""
+    n = g.n
+    for r in _roots(g, root):
+        level = g.indices[g.indptr[r]:g.indptr[r + 1]]
+        # x * n + a for each entry x of the row of each a in level.
+        keys = np.sort(g.indices[g.row_entries(level)] * n
+                       + np.repeat(level, g.indptr[level + 1] - g.indptr[level]))
+        xs = keys // n
+        # r is in every row of level; any other repeat closes a 4-cycle.
+        twice = np.flatnonzero((xs[1:] == xs[:-1]) & (xs[1:] != r))
+        if len(twice):
+            i = twice[0]
+            a, b = (keys[i:i + 2] % n).tolist()
+            return True, (r, a, int(xs[i]), b)
     return False, None
 
 
@@ -334,7 +338,7 @@ def rooted_cycles(g: Graph, length: int,
     for r in _roots(g, root):
         lowest = r if root is None else 0
         dist, rows = {}, {}
-        for j, (level, heads, _) in zip(range(length // 2 + 1), _bfs(g, r)):
+        for j, (level, heads, _, _) in zip(range(length // 2 + 1), _bfs(g, r)):
             vertices, flat = level.tolist(), heads.tolist()
             dist.update(dict.fromkeys(vertices, j))
             ends = (g.indptr[level + 1] - g.indptr[level]).cumsum().tolist()
@@ -353,11 +357,6 @@ def rooted_cycles(g: Graph, length: int,
                 stack.append((w, path + (w,)))
 
 
-def _first(paths: Iterator[tuple[int, ...]]) -> tuple[bool, Optional[tuple[int, ...]]]:
-    path = next(paths, None)
-    return path is not None, path
-
-
 def has_cycle_of_length(g: Graph, length: int,
                         root: Optional[int] = None) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exact-length simple cycle search; the witness is the first cycle of
@@ -367,4 +366,5 @@ def has_cycle_of_length(g: Graph, length: int,
     Intended for length <= 13 and small degrees."""
     if not 3 <= length <= 13:
         raise ValueError("cycle length must be between 3 and 13")
-    return _first(rooted_cycles(g, length, root))
+    path = next(rooted_cycles(g, length, root), None)
+    return path is not None, path

@@ -15,10 +15,10 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 
-def round_sig(x: float, digits: int = 12) -> float:
+def round_sig(x: float) -> float:
     if x == 0.0:
         return 0.0
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.12g}")
 
 
 def _scalar_text(obj: Any) -> Optional[str]:

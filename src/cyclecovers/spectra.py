@@ -127,11 +127,11 @@ class DegreeBoundTable:
         return first
 
 
-def snap_ceil(x: float, tol: float = INTEGER_SNAP) -> int:
-    """Smallest integer >= x, treating values within tol of an integer as
-    exactly that integer."""
+def snap_ceil(x: float) -> int:
+    """Smallest integer >= x, treating values within INTEGER_SNAP of an
+    integer as exactly that integer."""
     nearest = round(x)
-    if abs(x - nearest) <= tol:
+    if abs(x - nearest) <= INTEGER_SNAP:
         return int(nearest)
     return math.ceil(x)
 

@@ -169,9 +169,29 @@ def brute_cycle_lengths(graph) -> set[int]:
     return {len(c) for c in enumerate_simple_cycles(graph)}
 
 
-def brute_has_4cycle(graph) -> bool:
-    """Scan all 4-subsets for an induced-or-not 4-cycle."""
+def has_4cycle_by_pairs(graph):
+    """graphs.has_4cycle without root, as the pair-dict scan it replaced:
+    a 4-cycle exists when some vertex pair has two common neighbours; the
+    witness (v, u, w, u') is in cyclic order."""
+    seen = {}
+    for u in range(graph.n):
+        nb = graph.neighbors(u)
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                pair = (nb[i], nb[j])
+                other = seen.get(pair)
+                if other is not None and other != u:
+                    return True, (nb[i], other, nb[j], u)
+                seen[pair] = u
+    return False, None
+
+
+def brute_has_4cycle(graph, root=None) -> bool:
+    """Scan all 4-subsets, or those that hold root, for an induced-or-not
+    4-cycle."""
     for quad in itertools.combinations(range(graph.n), 4):
+        if root is not None and root not in quad:
+            continue
         for perm in itertools.permutations(quad[1:]):
             seq = (quad[0],) + perm
             if all(graph.has_edge(seq[i], seq[(i + 1) % 4]) for i in range(4)):

@@ -41,6 +41,7 @@ from oracles import (
     DictGainGraph,
     brute_isomorphic,
     cayley_by_definition,
+    has_4cycle_by_pairs,
     hypercube_by_definition,
     signed_double_cover_by_edges,
     verify_cover_by_matched_pairs,
@@ -235,7 +236,8 @@ def test_cover_girths():
 @pytest.mark.parametrize("sign", SIGNS)
 def test_rooted_scans_match_all_roots_on_covers(p, d, sign):
     total = cover(p, d, sign).total
-    assert has_4cycle(total, root=0)[0] == has_4cycle(total)[0]
+    assert has_4cycle(total, root=0) == has_4cycle(total)
+    assert has_4cycle(total)[0] == has_4cycle_by_pairs(total)[0]
     # Same witness on plus covers, (False, None) on both paths for minus.
     assert has_cycle_of_length(total, p, root=0) == has_cycle_of_length(total, p)
     assert girth(total, 13, root=0) == girth(total, 13)
@@ -244,7 +246,8 @@ def test_rooted_scans_match_all_roots_on_covers(p, d, sign):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_rooted_scans_match_all_roots_on_heisenberg_covers(d):
     total = cube_cover(d).total
-    assert has_4cycle(total, root=0)[0] == has_4cycle(total)[0]
+    assert has_4cycle(total, root=0) == has_4cycle(total)
+    assert has_4cycle(total)[0] == has_4cycle_by_pairs(total)[0]
     g = girth(total, 13)
     assert girth(total, 13, root=0) == g
     if g is not None:

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclecovers.covers import lifted_connection
@@ -31,6 +31,7 @@ from oracles import (
     brute_girth,
     brute_has_4cycle,
     girth_by_parent_bfs,
+    has_4cycle_by_pairs,
     cartesian_product_by_definition,
     cayley_by_definition,
     hypercube_by_definition,
@@ -353,6 +354,41 @@ def test_has_4cycle_against_brute_corpus():
         assert has_4cycle(g)[0] == brute_has_4cycle(g), name
 
 
+def _is_4cycle_from(g, wit, root):
+    closed = list(wit) + [wit[0]]
+    return (wit[0] == root and len(set(wit)) == 4
+            and all(g.has_edge(closed[i], closed[i + 1]) for i in range(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_lists(max_n=9))
+@example((0, []))
+@example((6, [(0, 1), (1, 2), (2, 0), (3, 4)]))
+@example((5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+def test_has_4cycle_matches_brute_force_and_the_pair_scan(graph):
+    n, edges = graph
+    g = Graph(n, edges)
+    found, wit = has_4cycle(g)
+    assert found == brute_has_4cycle(g) == has_4cycle_by_pairs(g)[0]
+    rooted = [has_4cycle(g, root=r) for r in range(n)]
+    for r, (found_r, wit_r) in enumerate(rooted):
+        assert found_r == brute_has_4cycle(g, root=r), r
+        assert _is_4cycle_from(g, wit_r, r) if found_r else wit_r is None, r
+    # All roots: the witness of the least root on a 4-cycle.
+    assert (found, wit) == next((hit for hit in rooted if hit[0]), (False, None))
+
+
+def test_has_4cycle_through_a_neighbour_of_the_root():
+    # Every vertex is within distance 1 of these roots, so every 4-cycle
+    # through them has its opposite vertex x in the root's own row.
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    wheel = Graph(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    for g, root, wit in ((CORPUS["k4"], 0, (0, 2, 1, 3)), (diamond, 1, (1, 0, 2, 3)),
+                         (wheel, 0, (0, 2, 1, 5))):
+        assert has_4cycle(g, root=root) == (True, wit)
+        assert _is_4cycle_from(g, wit, root)
+
+
 # ---------------------------------------------------------------- fixed-length cycles
 
 def test_has_cycle_of_length_examples():
@@ -413,12 +449,13 @@ def test_rooted_scans_match_all_roots_on_cayley_graphs(case, cap):
     carrier, mul, inv, conn = case
     g = cayley(carrier, mul, inv, conn)
     found4, wit4 = has_4cycle(g, root=0)
-    assert found4 == has_4cycle(g)[0]
+    assert found4 == has_4cycle(g)[0] == has_4cycle_by_pairs(g)[0]
+    assert _is_4cycle_from(g, wit4, 0) if found4 else wit4 is None
     for length in range(3, 9):
         found, wit = has_cycle_of_length(g, length, root=0)
         assert found == has_cycle_of_length(g, length)[0], length
         if length == 4:
-            assert (found, wit) == (found4, wit4)
+            assert found == found4
         if found:
             assert wit[0] == 0 and len(set(wit)) == length
             closed = list(wit) + [wit[0]]
@@ -480,20 +517,25 @@ def test_rooted_scans_search_through_the_root_only():
 def test_rooted_scans_refuse_a_root_outside_the_graph():
     # Negative roots used to index from the end and give false
     # certificates: no 4-cycle in C_4, no zero-sum triangle in a gain graph
-    # that has one.
+    # that has one. The accessors read the same rows: degree(-1) was -8 and
+    # has_edge(-1, 0) False on C_4, whose edges include (3, 0).
     g = cycle_graph(4)
     gg = gain_from_cocycle(3, 1, "plus")
     assert all_cycle_sums_nonzero(gg, 3)[0] is False
     searches = (lambda r: has_4cycle(g, root=r), lambda r: girth(g, root=r),
                 lambda r: has_cycle_of_length(g, 4, root=r),
-                lambda r: list(rooted_cycles(g, 3, r)))
+                lambda r: list(rooted_cycles(g, 3, r)),
+                g.neighbors, g.degree, lambda r: g.has_edge(r, 0),
+                lambda r: g.induced([r, 0]))
     for root in (-1, -4, 4, 5):
         for search in searches:
             with pytest.raises(ValueError, match="out of range"):
                 search(root)
     for root in (-1, -9, 9):
-        with pytest.raises(ValueError, match="out of range"):
-            all_cycle_sums_nonzero(gg, 3, root=root)
+        for search in (lambda r: all_cycle_sums_nonzero(gg, 3, root=r),
+                       lambda r: gg.restrict([r, 0]), lambda r: gg.restrict([r])):
+            with pytest.raises(ValueError, match="out of range"):
+                search(root)
 
 
 # ---------------------------------------------------------------- induced
