@@ -12,6 +12,7 @@ import math
 import os
 import random
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -33,7 +34,7 @@ from .covers import (
     standard_ids,
     verify_cover,
 )
-from .gains import GainGraph, all_cycle_sums_nonzero, gain_from_cocycle
+from .gains import GainGraph, all_cycle_sums_nonzero, cocycle_cover, gain_from_cocycle
 from .graphs import girth, has_4cycle, has_cycle_of_length, hypercube
 from .groups import MINUS, PLUS, extraspecial_group
 from .modular import SUPPORTED_PRIMES
@@ -147,20 +148,19 @@ def _graph_json(cm: CoveringMap) -> dict:
 
 
 def _write_cover(cm: CoveringMap, stem: str, out_dir: Path, fmt: str) -> list[Path]:
-    written = []
+    """Stream the cover's files into out_dir, one block of text per write,
+    and return their paths."""
     if fmt == "edges":
-        for suffix, text in (
-            (".total.edges", cm.total.to_edge_list_text()),
-            (".base.edges", cm.base.to_edge_list_text()),
-            (".fibers.txt", cm.fiber_map_text()),
-        ):
-            path = out_dir / (stem + suffix)
-            path.write_text(text)
-            written.append(path)
+        files = ((".total.edges", cm.total.write_edge_list),
+                 (".base.edges", cm.base.write_edge_list),
+                 (".fibers.txt", cm.write_fiber_map))
     else:
-        path = out_dir / (stem + ".json")
+        files = ((".json", partial(write_stable, _graph_json(cm))),)
+    written = []
+    for suffix, write_file in files:
+        path = out_dir / (stem + suffix)
         with path.open("w") as f:
-            write_stable(_graph_json(cm), f.write)
+            write_file(f.write)
         written.append(path)
     return written
 
@@ -172,14 +172,17 @@ def cmd_build(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    # Each cover is built when it is written and released before the next
+    # is built. The extraspecial covers are cocycle lifts, which make no
+    # group products (README, "The extraspecial cover as a cocycle lift").
     if p is None:
-        jobs = [(f"heisenberg_d{args.d}", heisenberg_cover(args.d))]
+        jobs = [(f"heisenberg_d{args.d}", partial(heisenberg_cover, args.d))]
     else:
-        jobs = [(f"cover_p{p}_d{args.d}_{sign}", build_cover(p, args.d, sign))
+        jobs = [(f"cover_p{p}_d{args.d}_{sign}", partial(cocycle_cover, p, args.d, sign))
                 for sign in _signs(args.sign)]
-    for stem, cm in jobs:
+    for stem, make in jobs:
         try:
-            written = _write_cover(cm, stem, out_dir, args.format)
+            written = _write_cover(make(), stem, out_dir, args.format)
         except OSError as exc:
             raise UsageError(f"cannot write {exc.filename}: {exc.strerror}") from exc
         _write_stdout("".join(f"{path}\n" for path in written))

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, cayley, cycle_power, hypercube, pair_lines
+from .graphs import _BLOCK, Graph, cayley, cycle_power, hypercube, write_pairs
 from .groups import (
     SIGNS,
     ExtraspecialElement,
@@ -115,10 +115,10 @@ class CoveringMap:
         return (isinstance(other, CoveringMap) and self.total == other.total
                 and self.base == other.base and np.array_equal(self.fiber_map, other.fiber_map))
 
-    def fiber_map_text(self) -> str:
-        """One line per total vertex: "total_id base_id"."""
+    def write_fiber_map(self, write: Callable[[str], object]) -> None:
+        """Write one line "total_id base_id" per total vertex through write."""
         gamma = np.asarray(self.fiber_map, dtype=np.int64)
-        return pair_lines(np.arange(len(gamma)), gamma)
+        write_pairs(np.arange(len(gamma)), gamma, write)
 
 
 class CoverVerificationError(Exception):
@@ -236,6 +236,20 @@ def pairwise_noncommuting_check(group: ExtraspecialGroup,
     return NoncommutingReport(ok, central_units, tuple(table), witness)
 
 
+def _extraspecial_prime(p: int, d: int, sign: str) -> Prime:
+    """p as a Prime, after the checks that build_cover and cocycle_cover make
+    before any work: ValueError for p = 2, an unknown sign, or a cover of
+    more than MAX_COVER_SIZE vertices."""
+    p = Prime(p)
+    if p == 2:
+        raise ValueError("p must be odd for extraspecial covers")
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
+    if power_exceeds(p, 1 + 2 * d, MAX_COVER_SIZE):
+        raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
+    return p
+
+
 def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     """Cayley cover of the 4d-regular Cartesian power of a p-cycle.
 
@@ -244,13 +258,7 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     Z_p^{2d}, reached through standard_ids, so the base is the Cartesian
     power of the p-cycle that cycle_power builds.
     """
-    p = Prime(p)
-    if p == 2:
-        raise ValueError("p must be odd for extraspecial covers")
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    if power_exceeds(p, 1 + 2 * d, MAX_COVER_SIZE):
-        raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
+    p = _extraspecial_prime(p, d, sign)
     group = extraspecial_group(p, d, sign)
     conn = lifted_connection(group)
     carrier = list(group.elements())
@@ -332,14 +340,23 @@ class GainGraph:
 
 def cover_from_gain(gg: GainGraph) -> CoveringMap:
     """p-fold cover on V x Z_p: (u, j) ~ (v, j + gain(u, v)); ids are u*p + j,
-    so row u*p + j, made from row u, ascends as row u does."""
+    so row u*p + j, made from row u, ascends as row u does. The rows are
+    made _BLOCK // p base rows at a time, about _BLOCK rows of the cover,
+    so no temporary spans them all."""
     p, base = gg.p, gg.base
-    rows = np.arange(base.n).repeat(p)
-    positions = base.row_entries(rows)
-    degrees = np.diff(base.indptr)[rows]
-    shifts = np.repeat(np.tile(np.arange(p), base.n), degrees)
-    indices = base.indices[positions] * p + (shifts + gg.gains[positions]) % p
-    return CoveringMap(Graph._from_degrees(degrees, indices), base, rows)
+    fiber_map = np.arange(base.n).repeat(p)
+    degrees = np.diff(base.indptr)[fiber_map]
+    indices = np.empty(p * len(base.indices), np.int64)
+    step = _BLOCK // p
+    for start in range(0, base.n, step):
+        rows = np.arange(start * p, min(start + step, base.n) * p)
+        positions = base.row_entries(fiber_map[rows])
+        shifts = np.repeat(rows % p, degrees[rows])
+        # The rows before row start * p are p copies of each base row before start.
+        first = p * base.indptr[start]
+        indices[first:first + len(positions)] = (base.indices[positions] * p
+                                                 + (shifts + gg.gains[positions]) % p)
+    return CoveringMap(Graph._from_degrees(degrees, indices), base, fiber_map)
 
 
 @dataclass(frozen=True)

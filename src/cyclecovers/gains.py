@@ -1,5 +1,5 @@
-"""The cocycle gain graph of the extraspecial covers, and gain sums around
-its short cycles.
+"""The cocycle gain graph of the extraspecial covers, its lift, and gain
+sums around its short cycles.
 
 GainGraph and its p-fold lift cover_from_gain are defined in covers, whose
 signed double cover is a lift at p = 2, and are imported from here as well.
@@ -11,8 +11,15 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .covers import GainGraph, connection_set, cover_from_gain  # noqa: F401
-from .graphs import Graph, rooted_cycles
+from .covers import (  # noqa: F401
+    CoveringMap,
+    GainGraph,
+    _extraspecial_prime,
+    connection_set,
+    cover_from_gain,
+    standard_ids,
+)
+from .graphs import Graph, cycle_power, rooted_cycles
 from .groups import SIGNS, extraspecial_cocycle
 from .modular import Prime
 
@@ -52,6 +59,16 @@ def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     if np.count_nonzero(steps) < steps.size or np.count_nonzero(heads - ids[:, None]) < heads.size:
         raise ValueError("connection vectors give repeated arcs")
     return GainGraph(Graph._from_table(heads), p, np.take_along_axis(values, order, axis=1).ravel())
+
+
+def cocycle_cover(p: int, d: int, sign: str) -> CoveringMap:
+    """The cover build_cover makes, id for id, built as the lift of the
+    cocycle gain graph with no group products (README, "The extraspecial
+    cover as a cocycle lift"): lift vertex u*p + z is the element whose
+    first 2d coordinates have base id u and whose central coordinate is z."""
+    p = _extraspecial_prime(p, d, sign)
+    total = cover_from_gain(gain_from_cocycle(p, d, sign)).total
+    return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
 
 
 def directed_cycles(base: Graph, length: int,

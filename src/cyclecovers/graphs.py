@@ -8,8 +8,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Vertex ids per block when rows are computed from id arithmetic, and lines
-# per block when pairs are formatted as text.
+# Rows per block when rows are computed from id arithmetic, lifted from a
+# gain graph (_BLOCK // p base rows) or written as an edge list, and lines
+# per block when pairs are written as text.
 _BLOCK = 4096
 
 
@@ -155,17 +156,31 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
+    def write_edge_list(self, write: Callable[[str], object]) -> None:
+        """Write first the line "n m", then one "u v" line per edge, u < v,
+        ascending, through write. The edges are taken from _BLOCK rows at a
+        time, so no temporary spans the whole indices array."""
+        write(f"{self.n} {self.m}\n")
+        for start in range(0, self.n, _BLOCK):
+            stop = min(start + _BLOCK, self.n)
+            tails = np.repeat(np.arange(start, stop), np.diff(self.indptr[start:stop + 1]))
+            heads = self.indices[self.indptr[start]:self.indptr[stop]]
+            up = heads > tails
+            write_pairs(tails[up], heads[up], write)
+
     def to_edge_list_text(self) -> str:
-        """First line "n m", then one "u v" line per edge, u < v, ascending."""
-        return f"{self.n} {self.m}\n" + pair_lines(*self.edge_arrays())
+        """The edge list write_edge_list writes, as one str."""
+        chunks: list[str] = []
+        self.write_edge_list(chunks.append)
+        return "".join(chunks)
 
 
-def pair_lines(left: np.ndarray, right: np.ndarray) -> str:
-    """One "l r" line per position of the two int arrays, formatted _BLOCK
-    lines at a time with one % per block."""
-    blocks = (np.column_stack((left[start:start + _BLOCK], right[start:start + _BLOCK])).ravel()
-              for start in range(0, len(left), _BLOCK))
-    return "".join("%d %d\n" * (len(block) // 2) % tuple(block.tolist()) for block in blocks)
+def write_pairs(left: np.ndarray, right: np.ndarray, write: Callable[[str], object]) -> None:
+    """Write one "l r" line per position of the two int arrays through
+    write, _BLOCK lines per call, each block formatted with one %."""
+    for start in range(0, len(left), _BLOCK):
+        block = np.column_stack((left[start:start + _BLOCK], right[start:start + _BLOCK])).ravel()
+        write("%d %d\n" * (len(block) // 2) % tuple(block.tolist()))
 
 
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:

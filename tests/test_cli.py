@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import cyclecovers.cli as cli
 import cyclecovers.covers as covers
+import cyclecovers.groups as groups
 from cyclecovers.cli import main
 from cyclecovers.covers import MAX_COVER_SIZE
 from cyclecovers.reporting import round_sig
@@ -77,6 +78,21 @@ def test_build_both_signs(tmp_path, capsys):
     assert (tmp_path / "cover_p3_d1_minus.total.edges").exists()
 
 
+def test_build_both_signs_releases_each_cover_before_the_next(tmp_path, capsys, monkeypatch):
+    build, made = cli.cocycle_cover, []
+
+    def tracked(*args):
+        assert all(ref() is None for ref in made), "an earlier cover is still held"
+        cm = build(*args)
+        made.append(weakref.ref(cm))
+        return cm
+
+    monkeypatch.setattr(cli, "cocycle_cover", tracked)
+    code, _, _ = run_cli(capsys, "build", "--p", "3", "--d", "1", "--sign", "both",
+                         "--out", str(tmp_path))
+    assert code == 0 and len(made) == 2
+
+
 def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
     from cyclecovers.covers import build_cover
     from helpers import graph_from_edge_list_text
@@ -98,6 +114,7 @@ def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
 
 def test_build_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "cocycle_cover", _refuse_to_build)
     taken = tmp_path / "taken"
     taken.write_text("")
     code, out, err = run_cli(capsys, "build", "--p", "3", "--d", "1", "--out", str(taken))
@@ -127,9 +144,24 @@ def test_build_deterministic_bytes(tmp_path, capsys):
 
 
 # sha256 of every file these builds write, recorded before group elements
-# became tuples and multiplication table lookups; a change to the element
+# became tuples and multiplication table lookups (the (3, 2) entry from the
+# Cayley build, before build wrote cocycle lifts); a change to the element
 # order, the edge order or the writers shows up here.
 BUILD_DIGESTS = {
+    ("--p", "3", "--d", "2", "--sign", "both"): {
+        "cover_p3_d2_plus.total.edges":
+            "b35c7310e1ef518c640c62ae10c4ded480fc02f316402c6a93c3beee25dfd5f7",
+        "cover_p3_d2_plus.base.edges":
+            "490337576983fb7fa26a222c41d769b483c71db3d8c412444de6b36920d201c6",
+        "cover_p3_d2_plus.fibers.txt":
+            "af11701cd0275c660adc1ad0c254c3cc45796d9b002c2629a2f25f5bcc692530",
+        "cover_p3_d2_minus.total.edges":
+            "ef099fe78b177ec5d0abaa3bbb3938d182a97d36603c49f39d3f6b24540f6618",
+        "cover_p3_d2_minus.base.edges":
+            "490337576983fb7fa26a222c41d769b483c71db3d8c412444de6b36920d201c6",
+        "cover_p3_d2_minus.fibers.txt":
+            "af11701cd0275c660adc1ad0c254c3cc45796d9b002c2629a2f25f5bcc692530",
+    },
     ("--p", "3", "--d", "1", "--sign", "both"): {
         "cover_p3_d1_plus.total.edges":
             "e69a31b9f2c9aefbbf24abe8c0965071c94c544fd80753f59ebde5d9e648b26f",
@@ -217,10 +249,25 @@ def test_build_bytes_match_recorded_digests(argv, tmp_path, capsys):
     assert written == BUILD_DIGESTS[argv]
 
 
+def test_build_makes_no_group_products(tmp_path, capsys, monkeypatch):
+    # build writes the extraspecial covers as cocycle lifts.
+    def refuse(*args):
+        raise AssertionError("build made a group product")
+
+    monkeypatch.setattr(groups.ExtraspecialGroup, "mul", refuse)
+    argv = ("--p", "3", "--d", "2", "--sign", "both")
+    code, _, _ = run_cli(capsys, "build", *argv, "--out", str(tmp_path))
+    assert code == 0
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == BUILD_DIGESTS[argv]
+
+
 @pytest.mark.parametrize("argv", [("--p", "13", "--d", "3"), ("--heisenberg", "--d", "19")],
                          ids=" ".join)
 def test_build_refused_for_size_leaves_no_directory(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "cocycle_cover", _refuse_to_build)
     monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
     out_dir = tmp_path / "new"
     code, out, err = run_cli(capsys, "build", *argv, "--out", str(out_dir))

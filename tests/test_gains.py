@@ -7,12 +7,13 @@ from cyclecovers.covers import connection_set, standard_ids, verify_cover
 from cyclecovers.gains import (
     GainGraph,
     all_cycle_sums_nonzero,
+    cocycle_cover,
     cover_from_gain,
     cycle_gain_sums,
     directed_cycles,
     gain_from_cocycle,
 )
-from cyclecovers.graphs import Graph, cycle_graph
+from cyclecovers.graphs import _BLOCK, Graph, cycle_graph
 from cyclecovers.groups import MINUS, PLUS, SIGNS
 from cyclecovers.spectra import twisted_adjacency
 
@@ -74,16 +75,40 @@ def test_zero_gain_cover_is_disjoint_copies():
     assert cm.total.edge_set() == expected
 
 
-# Every (p, d) whose cover has at most 3125 vertices. The Cayley cover is
-# built through ExtraspecialGroup.mul, so it checks the cocycle on arrays
-# that gain_from_cocycle evaluates against the group's own multiplication.
-@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1)])
+# Every (p, d) whose cover has at most 3125 vertices, and the 16807-vertex
+# (7, 2). The Cayley cover is built through ExtraspecialGroup.mul, so it
+# checks the cocycle on arrays that gain_from_cocycle evaluates against the
+# group's own multiplication; the maps are compared whole, ids, base and
+# fiber map included.
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (7, 2)])
 @pytest.mark.parametrize("sign", SIGNS)
 def test_gain_cover_equals_cayley_cover(p, d, sign):
-    gm = cover_from_gain(gain_graph(p, d, sign))
-    cm = cover(p, d, sign)
-    assert gm.total.edge_set() == cm.total.edge_set()
+    gm = cocycle_cover(p, d, sign)
+    assert gm == cover(p, d, sign)
     assert verify_cover(gm) == p
+
+
+def test_cocycle_cover_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="odd"):
+        cocycle_cover(2, 1, PLUS)
+    with pytest.raises(ValueError, match="sign"):
+        cocycle_cover(3, 1, "other")
+    with pytest.raises(ValueError, match="exceed"):
+        cocycle_cover(13, 3, PLUS)  # 13^7 vertices
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_blocked_lift_matches_the_edge_oracle_across_blocks(sign):
+    # 6561 base vertices, more than one block of base rows; the restriction
+    # to 5000 shuffled vertices is irregular.
+    gg = gain_graph(3, 4, sign)
+    sub = gg.restrict(np.random.default_rng(5).permutation(gg.base.n)[:5000])
+    degrees = np.diff(sub.base.indptr)
+    assert sub.base.n > _BLOCK and degrees.min() < degrees.max()
+    for g in (gg, sub):
+        cm = cover_from_gain(g)
+        assert cm.total == cover_from_gain_by_edges(g)
+        assert cm.base is g.base and np.array_equal(cm.fiber_map, np.arange(g.base.n).repeat(3))
 
 
 def test_restricted_gain_cover_matches_induced_cover():

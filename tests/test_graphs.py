@@ -142,11 +142,15 @@ def test_csr_graph_matches_the_tuple_row_graph(a, b, rng):
 
 
 def test_edge_list_text_across_the_block_edge():
-    # Path graphs whose edge counts sit at and around the 4096-line block.
+    # Path graphs whose edge and row counts sit at and around the 4096-line
+    # and 4096-row blocks.
     for m in (0, 1, 4095, 4096, 4097, 8193):
         edges = [(i, i + 1) for i in range(m)]
         text = TupleGraph(m + 1, edges).to_edge_list_text()
         assert Graph(m + 1, edges).to_edge_list_text() == text
+    # 6561 rows of degree 16: a row block ends inside a block of lines.
+    g = cycle_power(3, 8)
+    assert g.to_edge_list_text() == TupleGraph(g.n, g.edges()).to_edge_list_text()
 
 
 # ---------------------------------------------------------------- codec
