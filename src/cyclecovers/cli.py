@@ -23,10 +23,12 @@ from .covers import (
     MAX_COVER_SIZE,
     CoveringMap,
     CoverVerificationError,
+    RowCover,
     build_cover,
     cohen_tits_signing,
     connection_set,
     heisenberg_cover,
+    heisenberg_row_cover,
     lifted_connection,
     modular_rank,
     pairwise_noncommuting_check,
@@ -34,11 +36,12 @@ from .covers import (
     standard_ids,
     verify_cover,
 )
-from .gains import GainGraph, all_cycle_sums_nonzero, cocycle_cover, gain_from_cocycle
-from .graphs import girth, has_4cycle, has_cycle_of_length, hypercube
+from .gains import GainGraph, all_cycle_sums_nonzero, extraspecial_row_cover, gain_from_cocycle
+from .graphs import (edge_blocks, girth, has_4cycle, has_cycle_of_length, hypercube,
+                     write_edge_rows)
 from .groups import MINUS, PLUS, extraspecial_group
 from .modular import SUPPORTED_PRIMES
-from .reporting import stable_text, write_stable
+from .reporting import IntBlocks, stable_text, write_stable
 from .spectra import (
     MAX_EIGEN_SIZE,
     SpectrumReport,
@@ -139,23 +142,25 @@ def _empty_report(construction: dict) -> dict:
 # ---------------------------------------------------------------- build
 
 
-def _graph_json(cm: CoveringMap) -> dict:
+def _graph_json(cover: RowCover) -> dict:
+    """The JSON document of the cover, its arrays as blocks of rows."""
     return {
-        "total": {"n": cm.total.n, "edges": np.column_stack(cm.total.edge_arrays())},
-        "base": {"n": cm.base.n, "edges": np.column_stack(cm.base.edge_arrays())},
-        "fiber_map": cm.fiber_map,
+        "total": {"n": cover.n, "edges": IntBlocks(partial(edge_blocks, cover.n, cover.rows))},
+        "base": {"n": cover.base_n,
+                 "edges": IntBlocks(partial(edge_blocks, cover.base_n, cover.base_rows))},
+        "fiber_map": IntBlocks(cover.fiber_blocks),
     }
 
 
-def _write_cover(cm: CoveringMap, stem: str, out_dir: Path, fmt: str) -> list[Path]:
-    """Stream the cover's files into out_dir, one block of text per write,
+def _write_cover(cover: RowCover, stem: str, out_dir: Path, fmt: str) -> list[Path]:
+    """Stream the cover's files into out_dir, one block of rows at a time,
     and return their paths."""
     if fmt == "edges":
-        files = ((".total.edges", cm.total.write_edge_list),
-                 (".base.edges", cm.base.write_edge_list),
-                 (".fibers.txt", cm.write_fiber_map))
+        files = ((".total.edges", partial(write_edge_rows, cover.n, cover.rows)),
+                 (".base.edges", partial(write_edge_rows, cover.base_n, cover.base_rows)),
+                 (".fibers.txt", cover.write_fiber_map))
     else:
-        files = ((".json", partial(write_stable, _graph_json(cm))),)
+        files = ((".json", partial(write_stable, _graph_json(cover))),)
     written = []
     for suffix, write_file in files:
         path = out_dir / (stem + suffix)
@@ -172,13 +177,14 @@ def cmd_build(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
-    # Each cover is built when it is written and released before the next
-    # is built. The extraspecial covers are cocycle lifts, which make no
-    # group products (README, "The extraspecial cover as a cocycle lift").
+    # Each cover is written from its row function, a block of ids at a
+    # time, and no cover is held whole. The extraspecial rows are those of
+    # the cocycle lift, which makes no group products (README, "The
+    # extraspecial cover as a cocycle lift").
     if p is None:
-        jobs = [(f"heisenberg_d{args.d}", partial(heisenberg_cover, args.d))]
+        jobs = [(f"heisenberg_d{args.d}", partial(heisenberg_row_cover, args.d))]
     else:
-        jobs = [(f"cover_p{p}_d{args.d}_{sign}", partial(cocycle_cover, p, args.d, sign))
+        jobs = [(f"cover_p{p}_d{args.d}_{sign}", partial(extraspecial_row_cover, p, args.d, sign))
                 for sign in _signs(args.sign)]
     for stem, make in jobs:
         try:

@@ -13,14 +13,14 @@ each arc; the signed double cover is that lift at p = 2.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import _BLOCK, Graph, cayley, cycle_power, hypercube, write_pairs
+from .graphs import (_BLOCK, Graph, RowFunction, cayley, cycle_power, hypercube, hypercube_rows,
+                     id_blocks, write_pairs)
 from .groups import (
     SIGNS,
     ExtraspecialElement,
@@ -73,12 +73,17 @@ def standard_ids(p: int, d: int) -> np.ndarray:
     int64 array. The vector sum_j x_j c_j gets the id of x. Raises
     ValueError unless the table is a bijection, that is unless the
     connection vectors are a basis mod p."""
-    vectors = np.array(connection_set(p, d), dtype=np.int64)
-    dim = 2 * d
-    x = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
-    connection_ids = (x @ vectors % p) @ (p ** np.arange(dim - 1, -1, -1))
-    table = np.full(len(x), -1)
-    table[connection_ids] = np.arange(len(x))
+    vectors = connection_set(p, d)
+    weights = [p ** k for k in reversed(range(2 * d))]
+    ids = np.arange(p ** (2 * d))
+    # Coordinate k of sum_j x_j c_j, from the digit columns x_j of the ids,
+    # one coordinate at a time: no (ids, 2d) matrix is made.
+    connection_ids = np.zeros_like(ids)
+    for k, weight in enumerate(weights):
+        coordinate = sum(ids // w % p * c[k] for w, c in zip(weights, vectors) if c[k])
+        connection_ids += coordinate % p * weight
+    table = np.full(len(ids), -1)
+    table[connection_ids] = ids
     if (table < 0).any():
         raise ValueError(f"connection vectors are not a basis mod {p}")
     return table
@@ -118,7 +123,30 @@ class CoveringMap:
     def write_fiber_map(self, write: Callable[[str], object]) -> None:
         """Write one line "total_id base_id" per total vertex through write."""
         gamma = np.asarray(self.fiber_map, dtype=np.int64)
-        write_pairs(np.arange(len(gamma)), gamma, write)
+        write_pairs(np.column_stack((np.arange(len(gamma)), gamma)), write)
+
+
+@dataclass(frozen=True)
+class RowCover:
+    """A covering map given by row functions, for covers written a block of
+    ids at a time (graphs.id_blocks) and never held whole: total vertices
+    0..n-1 with rows, base vertices 0..base_n-1 with base_rows, and fibers
+    mapping a block of total ids to their base ids."""
+
+    n: int
+    rows: RowFunction
+    base_n: int
+    base_rows: RowFunction
+    fibers: Callable[[np.ndarray], np.ndarray]
+
+    def fiber_blocks(self) -> Iterator[np.ndarray]:
+        """The fiber map, one int64 array per block of total ids."""
+        return map(self.fibers, id_blocks(self.n))
+
+    def write_fiber_map(self, write: Callable[[str], object]) -> None:
+        """Write the lines CoveringMap.write_fiber_map writes."""
+        for ids in id_blocks(self.n):
+            write_pairs(np.column_stack((ids, self.fibers(ids))), write)
 
 
 class CoverVerificationError(Exception):
@@ -237,7 +265,8 @@ def pairwise_noncommuting_check(group: ExtraspecialGroup,
 
 
 def _extraspecial_prime(p: int, d: int, sign: str) -> Prime:
-    """p as a Prime, after the checks that build_cover and cocycle_cover make
+    """p as a Prime, after the checks that build_cover and
+    gains.extraspecial_row_cover make
     before any work: ValueError for p = 2, an unknown sign, or a cover of
     more than MAX_COVER_SIZE vertices."""
     p = Prime(p)
@@ -266,26 +295,34 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
 
 
-def heisenberg_cover(d: int) -> CoveringMap:
-    """2-fold Cayley cover of the d-cube; the map drops the central bit.
+def heisenberg_row_cover(d: int) -> RowCover:
+    """2-fold cover of the d-cube by rows of the Cayley graph of
+    HeisenbergGroup(d); the map drops the central bit.
 
-    Vertex v = 2x + t is the element (x, t) of HeisenbergGroup(d), and row v
-    holds the products (e_i, 0)(x, t) = (x + e_i, t + sum_{j>i} x_j), the rows
-    cayley would build from the generators. With k = d - i, e_i is bit k of
-    x and the sum is the parity of the k low bits of x, so the neighbours of
-    v are v XOR 2^(k+1) XOR that parity.
+    Vertex v = 2x + t is the element (x, t), and row v holds the products
+    (e_i, 0)(x, t) = (x + e_i, t + sum_{j>i} x_j), the rows cayley would
+    build from the generators. With k = d - i, e_i is bit k of x and the
+    sum is the parity of the k low bits of x, so the neighbours of v are v
+    XOR 2^(k+1) XOR that parity.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if power_exceeds(2, d + 1, MAX_COVER_SIZE):
         raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
 
-    def neighbours(v: np.ndarray) -> np.ndarray:
+    def rows(v: np.ndarray) -> np.ndarray:
         parities = low_bit_parities(v >> 1, d)
-        return np.column_stack([v ^ (2 << k) ^ parity for k, parity in enumerate(parities)])
+        return np.sort(np.column_stack([v ^ (2 << k) ^ parity
+                                        for k, parity in enumerate(parities)]), axis=1)
 
-    total = Graph._from_id_arithmetic(2 ** (d + 1), neighbours)
-    return CoveringMap(total, hypercube(d), np.arange(2 ** d).repeat(2))
+    return RowCover(2 ** (d + 1), rows, 2 ** d, hypercube_rows(d), lambda v: v >> 1)
+
+
+def heisenberg_cover(d: int) -> CoveringMap:
+    """The covering map of heisenberg_row_cover(d), built whole."""
+    cover = heisenberg_row_cover(d)
+    return CoveringMap(Graph._from_id_arithmetic(cover.n, cover.rows), hypercube(d),
+                       cover.fibers(np.arange(cover.n)))
 
 
 class GainGraph:

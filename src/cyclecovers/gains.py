@@ -1,5 +1,5 @@
-"""The cocycle gain graph of the extraspecial covers, its lift, and gain
-sums around its short cycles.
+"""The cocycle gain graph of the extraspecial covers, the row function of
+its lift, and gain sums around its short cycles.
 
 GainGraph and its p-fold lift cover_from_gain are defined in covers, whose
 signed double cover is a lift at p = 2, and are imported from here as well.
@@ -12,63 +12,78 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .covers import (  # noqa: F401
-    CoveringMap,
     GainGraph,
+    RowCover,
     _extraspecial_prime,
     connection_set,
     cover_from_gain,
     standard_ids,
 )
-from .graphs import Graph, cycle_power, rooted_cycles
+from .graphs import Graph, RowFunction, cycle_power_rows, rooted_cycles, row_table
 from .groups import SIGNS, extraspecial_cocycle
 from .modular import Prime
 
 
-def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
-    """Label the Cayley form of the 4d-regular cycle power by the cocycle.
-
-    The arc from g to s+g carries the cocycle evaluated at (s, g) for each
-    connection vector s; the opposite arc carries the negation. Vertex ids
-    are the base-p numbers of the vectors, first digit most significant, so
-    each s takes one array sum over the digit columns of all ids and one
-    cocycle call on those columns; the inverse permutation of the heads of s
-    gives the heads of -s and the arcs whose negated gains they carry. For
-    odd p the connection vectors and their negatives are disjoint, so no
-    sorted row repeats a vertex or holds its own, and the rows are checked.
+def cocycle_rows(p: int, d: int, sign: str) -> RowFunction:
+    """Row function of the extraspecial cover as the cocycle lift (README,
+    "The extraspecial cover as a cocycle lift"): row (x, z), vertex u*p + z
+    with u the base-p number of x, holds (x + s)*p + (z + kappa(s, x)) mod p
+    and (x - s)*p + (z - kappa(s, x - s)) mod p for each connection vector
+    s. That is row (x, 0) with z added to each residue, so rows (x, 0) are
+    made once for each x the block spans. A block in which a row repeats a
+    base vertex or holds its own raises ValueError before it is returned.
     """
     p = Prime(p)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    n = p ** (2 * d)
-    weights = [p ** k for k in reversed(range(2 * d))]
-    ids = np.arange(n)
-    columns = tuple(ids // w % p for w in weights)
-    heads, values = [], []
-    for s in connection_set(p, d):
-        ahead = sum((column + x) % p * w for column, x, w in zip(columns, s, weights))
-        gains = extraspecial_cocycle(p, sign, (s[:d], s[d:]), (columns[:d], columns[d:]))
-        behind = np.empty_like(ahead)
-        behind[ahead] = ids
-        heads += [ahead, behind]
-        values += [gains, -gains[behind] % p]
-    heads, values = np.column_stack(heads), np.column_stack(values)
-    # Stable: the sort GainGraph runs, so numpy maps one sort kernel.
-    order = np.argsort(heads, axis=1, kind="stable")
-    heads = np.take_along_axis(heads, order, axis=1)
-    steps = np.diff(heads, axis=1)
-    if np.count_nonzero(steps) < steps.size or np.count_nonzero(heads - ids[:, None]) < heads.size:
-        raise ValueError("connection vectors give repeated arcs")
-    return GainGraph(Graph._from_table(heads), p, np.take_along_axis(values, order, axis=1).ravel())
+    vectors = np.array(connection_set(p, d))
+    steps = np.concatenate((vectors, -vectors)) % p  # s, then -s, as digits
+    halves = (vectors[:, :d].T, vectors[:, d:].T)  # coordinate i of every s in row i
+    weights = p ** np.arange(2 * d - 1, -1, -1)
+    # Digit k of x + step wraps exactly when x_k >= p - step_k, and each
+    # wrap takes p * weights[k] off the id x + (id of the step).
+    wraps = np.where(steps > 0, p - steps, p)
+    offsets = steps @ weights
+
+    def rows(ids: np.ndarray) -> np.ndarray:
+        low = ids.min() // p
+        x = np.arange(low, ids.max() // p + 1)
+        digits = x[:, None] // weights % p
+        heads = x[:, None] + offsets - p * ((digits[:, None] >= wraps) @ weights)
+        ahead = extraspecial_cocycle(p, sign, halves, (digits.T[:d, :, None], None))
+        # kappa(s, x - s) reads the first d digits of x - s.
+        lower = (digits[:, None, :d] + steps[2 * d:, :d]) % p
+        behind = extraspecial_cocycle(p, sign, halves, (lower.transpose(2, 0, 1), None))
+        gains = np.concatenate((ahead, -behind), axis=1) % p
+        keys = np.sort(heads * p + gains, axis=1)
+        heads = keys // p
+        if (heads[:, 1:] == heads[:, :-1]).any() or (heads == x[:, None]).any():
+            raise ValueError("connection vectors give repeated arcs")
+        keys = keys[ids // p - low]
+        return keys - keys % p + (keys + ids[:, None]) % p
+
+    return rows
 
 
-def cocycle_cover(p: int, d: int, sign: str) -> CoveringMap:
-    """The cover build_cover makes, id for id, built as the lift of the
-    cocycle gain graph with no group products (README, "The extraspecial
-    cover as a cocycle lift"): lift vertex u*p + z is the element whose
-    first 2d coordinates have base id u and whose central coordinate is z."""
+def extraspecial_row_cover(p: int, d: int, sign: str) -> RowCover:
+    """The cover build_cover makes, id for id, by rows: cocycle_rows over
+    the base cycle_power(p, 2d), with fiber map u*p + z -> standard_ids(p,
+    d)[u]. Checks p, the sign and the cover size before any work."""
     p = _extraspecial_prime(p, d, sign)
-    total = cover_from_gain(gain_from_cocycle(p, d, sign)).total
-    return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
+    table = standard_ids(p, d)
+    return RowCover(p ** (1 + 2 * d), cocycle_rows(p, d, sign), p ** (2 * d),
+                    cycle_power_rows(p, 2 * d), lambda v: table[v // p])
+
+
+def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
+    """Label the Cayley form of the 4d-regular cycle power by the cocycle:
+    the arc from g to s+g carries the cocycle at (s, g) for each connection
+    vector s, the opposite arc its negation. Row x*p of cocycle_rows holds
+    (x +- s)*p + gain, so its quotients by p are the base row of x and its
+    residues the gains."""
+    rows = cocycle_rows(p, d, sign)
+    table = row_table(p ** (2 * d), lambda x: rows(x * p))
+    return GainGraph(Graph._from_table(table // p), p, (table % p).ravel())
 
 
 def directed_cycles(base: Graph, length: int,

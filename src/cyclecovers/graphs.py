@@ -8,10 +8,14 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-# Rows per block when rows are computed from id arithmetic, lifted from a
-# gain graph (_BLOCK // p base rows) or written as an edge list, and lines
-# per block when pairs are written as text.
-_BLOCK = 4096
+# Rows per block when rows come from a row function or are lifted from a
+# gain graph (_BLOCK // p base rows), and lines per write when pairs are
+# written as text: a block's rows, edge pairs and text take a few hundred kB.
+_BLOCK = 1024
+
+# A row function maps a block of int64 ids to a 2-D array: row i holds the
+# neighbours of ids[i], ascending, with the guarantees of Graph._from_degrees.
+RowFunction = Callable[[np.ndarray], np.ndarray]
 
 
 class Graph:
@@ -59,21 +63,9 @@ class Graph:
         return cls._from_degrees(np.full(n, k), table.ravel())
 
     @classmethod
-    def _from_id_arithmetic(cls, n: int,
-                            neighbours: Callable[[np.ndarray], np.ndarray]) -> "Graph":
-        """Graph on n vertices whose row v holds, sorted, row i of
-        neighbours(ids) where ids[i] = v: neighbours maps an int64 array of
-        ids to a 2-D array, one row of neighbour ids per id, and the caller
-        guarantees what _from_degrees requires of the sorted rows. Rows are
-        made one block of ids at a time, so no intermediate array spans them
-        all."""
-        table = None
-        for start in range(0, n, _BLOCK):
-            rows = np.sort(neighbours(np.arange(start, min(start + _BLOCK, n))), axis=1)
-            if table is None:
-                table = np.empty((n, rows.shape[1]), np.int64)
-            table[start:start + len(rows)] = rows
-        return cls._from_table(table)
+    def _from_id_arithmetic(cls, n: int, rows: RowFunction) -> "Graph":
+        """Regular graph on n vertices with the row function rows."""
+        return cls._from_table(row_table(n, rows))
 
     @property
     def n(self) -> int:
@@ -158,15 +150,9 @@ class Graph:
 
     def write_edge_list(self, write: Callable[[str], object]) -> None:
         """Write first the line "n m", then one "u v" line per edge, u < v,
-        ascending, through write. The edges are taken from _BLOCK rows at a
-        time, so no temporary spans the whole indices array."""
+        ascending, through write."""
         write(f"{self.n} {self.m}\n")
-        for start in range(0, self.n, _BLOCK):
-            stop = min(start + _BLOCK, self.n)
-            tails = np.repeat(np.arange(start, stop), np.diff(self.indptr[start:stop + 1]))
-            heads = self.indices[self.indptr[start]:self.indptr[stop]]
-            up = heads > tails
-            write_pairs(tails[up], heads[up], write)
+        write_pairs(np.column_stack(self.edge_arrays()), write)
 
     def to_edge_list_text(self) -> str:
         """The edge list write_edge_list writes, as one str."""
@@ -175,12 +161,47 @@ class Graph:
         return "".join(chunks)
 
 
-def write_pairs(left: np.ndarray, right: np.ndarray, write: Callable[[str], object]) -> None:
-    """Write one "l r" line per position of the two int arrays through
+def write_pairs(pairs: np.ndarray, write: Callable[[str], object]) -> None:
+    """Write one "l r" line per row of the 2-column int array through
     write, _BLOCK lines per call, each block formatted with one %."""
-    for start in range(0, len(left), _BLOCK):
-        block = np.column_stack((left[start:start + _BLOCK], right[start:start + _BLOCK])).ravel()
+    for start in range(0, len(pairs), _BLOCK):
+        block = pairs[start:start + _BLOCK].ravel()
         write("%d %d\n" * (len(block) // 2) % tuple(block.tolist()))
+
+
+def id_blocks(n: int) -> Iterator[np.ndarray]:
+    """The ids 0..n-1 as int64 arrays of _BLOCK consecutive ids, the last shorter."""
+    return (np.arange(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def row_table(n: int, rows: RowFunction) -> np.ndarray:
+    """The rows of ids 0..n-1 as one (n, degree) int64 table, filled one
+    block of ids at a time, so no intermediate array spans them all."""
+    table = None
+    for ids in id_blocks(n):
+        block = rows(ids)
+        if table is None:
+            table = np.empty((n, block.shape[1]), np.int64)
+        table[ids[0]:ids[0] + len(ids)] = block
+    return table
+
+
+def edge_blocks(n: int, rows: RowFunction) -> Iterator[np.ndarray]:
+    """The edges (u, v), u < v, of the regular graph on n vertices with the
+    row function rows, ascending, as one 2-column int64 array per block
+    of ids: the edges Graph.edge_arrays gives, with no array of them all."""
+    for ids in id_blocks(n):
+        heads = rows(ids)
+        up = heads > ids[:, None]
+        yield np.column_stack((np.broadcast_to(ids[:, None], heads.shape)[up], heads[up]))
+
+
+def write_edge_rows(n: int, rows: RowFunction, write: Callable[[str], object]) -> None:
+    """Write the edge list that Graph.write_edge_list writes for
+    Graph._from_id_arithmetic(n, rows), from one block of rows at a time."""
+    write(f"{n} {n * rows(np.zeros(1, np.int64)).shape[1] // 2}\n")
+    for pairs in edge_blocks(n, rows):
+        write_pairs(pairs, write)
 
 
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:
@@ -235,28 +256,40 @@ def cartesian_power(x: Graph, k: int) -> Graph:
     return out
 
 
-def cycle_power(p: int, k: int) -> Graph:
-    """The k-th Cartesian power of the p-cycle, the graph cartesian_power
-    (cycle_graph(p), k) builds: ids are the base-p numbers of Z_p^k, first
-    digit most significant, and an edge adds +-1 mod p to one digit, so the
-    neighbours of v are v +- p^j, wrapped within digit j."""
+def cycle_power_rows(p: int, k: int) -> RowFunction:
+    """Row function of the k-th Cartesian power of the p-cycle: ids are the
+    base-p numbers of Z_p^k, first digit most significant, and an edge adds
+    +-1 mod p to one digit, so the neighbours of v are v +- p^j, wrapped
+    within digit j."""
     if p < 3:
         raise ValueError("cycle needs at least 3 vertices")
     weights = p ** np.arange(k)
 
-    def neighbours(v: np.ndarray) -> np.ndarray:
+    def rows(v: np.ndarray) -> np.ndarray:
         digits = v[:, None] // weights % p
         up = np.where(digits == p - 1, (1 - p) * weights, weights)
         down = np.where(digits == 0, (p - 1) * weights, -weights)
-        return np.concatenate((v[:, None] + up, v[:, None] + down), axis=1)
+        return np.sort(np.concatenate((v[:, None] + up, v[:, None] + down), axis=1), axis=1)
 
-    return Graph._from_id_arithmetic(p ** k, neighbours)
+    return rows
+
+
+def cycle_power(p: int, k: int) -> Graph:
+    """The graph cartesian_power(cycle_graph(p), k) builds, by rows."""
+    return Graph._from_id_arithmetic(p ** k, cycle_power_rows(p, k))
+
+
+def hypercube_rows(d: int) -> RowFunction:
+    """Row function of the d-cube: vertex ids are the bit strings x_1..x_d,
+    x_1 most significant; an edge flips one bit, so the neighbours of v
+    are v XOR 2^k."""
+    bits = 1 << np.arange(d)
+    return lambda v: np.sort(v[:, None] ^ bits, axis=1)
 
 
 def hypercube(d: int) -> Graph:
-    """Vertex ids are the bit strings x_1..x_d, x_1 most significant; an edge
-    flips one bit, so the neighbours of v are v XOR 2^k."""
-    return Graph._from_id_arithmetic(1 << d, lambda v: v[:, None] ^ (1 << np.arange(d)))
+    """The d-cube, by rows."""
+    return Graph._from_id_arithmetic(1 << d, hypercube_rows(d))
 
 
 def _roots(g: Graph, root: Optional[int]) -> Iterable[int]:

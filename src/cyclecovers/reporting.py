@@ -3,14 +3,17 @@
 Documents are JSON with sorted keys and an indent of two spaces; every float
 is rounded to 12 significant digits before it is written, so identical runs
 emit identical bytes. Dict keys are written as str(key), and lists,
-tuples and 1-D or 2-D integer numpy arrays all become JSON arrays.
+tuples and 1-D or 2-D integer numpy arrays all become JSON arrays. An
+IntBlocks value, an integer array given as the blocks it concatenates, is
+written byte for byte as that array would be, one block at a time, so an
+array too large to hold can still be a value.
 """
 
 from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -42,13 +45,23 @@ def _scalar_text(obj: Any) -> Optional[str]:
         if x == -math.inf:
             return "-Infinity"
         return float.__repr__(x)
-    if isinstance(obj, (dict, list, tuple)) or _is_int_array(obj):
+    if isinstance(obj, (dict, list, tuple, IntBlocks)) or _is_int_array(obj):
         return None
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _is_int_array(obj: Any) -> bool:
     return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
+
+
+class IntBlocks:
+    """An integer array given as the blocks it concatenates: make() returns
+    an iterable of 1-D integer ndarrays, or of 2-D ones with the same
+    number (at least one) of columns. Each write of the value calls make()
+    again."""
+
+    def __init__(self, make: Callable[[], Iterable[np.ndarray]]):
+        self.make = make
 
 
 # Members of an integer ndarray written by one write call.
@@ -72,8 +85,9 @@ def _int_array_format(obj: Any, inner: str) -> Optional[str]:
 def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
     """Write a container; newline is a line break plus the indent of the
     line the container opens on. Scalar members go out in one write with
-    the separator before them; an integer ndarray (_int_array_format) goes
-    out BLOCK members per write, each block formatted by one %."""
+    the separator before them; an integer ndarray (_int_array_format), or
+    each array of an IntBlocks in turn, goes out BLOCK members per write,
+    each block formatted by one %."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -91,17 +105,15 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
             sep = "," + inner
         write(newline + "}")
         return
-    if not len(obj):
-        write("[]")
-        return
     inner = newline + "  "
     sep = "[" + inner
-    fmt = _int_array_format(obj, inner)
-    if fmt is not None:
-        for start in range(0, len(obj), BLOCK):
-            block = obj[start:start + BLOCK]
-            write(sep + ("," + inner).join([fmt] * len(block)) % tuple(block.ravel().tolist()))
-            sep = "," + inner
+    if isinstance(obj, IntBlocks) or _int_array_format(obj, inner) is not None:
+        for array in obj.make() if isinstance(obj, IntBlocks) else (obj,):
+            fmt = _int_array_format(array, inner)
+            for start in range(0, len(array), BLOCK):
+                block = array[start:start + BLOCK]
+                write(sep + ("," + inner).join([fmt] * len(block)) % tuple(block.ravel().tolist()))
+                sep = "," + inner
     else:
         for value in obj:
             text = _scalar_text(value)
@@ -111,7 +123,8 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
             else:
                 write(sep + text)
             sep = "," + inner
-    write(newline + "]")
+    # The opening bracket went out with the first member, if there was one.
+    write(newline + "]" if sep[0] == "," else "[]")
 
 
 def write_stable(obj: Any, write: Callable[[str], object]) -> None:

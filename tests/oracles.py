@@ -19,9 +19,17 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, polyroots
 
-from cyclecovers.covers import CoveringMap, CoverVerificationError
-from cyclecovers.graphs import Graph
-from cyclecovers.reporting import round_sig
+from cyclecovers.covers import (
+    CoveringMap,
+    CoverVerificationError,
+    _extraspecial_prime,
+    connection_set,
+    cover_from_gain,
+    standard_ids,
+)
+from cyclecovers.gains import gain_from_cocycle
+from cyclecovers.graphs import Graph, cycle_power
+from cyclecovers.reporting import round_sig, write_stable
 
 
 class TupleGraph:
@@ -528,3 +536,46 @@ def twisted_convolve_by_definition(f, g) -> list:
 def central_lift_by_definition(f, carrier) -> list:
     """(x, t) -> (-1)^t f(x) over a carrier of pairs (x, t)."""
     return [(-1) ** t * f(x) for x, t in carrier]
+
+
+def standard_ids_by_product(p: int, d: int) -> np.ndarray:
+    """standard_ids from the matrix of all coordinate vectors, one row per
+    vertex, in itertools.product order."""
+    vectors = np.array(connection_set(p, d), dtype=np.int64)
+    dim = 2 * d
+    x = np.array(list(itertools.product(range(p), repeat=dim)), dtype=np.int64)
+    connection_ids = (x @ vectors % p) @ (p ** np.arange(dim - 1, -1, -1))
+    table = np.full(len(x), -1)
+    table[connection_ids] = np.arange(len(x))
+    return table
+
+
+def cocycle_cover(p: int, d: int, sign: str) -> CoveringMap:
+    """The cover build_cover makes, id for id, as a whole Graph: the lift
+    of the cocycle gain graph (README, "The extraspecial cover as a cocycle
+    lift"), over cycle_power(p, 2d), with fiber map u*p + z ->
+    standard_ids(p, d)[u]."""
+    p = _extraspecial_prime(p, d, sign)
+    total = cover_from_gain(gain_from_cocycle(p, d, sign)).total
+    return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
+
+
+def cover_files(cm: CoveringMap, stem: str, fmt: str) -> dict[str, bytes]:
+    """The files build writes for the cover, by name, made from the whole
+    graphs: Graph.write_edge_list, CoveringMap.write_fiber_map, and
+    write_stable on the whole edge arrays and fiber map."""
+    if fmt == "edges":
+        files = {".total.edges": cm.total.write_edge_list,
+                 ".base.edges": cm.base.write_edge_list,
+                 ".fibers.txt": cm.write_fiber_map}
+    else:
+        doc = {"total": {"n": cm.total.n, "edges": np.column_stack(cm.total.edge_arrays())},
+               "base": {"n": cm.base.n, "edges": np.column_stack(cm.base.edge_arrays())},
+               "fiber_map": np.asarray(cm.fiber_map)}
+        files = {".json": lambda write: write_stable(doc, write)}
+    out = {}
+    for suffix, write_file in files.items():
+        chunks: list[str] = []
+        write_file(chunks.append)
+        out[stem + suffix] = "".join(chunks).encode()
+    return out

@@ -6,8 +6,10 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -18,9 +20,13 @@ import cyclecovers.cli as cli
 import cyclecovers.covers as covers
 import cyclecovers.groups as groups
 from cyclecovers.cli import main
-from cyclecovers.covers import MAX_COVER_SIZE
+from cyclecovers.covers import MAX_COVER_SIZE, heisenberg_cover
+from cyclecovers.graphs import Graph
+from cyclecovers.groups import SIGNS
 from cyclecovers.reporting import round_sig
 from cyclecovers.spectra import MAX_EIGEN_SIZE
+
+from oracles import cocycle_cover, cover_files
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -78,19 +84,37 @@ def test_build_both_signs(tmp_path, capsys):
     assert (tmp_path / "cover_p3_d1_minus.total.edges").exists()
 
 
-def test_build_both_signs_releases_each_cover_before_the_next(tmp_path, capsys, monkeypatch):
-    build, made = cli.cocycle_cover, []
+def test_build_holds_no_whole_cover(tmp_path, capsys, monkeypatch):
+    # Every graph is held in CSR form through Graph._set; build writes from
+    # row functions and makes no graph as large as the cover.
+    sizes = []
+    set_arrays = Graph._set
 
-    def tracked(*args):
-        assert all(ref() is None for ref in made), "an earlier cover is still held"
-        cm = build(*args)
-        made.append(weakref.ref(cm))
-        return cm
+    def recorded(self, degrees, indices):
+        sizes.append(len(degrees))
+        set_arrays(self, degrees, indices)
 
-    monkeypatch.setattr(cli, "cocycle_cover", tracked)
-    code, _, _ = run_cli(capsys, "build", "--p", "3", "--d", "1", "--sign", "both",
-                         "--out", str(tmp_path))
-    assert code == 0 and len(made) == 2
+    monkeypatch.setattr(Graph, "_set", recorded)
+    for argv, n in ((("--p", "3", "--d", "2", "--sign", "both"), 3 ** 5),
+                    (("--heisenberg", "--d", "8"), 2 ** 9)):
+        for fmt in ("edges", "json"):
+            code, _, _ = run_cli(capsys, "build", *argv, "--format", fmt, "--out", str(tmp_path))
+            assert code == 0
+            assert max(sizes, default=0) < n
+
+
+def test_build_memory_is_a_block_of_rows(tmp_path, capsys):
+    # The Heisenberg cover at d = 16 has 131072 vertices of degree 16: its
+    # neighbour ids alone would take 16.8 MB if held whole.
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, "build", "--heisenberg", "--d", "16", "--out", str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "heisenberg_d16.total.edges").read_text().count("\n") == 1 + 2 ** 16 * 16
+    assert peak < 3 * 2 ** 20
 
 
 def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
@@ -113,8 +137,8 @@ def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
 
 
 def test_build_out_naming_a_file_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
-    monkeypatch.setattr(cli, "cocycle_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "extraspecial_row_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "heisenberg_row_cover", _refuse_to_build)
     taken = tmp_path / "taken"
     taken.write_text("")
     code, out, err = run_cli(capsys, "build", "--p", "3", "--d", "1", "--out", str(taken))
@@ -266,15 +290,34 @@ def test_build_makes_no_group_products(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [("--p", "13", "--d", "3"), ("--heisenberg", "--d", "19")],
                          ids=" ".join)
 def test_build_refused_for_size_leaves_no_directory(argv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_cover", _refuse_to_build)
-    monkeypatch.setattr(cli, "cocycle_cover", _refuse_to_build)
-    monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "extraspecial_row_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "heisenberg_row_cover", _refuse_to_build)
     out_dir = tmp_path / "new"
     code, out, err = run_cli(capsys, "build", *argv, "--out", str(out_dir))
     assert code == 2
     assert out == ""
     assert err == f"error: cover would exceed {MAX_COVER_SIZE} vertices\n"
     assert not out_dir.exists()
+
+
+# Every (p, d) whose cover has at most 3125 vertices, and the Heisenberg
+# covers up to d = 12: build's streamed files against the files of the whole
+# graphs.
+STREAMED_BUILDS = ([(("--p", str(p), "--d", str(d), "--sign", sign), partial(cocycle_cover, p, d, sign),
+                     f"cover_p{p}_d{d}_{sign}")
+                    for p, d in ((3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1))
+                    for sign in SIGNS]
+                   + [(("--heisenberg", "--d", str(d)), partial(heisenberg_cover, d),
+                       f"heisenberg_d{d}") for d in range(1, 13)])
+
+
+@pytest.mark.parametrize("fmt", ["edges", "json"])
+@pytest.mark.parametrize("argv,whole,stem", STREAMED_BUILDS, ids=[" ".join(b[0]) for b in STREAMED_BUILDS])
+def test_build_streams_the_bytes_of_the_whole_graphs(argv, whole, stem, fmt, tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "build", *argv, "--format", fmt, "--out", str(tmp_path))
+    assert code == 0
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert written == cover_files(whole(), stem, fmt)
 
 
 # ---------------------------------------------------------------- verify
@@ -597,6 +640,7 @@ def test_spectrum_size_checked_before_build(capsys, monkeypatch):
 def test_heisenberg_size_checked_before_build(capsys, monkeypatch):
     # 2**20 vertices is above MAX_COVER_SIZE.
     monkeypatch.setattr(cli, "heisenberg_cover", _refuse_to_build)
+    monkeypatch.setattr(cli, "heisenberg_row_cover", _refuse_to_build)
     for command in ("build", "verify"):
         code, out, err = run_cli(capsys, command, "--heisenberg", "--d", "19")
         assert code == 2
@@ -699,7 +743,8 @@ def test_out_of_range_input_exits_2_before_any_build(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as out_dir, pytest.MonkeyPatch.context() as mp:
         for module, name in ((covers, "extraspecial_group"), (cli, "heisenberg_cover"),
-                             (cli, "extraspecial_group"), (cli, "gain_from_cocycle")):
+                             (cli, "extraspecial_group"), (cli, "gain_from_cocycle"),
+                             (cli, "heisenberg_row_cover"), (cli, "extraspecial_row_cover")):
             mp.setattr(module, name, _refuse_to_build)
         if argv[0] == "build":
             argv = argv + ["--out", out_dir]

@@ -44,6 +44,7 @@ from oracles import (
     has_4cycle_by_pairs,
     hypercube_by_definition,
     signed_double_cover_by_edges,
+    standard_ids_by_product,
     verify_cover_by_matched_pairs,
 )
 
@@ -97,6 +98,11 @@ def test_rank_and_inverse_mod_p(monkeypatch):
     std = standard_ids(5, 1)
     assert std[1 * 5 + 0] == 3 * 5 + 4
     assert std[0 * 5 + 1] == 4 * 5 + 3
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (7, 2), (13, 2), (3, 5)])
+def test_standard_ids_match_the_product_matrix(p, d):
+    assert np.array_equal(standard_ids(p, d), standard_ids_by_product(p, d))
 
 
 def test_basis_change_sends_units_to_connection_vectors():

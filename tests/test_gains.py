@@ -7,10 +7,11 @@ from cyclecovers.covers import connection_set, standard_ids, verify_cover
 from cyclecovers.gains import (
     GainGraph,
     all_cycle_sums_nonzero,
-    cocycle_cover,
+    cocycle_rows,
     cover_from_gain,
     cycle_gain_sums,
     directed_cycles,
+    extraspecial_row_cover,
     gain_from_cocycle,
 )
 from cyclecovers.graphs import _BLOCK, Graph, cycle_graph
@@ -18,7 +19,12 @@ from cyclecovers.groups import MINUS, PLUS, SIGNS
 from cyclecovers.spectra import twisted_adjacency
 
 from helpers import VertexCodec, cover, gain_graph, gains_along, is_regular, odd_cover
-from oracles import DictGainGraph, cover_from_gain_by_edges, twisted_adjacency_by_arcs
+from oracles import (
+    DictGainGraph,
+    cocycle_cover,
+    cover_from_gain_by_edges,
+    twisted_adjacency_by_arcs,
+)
 
 
 @pytest.mark.parametrize("p,d", [(3, 1), (5, 1), (3, 2)])
@@ -88,13 +94,36 @@ def test_gain_cover_equals_cayley_cover(p, d, sign):
     assert verify_cover(gm) == p
 
 
-def test_cocycle_cover_rejects_bad_parameters():
+def test_extraspecial_row_cover_rejects_bad_parameters():
     with pytest.raises(ValueError, match="odd"):
-        cocycle_cover(2, 1, PLUS)
+        extraspecial_row_cover(2, 1, PLUS)
     with pytest.raises(ValueError, match="sign"):
-        cocycle_cover(3, 1, "other")
+        extraspecial_row_cover(3, 1, "other")
     with pytest.raises(ValueError, match="exceed"):
-        cocycle_cover(13, 3, PLUS)  # 13^7 vertices
+        extraspecial_row_cover(13, 3, PLUS)  # 13^7 vertices
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1), (3, 4)])
+@pytest.mark.parametrize("sign", SIGNS)
+def test_cocycle_rows_are_the_lift_rows_on_any_ids(p, d, sign):
+    # Rows of shuffled, repeated and scattered ids, one id alone, and
+    # consecutive blocks across the whole cover, against the whole lift.
+    lift = cocycle_cover(p, d, sign).total
+    table = lift.indices.reshape(lift.n, -1)
+    rows = cocycle_rows(p, d, sign)
+    rng = np.random.default_rng(p * 100 + d)
+    for ids in (rng.integers(0, lift.n, 50), np.array([lift.n - 1]),
+                np.arange(lift.n), np.arange(lift.n)[::-1]):
+        assert np.array_equal(rows(ids), table[ids])
+
+
+def test_cocycle_rows_check_each_block(monkeypatch):
+    import cyclecovers.gains as gains
+
+    first = connection_set(3, 1)[0]
+    monkeypatch.setattr(gains, "connection_set", lambda p, d: (first, first))
+    with pytest.raises(ValueError, match="repeated arcs"):
+        extraspecial_row_cover(3, 1, PLUS).rows(np.arange(5))
 
 
 @pytest.mark.parametrize("sign", SIGNS)

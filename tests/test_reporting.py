@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecovers.reporting import BLOCK, round_sig, stable_text, write_stable
+from cyclecovers.reporting import BLOCK, IntBlocks, round_sig, stable_text, write_stable
 
 from oracles import json_stable_text
 
@@ -183,3 +183,30 @@ def test_other_ndarrays_are_refused(array):
             stable_text(doc)
         with pytest.raises(TypeError):
             json_stable_text(doc)
+
+
+# ---------------------------------------------------------------- blocked int arrays
+# An IntBlocks value is written byte for byte as the array its blocks
+# concatenate, whatever the cuts, and anew each time it is written.
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2600), st.sampled_from([0, 1, 2, 3]), st.data())
+def test_int_blocks_write_the_whole_array(n, columns, data):
+    whole = np.arange(n * max(columns, 1), dtype=np.int64) - 7
+    if columns:
+        whole = whole.reshape(n, columns)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+    blocks = IntBlocks(lambda: np.split(whole, cuts))
+    for doc, as_array in (({"a": blocks, "b": [blocks, 1]}, {"a": whole, "b": [whole, 1]}),
+                          (blocks, whole)):
+        assert stable_text(doc) == stable_text(as_array) == json_stable_text(as_array)
+        assert stable_text(doc) == stable_text(doc)
+
+
+def test_int_blocks_write_each_block_in_pieces_of_at_most_block_members():
+    blocks = IntBlocks(lambda: (np.arange(2 * n).reshape(n, 2) for n in (3000, 0, 5)))
+    pieces: list[str] = []
+    write_stable(blocks, pieces.append)
+    assert len(pieces) == 3 + 1 + 2
+    assert "".join(pieces) == stable_text(np.concatenate(list(blocks.make())))
