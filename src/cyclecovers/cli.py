@@ -145,10 +145,11 @@ def _empty_report(construction: dict) -> dict:
 def _graph_json(cover: RowCover) -> dict:
     """The JSON document of the cover, its arrays as blocks of rows."""
     return {
-        "total": {"n": cover.n, "edges": IntBlocks(partial(edge_blocks, cover.n, cover.rows))},
+        "total": {"n": cover.n,
+                  "edges": IntBlocks(partial(edge_blocks, cover.n, cover.rows), cover.n)},
         "base": {"n": cover.base_n,
-                 "edges": IntBlocks(partial(edge_blocks, cover.base_n, cover.base_rows))},
-        "fiber_map": IntBlocks(cover.fiber_blocks),
+                 "edges": IntBlocks(partial(edge_blocks, cover.base_n, cover.base_rows), cover.n)},
+        "fiber_map": IntBlocks(cover.fiber_blocks, cover.n),
     }
 
 

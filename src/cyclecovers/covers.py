@@ -123,7 +123,8 @@ class CoveringMap:
     def write_fiber_map(self, write: Callable[[str], object]) -> None:
         """Write one line "total_id base_id" per total vertex through write."""
         gamma = np.asarray(self.fiber_map, dtype=np.int64)
-        write_pairs(np.column_stack((np.arange(len(gamma)), gamma)), write)
+        write_pairs([np.column_stack((np.arange(len(gamma)), gamma))],
+                    max(len(gamma), self.base.n), write)
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,8 @@ class RowCover:
 
     def write_fiber_map(self, write: Callable[[str], object]) -> None:
         """Write the lines CoveringMap.write_fiber_map writes."""
-        for ids in id_blocks(self.n):
-            write_pairs(np.column_stack((ids, self.fibers(ids))), write)
+        write_pairs((np.column_stack((ids, self.fibers(ids))) for ids in id_blocks(self.n)),
+                    self.n, write)
 
 
 class CoverVerificationError(Exception):

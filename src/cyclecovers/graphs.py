@@ -8,6 +8,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .reporting import digit_table, id_text
+
 # Rows per block when rows come from a row function or are lifted from a
 # gain graph (_BLOCK // p base rows), and lines per write when pairs are
 # written as text: a block's rows, edge pairs and text take a few hundred kB.
@@ -152,7 +154,7 @@ class Graph:
         """Write first the line "n m", then one "u v" line per edge, u < v,
         ascending, through write."""
         write(f"{self.n} {self.m}\n")
-        write_pairs(np.column_stack(self.edge_arrays()), write)
+        write_pairs([np.column_stack(self.edge_arrays())], self.n, write)
 
     def to_edge_list_text(self) -> str:
         """The edge list write_edge_list writes, as one str."""
@@ -161,12 +163,14 @@ class Graph:
         return "".join(chunks)
 
 
-def write_pairs(pairs: np.ndarray, write: Callable[[str], object]) -> None:
-    """Write one "l r" line per row of the 2-column int array through
-    write, _BLOCK lines per call, each block formatted with one %."""
-    for start in range(0, len(pairs), _BLOCK):
-        block = pairs[start:start + _BLOCK].ravel()
-        write("%d %d\n" * (len(block) // 2) % tuple(block.tolist()))
+def write_pairs(blocks: Iterable[np.ndarray], n: int, write: Callable[[str], object]) -> None:
+    """Write one "l r" line per row of each 2-column array of ids 0..n-1
+    through write, _BLOCK lines per call, their digits gathered from one
+    digit_table(n) (reporting.id_text); ValueError for an id out of range."""
+    table = digit_table(n)
+    for pairs in blocks:
+        for start in range(0, len(pairs), _BLOCK):
+            write(id_text(table, pairs[start:start + _BLOCK], ("", " ", "\n")))
 
 
 def id_blocks(n: int) -> Iterator[np.ndarray]:
@@ -200,8 +204,7 @@ def write_edge_rows(n: int, rows: RowFunction, write: Callable[[str], object]) -
     """Write the edge list that Graph.write_edge_list writes for
     Graph._from_id_arithmetic(n, rows), from one block of rows at a time."""
     write(f"{n} {n * rows(np.zeros(1, np.int64)).shape[1] // 2}\n")
-    for pairs in edge_blocks(n, rows):
-        write_pairs(pairs, write)
+    write_pairs(edge_blocks(n, rows), n, write)
 
 
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:

@@ -4,16 +4,18 @@ Documents are JSON with sorted keys and an indent of two spaces; every float
 is rounded to 12 significant digits before it is written, so identical runs
 emit identical bytes. Dict keys are written as str(key), and lists,
 tuples and 1-D or 2-D integer numpy arrays all become JSON arrays. An
-IntBlocks value, an integer array given as the blocks it concatenates, is
-written byte for byte as that array would be, one block at a time, so an
-array too large to hold can still be a value.
+IntBlocks value, an array of ids below a bound given as the blocks it
+concatenates, is written byte for byte as that array would be, one block at
+a time, so an array too large to hold can still be a value. Ids are written
+by id_text, which gathers their digits from a digit_table.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -54,40 +56,81 @@ def _is_int_array(obj: Any) -> bool:
     return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
 
 
+def digit_table(n: int) -> np.ndarray:
+    """The decimal text of the ids 0..n-1 as an (n, w) uint8 table, w the
+    width of n - 1: row i holds the ASCII digits of i, right-aligned, after
+    NUL bytes. Built from the table of the ids i // 10, so no int array of
+    n entries is made."""
+    if n <= 10:
+        return np.arange(48, 48 + max(n, 0), dtype=np.uint8)[:, None]
+    high = digit_table(-(-n // 10))
+    high[0] = 0  # ids below 10 have one digit
+    table = np.empty((len(high), 10, high.shape[1] + 1), np.uint8)
+    table[:, :, :-1] = high[:, None]
+    table[:, :, -1] = np.arange(48, 58, dtype=np.uint8)
+    return table.reshape(len(high) * 10, -1)[:n]
+
+
+def id_text(table: np.ndarray, ids: np.ndarray, seps: Sequence[str]) -> str:
+    """The rows of the 2-D integer array ids as text, each row seps[0], its
+    first id, seps[1], ..., its last id, seps[-1]: the separators with NUL
+    bytes in the id slots, each column's digits taken from table
+    (digit_table) into its slots, then every NUL dropped. ValueError for an
+    id outside 0..len(table)-1, which the take would wrap or reject."""
+    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+        raise ValueError(f"id {ids[(ids < 0) | (ids >= len(table))][0]} out of range "
+                         f"for n={len(table)}")
+    digits = table.view(f"V{table.shape[1]}")[:, 0]  # one item per id: a take moves whole rows
+    row = ("\0" * digits.itemsize).join(seps).encode()
+    text = np.frombuffer(bytearray(row * len(ids)), np.uint8).reshape(len(ids), len(row))
+    for j, end in enumerate(accumulate(len(sep) + digits.itemsize for sep in seps[:-1])):
+        text[:, end - digits.itemsize:end].view(digits.dtype)[:, 0] = digits.take(ids[:, j])
+    return text[text != 0].tobytes().decode()
+
+
 class IntBlocks:
-    """An integer array given as the blocks it concatenates: make() returns
-    an iterable of 1-D integer ndarrays, or of 2-D ones with the same
-    number (at least one) of columns. Each write of the value calls make()
-    again."""
+    """An array of ids 0..bound-1 given as the blocks it concatenates:
+    make() returns an iterable of 1-D integer ndarrays, or of 2-D ones with
+    the same number (at least one) of columns. Each write of the value
+    calls make() again."""
 
-    def __init__(self, make: Callable[[], Iterable[np.ndarray]]):
+    def __init__(self, make: Callable[[], Iterable[np.ndarray]], bound: int):
         self.make = make
+        self.bound = bound
 
 
-# Members of an integer ndarray written by one write call.
+# Members of an integer ndarray or IntBlocks written by one write call.
 BLOCK = 1024
 
 
-def _int_array_format(obj: Any, inner: str) -> Optional[str]:
-    """The %-template of one member when obj is a 1-D integer ndarray or a
-    2-D one with columns; None otherwise. inner is the line break and
-    indent of obj's members."""
-    if not isinstance(obj, np.ndarray):
-        return None
-    if obj.ndim == 1:
-        return "%d"
-    if not obj.shape[1]:
-        return None
-    row_inner = inner + "  "
-    return "[" + row_inner + ("," + row_inner).join(["%d"] * obj.shape[1]) + inner + "]"
+def _member_texts(arrays: Iterable[Any], inner: str,
+                  table: Optional[np.ndarray]) -> Iterator[str]:
+    """The members of the arrays, BLOCK per text, each after "," and inner,
+    the line break and indent of the members: by id_text from table, or by
+    one % per block without one. TypeError for an array that is not a 1-D
+    or 2-D integer ndarray with columns, ValueError for one whose shape is
+    not that of the first."""
+    shape = None
+    for array in arrays:
+        if not _is_int_array(array) or array.shape[1:] == (0,):
+            raise TypeError("a block of ints must be a 1-D or 2-D integer ndarray with columns")
+        if shape is None:
+            shape, row = array.shape[1:], inner + "  "
+            seps = (["," + inner + "[" + row] + ["," + row] * (shape[0] - 1) + [inner + "]"]
+                    if shape else ["," + inner, ""])
+        elif array.shape[1:] != shape:
+            raise ValueError(f"block of shape {array.shape} after blocks of {shape} columns")
+        for start in range(0, len(array), BLOCK):
+            block = array[start:start + BLOCK]
+            yield ("%d".join(seps) * len(block) % tuple(block.ravel().tolist()) if table is None
+                   else id_text(table, block.reshape(len(block), -1), seps))
 
 
 def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
     """Write a container; newline is a line break plus the indent of the
     line the container opens on. Scalar members go out in one write with
-    the separator before them; an integer ndarray (_int_array_format), or
-    each array of an IntBlocks in turn, goes out BLOCK members per write,
-    each block formatted by one %."""
+    the separator before them; an integer ndarray with columns, or an
+    IntBlocks, goes out BLOCK members per write (_member_texts)."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -107,13 +150,12 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
         return
     inner = newline + "  "
     sep = "[" + inner
-    if isinstance(obj, IntBlocks) or _int_array_format(obj, inner) is not None:
-        for array in obj.make() if isinstance(obj, IntBlocks) else (obj,):
-            fmt = _int_array_format(array, inner)
-            for start in range(0, len(array), BLOCK):
-                block = array[start:start + BLOCK]
-                write(sep + ("," + inner).join([fmt] * len(block)) % tuple(block.ravel().tolist()))
-                sep = "," + inner
+    if isinstance(obj, IntBlocks) or (isinstance(obj, np.ndarray) and obj.shape[1:] != (0,)):
+        blocks = (_member_texts(obj.make(), inner, digit_table(obj.bound))
+                  if isinstance(obj, IntBlocks) else _member_texts((obj,), inner, None))
+        for text in blocks:
+            write(text if sep[0] == "," else "[" + text[1:])
+            sep = ","
     else:
         for value in obj:
             text = _scalar_text(value)

@@ -502,6 +502,14 @@ def json_stable_text(obj) -> str:
     return json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n"
 
 
+def pairs_text_by_format(ids, seps=("", " ", "\n")) -> str:
+    """The text reporting.id_text writes for the rows of the 2-D int array
+    ids, by one % over a template of each row's separators with "%d"
+    between them: with the default separators, one "l r" line per pair,
+    as graphs.write_pairs writes them."""
+    return "%d".join(seps) * len(ids) % tuple(np.asarray(ids).ravel().tolist())
+
+
 def convolve_by_definition(f, g, mul, inv) -> list:
     """(f * g)(x) = sum over y of f(y) g(y^-1 x), one product per pair."""
     return [sum(f(y) * g(mul(inv(y), x)) for y in f.carrier) for x in f.carrier]

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,8 @@ from cyclecovers.graphs import (
     has_cycle_of_length,
     hypercube,
     rooted_cycles,
+    write_edge_rows,
+    write_pairs,
 )
 from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
@@ -151,6 +154,18 @@ def test_edge_list_text_across_the_block_edge():
     # 6561 rows of degree 16: a row block ends inside a block of lines.
     g = cycle_power(3, 8)
     assert g.to_edge_list_text() == TupleGraph(g.n, g.edges()).to_edge_list_text()
+
+
+def test_edge_list_writers_refuse_an_id_outside_the_graph():
+    # A digit-table gather would wrap -1 to the table's last row.
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=f"id {bad} out of range for n=5"):
+            write_pairs([np.array([[0, 1], [2, bad]])], 5, [].append)
+    # edge_blocks keeps only the heads above their row's id, so of a row
+    # of -1 and n, n reaches the writer.
+    rows = lambda ids: np.column_stack((np.full(len(ids), -1), np.full(len(ids), 5)))
+    with pytest.raises(ValueError, match="id 5 out of range for n=5"):
+        write_edge_rows(5, rows, [].append)
 
 
 # ---------------------------------------------------------------- codec

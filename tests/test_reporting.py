@@ -1,14 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclecovers.reporting import BLOCK, IntBlocks, round_sig, stable_text, write_stable
+from cyclecovers.reporting import (BLOCK, IntBlocks, digit_table, id_text, round_sig,
+                                   stable_text, write_stable)
 
-from oracles import json_stable_text
+from oracles import json_stable_text, pairs_text_by_format
 
 
 def test_round_sig_12_digits():
@@ -193,11 +195,11 @@ def test_other_ndarrays_are_refused(array):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2600), st.sampled_from([0, 1, 2, 3]), st.data())
 def test_int_blocks_write_the_whole_array(n, columns, data):
-    whole = np.arange(n * max(columns, 1), dtype=np.int64) - 7
+    whole = np.arange(n * max(columns, 1), dtype=np.int64)
     if columns:
         whole = whole.reshape(n, columns)
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
-    blocks = IntBlocks(lambda: np.split(whole, cuts))
+    blocks = IntBlocks(lambda: np.split(whole, cuts), whole.size)
     for doc, as_array in (({"a": blocks, "b": [blocks, 1]}, {"a": whole, "b": [whole, 1]}),
                           (blocks, whole)):
         assert stable_text(doc) == stable_text(as_array) == json_stable_text(as_array)
@@ -205,8 +207,113 @@ def test_int_blocks_write_the_whole_array(n, columns, data):
 
 
 def test_int_blocks_write_each_block_in_pieces_of_at_most_block_members():
-    blocks = IntBlocks(lambda: (np.arange(2 * n).reshape(n, 2) for n in (3000, 0, 5)))
+    blocks = IntBlocks(lambda: (np.arange(2 * n).reshape(n, 2) for n in (3000, 0, 5)), 6000)
     pieces: list[str] = []
     write_stable(blocks, pieces.append)
     assert len(pieces) == 3 + 1 + 2
     assert "".join(pieces) == stable_text(np.concatenate(list(blocks.make())))
+
+
+@pytest.mark.parametrize("block", [np.array([1.7, 2.2]), np.array([True, False]),
+                                   np.zeros((2, 2, 2), int), np.zeros((2, 0), int),
+                                   np.array(5), [1, 2]],
+                         ids=["float", "bool", "3-d", "no-columns", "0-d", "list"])
+def test_int_blocks_refuse_a_block_that_is_not_an_int_array(block):
+    for blocks in ([block], [np.arange(2), block]):
+        with pytest.raises(TypeError):
+            stable_text({"a": IntBlocks(lambda: blocks, 10)})
+
+
+@pytest.mark.parametrize("first, later", [(np.arange(4).reshape(2, 2), np.arange(2)),
+                                          (np.arange(2), np.arange(4).reshape(2, 2)),
+                                          (np.arange(4).reshape(2, 2), np.arange(6).reshape(2, 3)),
+                                          (np.zeros(0, int), np.zeros((0, 2), int))],
+                         ids=["2-d then 1-d", "1-d then 2-d", "2 then 3 columns", "empty"])
+def test_int_blocks_refuse_blocks_of_another_shape(first, later):
+    with pytest.raises(ValueError):
+        stable_text(IntBlocks(lambda: [first, later], 10))
+
+
+@pytest.mark.parametrize("bad", [-1, 10, 2 ** 40])
+def test_int_blocks_refuse_an_id_outside_the_bound(bad):
+    for block in (np.array([0, bad, 3]), np.array([[0, 9], [bad, 3]])):
+        with pytest.raises(ValueError, match="out of range"):
+            stable_text(IntBlocks(lambda: [block], 10))
+
+
+# ---------------------------------------------------------------- id text
+# id_text gathers each id's digits from digit_table; the oracle formats the
+# same rows with one % per block.
+
+BOUNDS = [1, 2, 10, 11, 1000, 1001, 10 ** 6]
+INDENTS = ["\n", "\n  ", "\n    ", "\n          "]
+
+
+def _edge_ids(n: int) -> list[int]:
+    """0, n - 1 and both sides of every power of ten below n."""
+    tens = [10 ** k for k in range(1, len(str(n)) + 1) if 10 ** k < n]
+    return sorted({0, n - 1, *tens, *(t - 1 for t in tens)})
+
+
+@st.composite
+def id_arrays(draw):
+    """A bound n and a 1-D or 2-D (1 to 3 columns) int array of ids below
+    it, of 0 to 3 rows or at the block edge, half of its entries from
+    _edge_ids(n)."""
+    n = draw(st.sampled_from(BOUNDS))
+    rows = draw(st.sampled_from([0, 1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1]))
+    columns = draw(st.sampled_from([0, 1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = rows * max(columns, 1)
+    ids = np.where(rng.random(size) < 0.5, rng.choice(_edge_ids(n), size),
+                   rng.integers(0, n, size))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint32, np.uint64]))
+    return n, ids.astype(dtype).reshape((rows, columns) if columns else (rows,))
+
+
+def test_digit_table_rows_are_the_decimal_text_of_the_ids():
+    for n in [0, *BOUNDS]:
+        table = digit_table(n)
+        assert table.shape == (n, len(str(max(n - 1, 0)))) and table.dtype == np.uint8
+        ids = _edge_ids(n) if n else []
+        assert [row.tobytes().lstrip(b"\0").decode() for row in table[ids]] == list(map(str, ids))
+    assert np.array_equal(digit_table(1001)[:, -1], np.arange(1001) % 10 + 48)
+
+
+def test_digit_table_makes_no_int_array_of_its_ids():
+    # The int64 ids 0..10^6-1 alone would take 8 MB; the table takes 6 MB.
+    tracemalloc.start()
+    try:
+        digit_table(10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(id_arrays(), st.sampled_from(INDENTS), st.data())
+def test_id_text_matches_the_format_oracle(case, inner, data):
+    # The separators of edge and fiber lines and of JSON members and rows.
+    n, ids = case
+    rows = ids if ids.ndim == 2 else ids[:, None]
+    lead = data.draw(st.sampled_from(["", "," + inner, "," + inner + "[" + inner + "  "]))
+    mid = data.draw(st.sampled_from([" ", "," + inner + "  "]))
+    tail = data.draw(st.sampled_from(["\n", "", inner + "]"]))
+    seps = (lead,) + (mid,) * (rows.shape[1] - 1) + (tail,)
+    table = digit_table(n)
+    assert id_text(table, rows, seps) == pairs_text_by_format(rows, seps)
+    if rows.shape[1] == 2:
+        assert id_text(table, rows, ("", " ", "\n")) == pairs_text_by_format(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(id_arrays(), st.integers(0, 3), st.data())
+def test_int_blocks_match_the_json_encoder_at_every_bound(case, depth, data):
+    n, whole = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(whole)), max_size=4)))
+    blocks = IntBlocks(lambda: np.split(whole, cuts), n)
+    doc, as_array = blocks, whole
+    for _ in range(depth):  # one indent deeper per level
+        doc, as_array = {"k": [doc, 1]}, {"k": [as_array, 1]}
+    assert stable_text(doc) == json_stable_text(as_array)
