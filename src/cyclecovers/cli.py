@@ -14,7 +14,7 @@ import random
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .spectra import (
     hermitian_eigenvalues,
     huang_degree_bound,
     twisted_adjacency,
+    twisted_spectra,
 )
 
 # A CLI process imports this module once, runs one command and exits, so
@@ -270,13 +271,27 @@ def cmd_verify(args) -> int:
 
 
 def _gain_graph_for_dims(p: int, dims: int, sign: str) -> GainGraph:
+    """The gain graph of odd dims: that of d = (dims + 1) / 2 restricted to
+    the hyperplane whose last standard coordinate vanishes, the base of the
+    induced covers."""
     d = (dims + 1) // 2
-    gg = gain_from_cocycle(p, d, sign)
+    return gain_from_cocycle(p, d, sign).restrict(np.flatnonzero(standard_ids(p, d) % p == 0))
+
+
+def _twisted_spectra(p: int, dims: int, sign: str, twists: list[int]) -> Iterator[SpectrumReport]:
+    """The spectrum of each twist on C_p^dims, one at a time. Even dims take
+    it from the Stone-von Neumann block of the twist; odd dims solve the
+    dense twisted matrix of the restricted gain graph, whose group is not
+    extraspecial (README, "Twisted spectra from Stone-von Neumann blocks")."""
     if dims % 2 == 0:
-        return gg
-    # Odd dims: restrict to the hyperplane whose last standard coordinate
-    # vanishes, the base of the induced covers.
-    return gg.restrict(np.flatnonzero(standard_ids(p, d) % p == 0))
+        yield from twisted_spectra(p, dims // 2, sign, twists)
+        return
+    gg = _gain_graph_for_dims(p, dims, sign)
+    for k in twists:
+        # Each matrix stays bound until the next is made: freed before it,
+        # bound --p 7 --dims 3 took 7% longer (11 alternated runs).
+        matrix = twisted_adjacency(gg, k)
+        yield hermitian_eigenvalues(matrix)
 
 
 def _twists(twist: str, p: int) -> list[int]:
@@ -315,11 +330,8 @@ def cmd_bound(args) -> int:
     per_pair = []
     per_sign_best = {}
     for sign in _signs(args.sign):
-        gg = _gain_graph_for_dims(p, args.dims, sign)
         sign_entries = []
-        for k in twists:
-            matrix = twisted_adjacency(gg, k)
-            report = hermitian_eigenvalues(matrix, source=f"twist k={k} of sign {sign} on C_{p}^{args.dims}")
+        for k, report in zip(twists, _twisted_spectra(p, args.dims, sign, twists)):
             table = huang_degree_bound(report, ranking=args.ranking)
             entries = [{"degree": t, "size": row.size, "bound": row.bound, "sign": sign, "twist": k}
                        for t, row in table.minimal_rows().items()]

@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .reporting import digit_table, id_text
+from .reporting import check_ids, digit_table, id_text
 
 # Rows per block when rows come from a row function or are lifted from a
 # gain graph (_BLOCK // p base rows), and lines per write when pairs are
@@ -163,14 +163,18 @@ class Graph:
         return "".join(chunks)
 
 
-def write_pairs(blocks: Iterable[np.ndarray], n: int, write: Callable[[str], object]) -> None:
+def write_pairs(blocks: Iterable[np.ndarray], n: int, write: Callable[[str], object]) -> int:
     """Write one "l r" line per row of each 2-column array of ids 0..n-1
     through write, _BLOCK lines per call, their digits gathered from one
-    digit_table(n) (reporting.id_text); ValueError for an id out of range."""
+    digit_table(n) (reporting.id_text), and return the number of lines;
+    ValueError for an id out of range."""
     table = digit_table(n)
+    lines = 0
     for pairs in blocks:
         for start in range(0, len(pairs), _BLOCK):
             write(id_text(table, pairs[start:start + _BLOCK], ("", " ", "\n")))
+        lines += len(pairs)
+    return lines
 
 
 def id_blocks(n: int) -> Iterator[np.ndarray]:
@@ -193,18 +197,25 @@ def row_table(n: int, rows: RowFunction) -> np.ndarray:
 def edge_blocks(n: int, rows: RowFunction) -> Iterator[np.ndarray]:
     """The edges (u, v), u < v, of the regular graph on n vertices with the
     row function rows, ascending, as one 2-column int64 array per block
-    of ids: the edges Graph.edge_arrays gives, with no array of them all."""
+    of ids: the edges Graph.edge_arrays gives, with no array of them all.
+    ValueError for a head outside 0..n-1, which the edges would drop."""
     for ids in id_blocks(n):
         heads = rows(ids)
+        check_ids(heads, n)
         up = heads > ids[:, None]
         yield np.column_stack((np.broadcast_to(ids[:, None], heads.shape)[up], heads[up]))
 
 
 def write_edge_rows(n: int, rows: RowFunction, write: Callable[[str], object]) -> None:
     """Write the edge list that Graph.write_edge_list writes for
-    Graph._from_id_arithmetic(n, rows), from one block of rows at a time."""
-    write(f"{n} {n * rows(np.zeros(1, np.int64)).shape[1] // 2}\n")
-    write_pairs(edge_blocks(n, rows), n, write)
+    Graph._from_id_arithmetic(n, rows), from one block of rows at a time.
+    ValueError after the last line when the rows give other than the m
+    edges of the header, as rows that are not symmetric do."""
+    m = n * rows(np.zeros(1, np.int64)).shape[1] // 2
+    write(f"{n} {m}\n")
+    lines = write_pairs(edge_blocks(n, rows), n, write)
+    if lines != m:
+        raise ValueError(f"rows give {lines} edges, not the {m} of the header")
 
 
 def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:

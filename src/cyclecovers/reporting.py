@@ -71,15 +71,22 @@ def digit_table(n: int) -> np.ndarray:
     return table.reshape(len(high) * 10, -1)[:n]
 
 
+def check_ids(ids: np.ndarray, n: int) -> None:
+    """ValueError unless every id of the integer array ids lies in 0..n-1,
+    naming the largest id when it is n or more, else the least."""
+    if ids.size:
+        low, high = ids.min(), ids.max()
+        if low < 0 or high >= n:
+            raise ValueError(f"id {high if high >= n else low} out of range for n={n}")
+
+
 def id_text(table: np.ndarray, ids: np.ndarray, seps: Sequence[str]) -> str:
     """The rows of the 2-D integer array ids as text, each row seps[0], its
     first id, seps[1], ..., its last id, seps[-1]: the separators with NUL
     bytes in the id slots, each column's digits taken from table
     (digit_table) into its slots, then every NUL dropped. ValueError for an
     id outside 0..len(table)-1, which the take would wrap or reject."""
-    if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
-        raise ValueError(f"id {ids[(ids < 0) | (ids >= len(table))][0]} out of range "
-                         f"for n={len(table)}")
+    check_ids(ids, len(table))
     digits = table.view(f"V{table.shape[1]}")[:, 0]  # one item per id: a take moves whole rows
     row = ("\0" * digits.itemsize).join(seps).encode()
     text = np.frombuffer(bytearray(row * len(ids)), np.uint8).reshape(len(ids), len(row))

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .covers import lifted_connection
 from .gains import GainGraph
 from .graphs import Graph
+from .groups import ExtraspecialGroup, extraspecial_cocycle
 
 HERMITIAN_TOLERANCE = 1e-10
 CLUSTER_TOLERANCE = 1e-6
@@ -59,12 +61,51 @@ def hermitian_eigenvalues(m: np.ndarray, source: str = "") -> "SpectrumReport":
     deviation = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
     if deviation > HERMITIAN_TOLERANCE:
         raise NotHermitianError(f"conjugate-symmetry deviation {deviation:.3e}")
-    eigenvalues = np.linalg.eigvalsh(m)
+    return _report(np.linalg.eigvalsh(m), source)
+
+
+def twisted_spectra(p: int, d: int, sign: str, twists: Iterable[int]) -> Iterator["SpectrumReport"]:
+    """For each twist k in turn, the spectrum of
+    twisted_adjacency(gain_from_cocycle(p, d, sign), k), p^{2d} eigenvalues,
+    without that matrix (README, "Twisted spectra from Stone-von Neumann
+    blocks"). At k = 0 it is the spectrum of C_p^{2d}, the sums over j of
+    2cos(2 pi m_j / p) for m in Z_p^{2d}. At k != 0 it is the spectrum of
+    the p^d x p^d Hermitian matrix whose row a holds, for each s = (s_a,
+    s_b, s_z) of lifted_connection, omega^{k (s_z + kappa(s, a))} in column
+    a + s_a, each eigenvalue repeated p^d times. The group and the phases
+    are made once for all the twists."""
+    connection = lifted_connection(ExtraspecialGroup(p, d, sign))
+    a, b, z = (np.array(column) for column in zip(*connection))
+    weights = p ** np.arange(d - 1, -1, -1)
+    digits = np.arange(p ** d)[:, None] // weights % p  # row a, a_1 most significant
+    heads = (digits[:, None] + a) % p @ weights
+    # kappa(s, a) reads the digit columns of a, as gains.cocycle_rows does.
+    phases = z + extraspecial_cocycle(p, sign, (a.T, b.T), (digits.T[:, :, None], None))
+    powers = np.exp(2j * np.pi * np.arange(p) / p)
+    cosines = 2 * np.cos(2 * np.pi * np.arange(p) / p)
+    for k in twists:
+        if not 0 <= k < p:
+            raise ValueError(f"twist must lie in [0, {p})")
+        if k == 0:
+            values = np.zeros(1)
+            for _ in range(2 * d):
+                values = np.add.outer(values, cosines).ravel()
+            yield _report(values)
+            continue
+        block = np.zeros((p ** d, p ** d), complex)
+        # Two elements of S may share s_a at p = 3, so their terms add.
+        np.add.at(block, (np.arange(p ** d)[:, None], heads), powers[k * phases % p])
+        yield _report(np.repeat(hermitian_eigenvalues(block).eigenvalues, p ** d))
+
+
+def _report(eigenvalues: np.ndarray, source: str = "") -> "SpectrumReport":
+    """A report of the eigenvalues, given in any order."""
+    eigenvalues = np.sort(eigenvalues)
     # A zero eigenvalue comes out as roundoff whose digits depend on the
     # LAPACK build; report it as 0.
     eigenvalues[np.abs(eigenvalues) <= INTEGER_SNAP] = 0.0
-    descending = tuple(float(x) for x in eigenvalues[::-1])
-    return SpectrumReport(descending, _cluster(descending), n, source)
+    descending = tuple(eigenvalues[::-1].tolist())
+    return SpectrumReport(descending, _cluster(descending), len(descending), source)
 
 
 def _cluster(descending: Sequence[float]) -> tuple[tuple[float, int], ...]:

@@ -12,6 +12,7 @@ from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
 from cyclecovers.graphs import Graph
 from cyclecovers.groups import SIGNS, ExtraspecialGroup, HeisenbergElement, HeisenbergGroup
+from cyclecovers.spectra import SpectrumReport, hermitian_eigenvalues, twisted_adjacency
 
 from oracles import induced_subgraph
 
@@ -42,6 +43,13 @@ def odd_cover(p: int, d: int, sign: str) -> CoveringMap:
 @functools.lru_cache(maxsize=None)
 def gain_graph(p: int, d: int, sign: str):
     return gain_from_cocycle(p, d, sign)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_twisted_spectrum(p: int, d: int, sign: str, k: int) -> SpectrumReport:
+    """The spectrum of the dense p^{2d} twisted matrix, the oracle of
+    spectra.twisted_spectra."""
+    return hermitian_eigenvalues(twisted_adjacency(gain_graph(p, d, sign), k))
 
 
 @functools.lru_cache(maxsize=None)

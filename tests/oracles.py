@@ -25,10 +25,12 @@ from cyclecovers.covers import (
     _extraspecial_prime,
     connection_set,
     cover_from_gain,
+    lifted_connection,
     standard_ids,
 )
 from cyclecovers.gains import gain_from_cocycle
 from cyclecovers.graphs import Graph, cycle_power
+from cyclecovers.groups import ExtraspecialGroup
 from cyclecovers.reporting import round_sig, write_stable
 
 
@@ -302,6 +304,27 @@ def _real_roots(coeffs: list[int]) -> list:
         for r in roots:
             assert abs(mp.im(r)) < mp.mpf("1e-25")
         return sorted(mp.re(r) for r in roots)
+
+
+def block_eigenvalues_by_induction(p: int, d: int, sign: str, k: int, dps: int = 40) -> list:
+    """Eigenvalues, ascending, of the sum over the lifted connection set of
+    the representation of twist k induced from A = {(0, b, z)} with the
+    character omega^{kz}, at dps digits. Each product comes from
+    ExtraspecialGroup.mul: s (a, 0, 0) = (a + s_a, 0, 0)(0, s_b, w), so
+    rho_k(s) sends e_a to omega^{kw} e_{a + s_a}."""
+    group = ExtraspecialGroup(p, d, sign)
+    zero = (0,) * d
+    vectors = list(itertools.product(range(p), repeat=d))
+    index = {a: i for i, a in enumerate(vectors)}
+    with mp.workdps(dps):
+        block = mp.zeros(len(vectors))
+        for s in lifted_connection(group):
+            for a in vectors:
+                image = group.mul(s, group.element(a, zero, 0))
+                coset = group.element(image.a, zero, 0)
+                assert group.mul(coset, group.element(zero, s.b, image.z)) == image
+                block[index[image.a], index[a]] += mp.expjpi(mp.mpf(2 * k * image.z) / p)
+        return sorted(mp.eighe(block, eigvals_only=True))
 
 
 def cayley_by_definition(carrier, mul, inv, connection):

@@ -26,6 +26,7 @@ from cyclecovers.groups import SIGNS
 from cyclecovers.reporting import round_sig
 from cyclecovers.spectra import MAX_EIGEN_SIZE
 
+from helpers import dense_twisted_spectrum
 from oracles import cocycle_cover, cover_files
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -418,6 +419,38 @@ def test_bound_best_tables_are_the_first_least_sizes(argv, capsys):
                                 key=lambda entry: entry["size"]) for t in degrees}
 
 
+def _assert_close(got, want):
+    """got has want's keys, list lengths and values, floats within 1e-9."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            _assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            _assert_close(x, y)
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-9
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("ranking", ["magnitude", "eigenvalue"])
+@pytest.mark.parametrize("twist", [(), ("--twist", "0")], ids=["all", "0"])
+@pytest.mark.parametrize("p, dims", [(3, 2), (3, 4), (3, 6), (5, 2), (5, 4), (7, 2), (11, 2),
+                                     (13, 2)])
+def test_bound_block_reports_match_the_dense_reports(p, dims, twist, ranking, capsys,
+                                                     monkeypatch):
+    argv = ("bound", "--p", str(p), "--dims", str(dims), "--ranking", ranking) + twist
+    code, out, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "twisted_spectra", lambda p, d, sign, twists: (
+        dense_twisted_spectrum(p, d, sign, k) for k in twists))
+    dense_code, dense_out, _ = run_cli(capsys, *argv)
+    assert code == dense_code == 0
+    _assert_close(json.loads(out), json.loads(dense_out))
+
+
 def test_bound_odd_dims(capsys):
     code, out, _ = run_cli(capsys, "bound", "--p", "3", "--dims", "1", "--sign", "minus")
     assert code == 0
@@ -583,6 +616,26 @@ def test_stdout_bytes_match_recorded_digests(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+class _Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["_gain_graph_for_dims", "twisted_adjacency"])
+def test_even_dims_bound_builds_no_gain_graph_and_no_dense_matrix(name, capsys, monkeypatch):
+    def reached(*args):
+        raise _Reached(name)
+
+    monkeypatch.setattr(cli, name, reached)
+    for argv in (("bound", "--p", "3", "--dims", "4", "--sign", "minus", "--twist", "1"),
+                 ("bound", "--p", "3", "--dims", "2", "--twist", "0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+    # Odd dims still solve the dense matrix of the restricted gain graph.
+    with pytest.raises(_Reached):
+        main(["bound", "--p", "3", "--dims", "3"])
 
 
 def test_usage_errors_exit_2(capsys):

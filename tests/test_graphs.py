@@ -15,6 +15,7 @@ from cyclecovers.graphs import (
     cayley,
     cycle_graph,
     cycle_power,
+    edge_blocks,
     girth,
     has_4cycle,
     has_cycle_of_length,
@@ -166,6 +167,24 @@ def test_edge_list_writers_refuse_an_id_outside_the_graph():
     rows = lambda ids: np.column_stack((np.full(len(ids), -1), np.full(len(ids), 5)))
     with pytest.raises(ValueError, match="id 5 out of range for n=5"):
         write_edge_rows(5, rows, [].append)
+
+
+def test_edge_blocks_refuse_a_head_below_0():
+    # Row 0 of this 5-cycle holds -1 for 4; a head below the row's id is
+    # not an edge u < v of its block, so only the range check sees it.
+    rows = lambda ids: np.sort(np.column_stack((ids - 1, (ids + 1) % 5)), axis=1)
+    with pytest.raises(ValueError, match="id -1 out of range for n=5"):
+        list(edge_blocks(5, rows))
+
+
+def test_edge_list_writer_refuses_rows_that_are_not_symmetric():
+    # Row u holds u + 1 and u + 2 mod 4: five edges u < v, not the 4 * 2 / 2
+    # of the header.
+    rows = lambda ids: np.column_stack(((ids + 1) % 4, (ids + 2) % 4))
+    lines = []
+    with pytest.raises(ValueError, match="rows give 5 edges, not the 4 of the header"):
+        write_edge_rows(4, rows, lines.append)
+    assert "".join(lines).splitlines()[0] == "4 4"
 
 
 # ---------------------------------------------------------------- codec

@@ -12,6 +12,7 @@ from cyclecovers.graphs import cycle_graph
 from cyclecovers.groups import MINUS, PLUS, SIGNS
 from cyclecovers.spectra import (
     CLUSTER_TOLERANCE,
+    MAX_EIGEN_SIZE,
     NotHermitianError,
     SpectrumReport,
     adjacency_matrix,
@@ -19,10 +20,12 @@ from cyclecovers.spectra import (
     huang_degree_bound,
     snap_ceil,
     twisted_adjacency,
+    twisted_spectra,
 )
 
-from helpers import cover, gain_graph
-from oracles import DictGainGraph, charpoly_eigenvalues, minimal_rows_by_scan
+from helpers import cover, dense_twisted_spectrum, gain_graph
+from oracles import (DictGainGraph, block_eigenvalues_by_induction, charpoly_eigenvalues,
+                     minimal_rows_by_scan)
 
 
 # ---------------------------------------------------------------- twisted matrices
@@ -190,6 +193,34 @@ def test_random_gain_spectra_decompose():
                 for k in range(p)
             ]))
             assert np.max(np.abs(full - parts)) < 1e-8
+
+
+# ---------------------------------------------------------------- Stone-von Neumann blocks
+
+# Every (p, d) whose base C_p^{2d} the eigensolver takes whole.
+BLOCK_CASES = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 4)
+               if p ** (2 * d) <= MAX_EIGEN_SIZE]
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("p, d", BLOCK_CASES)
+def test_block_spectra_match_the_dense_twisted_spectra(p, d, sign):
+    for k, block in enumerate(twisted_spectra(p, d, sign, range(p))):
+        dense = dense_twisted_spectrum(p, d, sign, k)
+        assert block.n == dense.n == p ** (2 * d)
+        assert np.max(np.abs(np.array(block.eigenvalues) - dense.eigenvalues)) < 1e-9
+        assert [m for _, m in block.clusters] == [m for _, m in dense.clusters]
+    with pytest.raises(ValueError, match="twist"):
+        next(twisted_spectra(p, d, sign, [p]))
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_block_spectra_match_the_induced_representation_in_mpmath(p, d, sign):
+    for k, block in enumerate(twisted_spectra(p, d, sign, range(1, p)), 1):
+        got = np.array(block.eigenvalues[::-1])
+        want = np.repeat(np.array(block_eigenvalues_by_induction(p, d, sign, k), float), p ** d)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 # ---------------------------------------------------------------- degree bounds
