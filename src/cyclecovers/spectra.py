@@ -9,10 +9,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .covers import lifted_connection
+from .covers import connection_set
 from .gains import GainGraph
 from .graphs import Graph
-from .groups import ExtraspecialGroup, extraspecial_cocycle
+from .groups import SIGNS, extraspecial_cocycle
 
 HERMITIAN_TOLERANCE = 1e-10
 CLUSTER_TOLERANCE = 1e-6
@@ -64,23 +64,32 @@ def hermitian_eigenvalues(m: np.ndarray, source: str = "") -> "SpectrumReport":
     return _report(np.linalg.eigvalsh(m), source)
 
 
-def twisted_spectra(p: int, d: int, sign: str, twists: Iterable[int]) -> Iterator["SpectrumReport"]:
-    """For each twist k in turn, the spectrum of
-    twisted_adjacency(gain_from_cocycle(p, d, sign), k), p^{2d} eigenvalues,
-    without that matrix (README, "Twisted spectra from Stone-von Neumann
-    blocks"). At k = 0 it is the spectrum of C_p^{2d}, the sums over j of
-    2cos(2 pi m_j / p) for m in Z_p^{2d}. At k != 0 it is the spectrum of
-    the p^d x p^d Hermitian matrix whose row a holds, for each s = (s_a,
-    s_b, s_z) of lifted_connection, omega^{k (s_z + kappa(s, a))} in column
-    a + s_a, each eigenvalue repeated p^d times. The group and the phases
-    are made once for all the twists."""
-    connection = lifted_connection(ExtraspecialGroup(p, d, sign))
-    a, b, z = (np.array(column) for column in zip(*connection))
+def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iterator["SpectrumReport"]:
+    """For each twist k in turn, the spectrum of the twisted matrix of the
+    cocycle gain graph over C_p^dims, p^dims eigenvalues, without that
+    matrix (README, "Twisted spectra from Stone-von Neumann blocks"). With
+    d = ceil(dims / 2), that gain graph is gain_from_cocycle(p, d, sign)
+    on the span of the first dims vectors of connection_set(p, d): all of
+    Z_p^{2d} on even dims, a hyperplane on odd dims. At k = 0 it is the
+    spectrum of C_p^dims, the sums over j of 2cos(2 pi m_j / p) for m in
+    Z_p^dims. At k != 0 it is the spectrum of the p^d x p^d Hermitian
+    matrix whose row a holds, for each of those vectors s = (s_a, s_b),
+    omega^{k kappa(s, a)} in column a + s_a and omega^{-k kappa(s, a - s_a)}
+    in column a - s_a, each eigenvalue repeated p^(dims - d) times. The
+    phases are made once for all the twists."""
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
+    d = (dims + 1) // 2
+    vectors = np.array(connection_set(p, d)[:dims])
     weights = p ** np.arange(d - 1, -1, -1)
     digits = np.arange(p ** d)[:, None] // weights % p  # row a, a_1 most significant
-    heads = (digits[:, None] + a) % p @ weights
-    # kappa(s, a) reads the digit columns of a, as gains.cocycle_rows does.
-    phases = z + extraspecial_cocycle(p, sign, (a.T, b.T), (digits.T[:, :, None], None))
+    behind = (digits[:, None] - vectors[:, :d]) % p
+    heads = np.concatenate(((digits[:, None] + vectors[:, :d]) % p, behind), axis=1) @ weights
+    # kappa(s, x) reads the first d digits of x, as gains.cocycle_rows does.
+    halves = (vectors[:, :d].T, vectors[:, d:].T)
+    phases = np.concatenate((
+        extraspecial_cocycle(p, sign, halves, (digits.T[:, :, None], None)),
+        -extraspecial_cocycle(p, sign, halves, (behind.transpose(2, 0, 1), None))), axis=1)
     powers = np.exp(2j * np.pi * np.arange(p) / p)
     cosines = 2 * np.cos(2 * np.pi * np.arange(p) / p)
     for k in twists:
@@ -88,14 +97,14 @@ def twisted_spectra(p: int, d: int, sign: str, twists: Iterable[int]) -> Iterato
             raise ValueError(f"twist must lie in [0, {p})")
         if k == 0:
             values = np.zeros(1)
-            for _ in range(2 * d):
+            for _ in range(dims):
                 values = np.add.outer(values, cosines).ravel()
             yield _report(values)
             continue
         block = np.zeros((p ** d, p ** d), complex)
-        # Two elements of S may share s_a at p = 3, so their terms add.
+        # Two vectors may share +-s_a at p = 3, so their terms add.
         np.add.at(block, (np.arange(p ** d)[:, None], heads), powers[k * phases % p])
-        yield _report(np.repeat(hermitian_eigenvalues(block).eigenvalues, p ** d))
+        yield _report(np.repeat(hermitian_eigenvalues(block).eigenvalues, p ** (dims - d)))
 
 
 def _report(eigenvalues: np.ndarray, source: str = "") -> "SpectrumReport":

@@ -8,6 +8,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
+from cyclecovers.cli import _gain_graph_for_dims
 from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
 from cyclecovers.graphs import Graph
@@ -46,10 +47,12 @@ def gain_graph(p: int, d: int, sign: str):
 
 
 @functools.lru_cache(maxsize=None)
-def dense_twisted_spectrum(p: int, d: int, sign: str, k: int) -> SpectrumReport:
-    """The spectrum of the dense p^{2d} twisted matrix, the oracle of
-    spectra.twisted_spectra."""
-    return hermitian_eigenvalues(twisted_adjacency(gain_graph(p, d, sign), k))
+def dense_twisted_spectrum(p: int, dims: int, sign: str, k: int) -> SpectrumReport:
+    """The spectrum of the dense p^dims twisted matrix, the oracle of
+    spectra.twisted_spectra: that of gain_from_cocycle on even dims, and of
+    its restriction to the hyperplane, cli._gain_graph_for_dims, on odd."""
+    gg = gain_graph(p, dims // 2, sign) if dims % 2 == 0 else _gain_graph_for_dims(p, dims, sign)
+    return hermitian_eigenvalues(twisted_adjacency(gg, k))
 
 
 @functools.lru_cache(maxsize=None)

@@ -306,19 +306,23 @@ def _real_roots(coeffs: list[int]) -> list:
         return sorted(mp.re(r) for r in roots)
 
 
-def block_eigenvalues_by_induction(p: int, d: int, sign: str, k: int, dps: int = 40) -> list:
-    """Eigenvalues, ascending, of the sum over the lifted connection set of
-    the representation of twist k induced from A = {(0, b, z)} with the
-    character omega^{kz}, at dps digits. Each product comes from
+def block_eigenvalues_by_induction(p: int, dims: int, sign: str, k: int, dps: int = 40) -> list:
+    """Eigenvalues, ascending, of the sum over S_H of the representation of
+    twist k of ExtraspecialGroup(p, d, sign), d = ceil(dims / 2), induced
+    from A = {(0, b, z)} with the character omega^{kz}, at dps digits. S_H
+    is the lifted connection set without +-c_j for j > dims: all of it on
+    even dims, without +-c_{2d} on odd dims. Each product comes from
     ExtraspecialGroup.mul: s (a, 0, 0) = (a + s_a, 0, 0)(0, s_b, w), so
     rho_k(s) sends e_a to omega^{kw} e_{a + s_a}."""
+    d = (dims + 1) // 2
     group = ExtraspecialGroup(p, d, sign)
+    lifted = lifted_connection(group)
     zero = (0,) * d
     vectors = list(itertools.product(range(p), repeat=d))
     index = {a: i for i, a in enumerate(vectors)}
     with mp.workdps(dps):
         block = mp.zeros(len(vectors))
-        for s in lifted_connection(group):
+        for s in lifted[:dims] + lifted[2 * d: 2 * d + dims]:
             for a in vectors:
                 image = group.mul(s, group.element(a, zero, 0))
                 coset = group.element(image.a, zero, 0)

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import cyclecovers.cli as cli
 import cyclecovers.covers as covers
+import cyclecovers.gains as gains
 import cyclecovers.groups as groups
+import cyclecovers.spectra as spectra
 from cyclecovers.cli import main
 from cyclecovers.covers import MAX_COVER_SIZE, heisenberg_cover
 from cyclecovers.graphs import Graph
@@ -438,14 +440,15 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("ranking", ["magnitude", "eigenvalue"])
 @pytest.mark.parametrize("twist", [(), ("--twist", "0")], ids=["all", "0"])
-@pytest.mark.parametrize("p, dims", [(3, 2), (3, 4), (3, 6), (5, 2), (5, 4), (7, 2), (11, 2),
-                                     (13, 2)])
+@pytest.mark.parametrize("p, dims", [(3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1),
+                                     (5, 2), (5, 3), (5, 4), (7, 1), (7, 2), (7, 3), (11, 1),
+                                     (11, 2), (13, 1), (13, 2)])
 def test_bound_block_reports_match_the_dense_reports(p, dims, twist, ranking, capsys,
                                                      monkeypatch):
     argv = ("bound", "--p", str(p), "--dims", str(dims), "--ranking", ranking) + twist
     code, out, _ = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "twisted_spectra", lambda p, d, sign, twists: (
-        dense_twisted_spectrum(p, d, sign, k) for k in twists))
+    monkeypatch.setattr(cli, "twisted_spectra", lambda p, dims, sign, twists: (
+        dense_twisted_spectrum(p, dims, sign, k) for k in twists))
     dense_code, dense_out, _ = run_cli(capsys, *argv)
     assert code == dense_code == 0
     _assert_close(json.loads(out), json.loads(dense_out))
@@ -589,7 +592,7 @@ STDOUT_DIGESTS = {
     ("bound", "--p", "3", "--dims", "5"):
         "7ecf8e477aa67b2c8e52f220bd0cac0fb1295ba7ba2e1331c6ebdbfe322f96d2",
     ("bound", "--p", "7", "--dims", "3"):
-        "2d2eab0e94d55c4845a9ac04cca8f1dfc75ea4c6d81273407fcb92f2a18f0038",
+        "ab350e648671f8de1703ab2002dc70484179cb36b584ee65af3bf6e03a0874e8",
     ("bound", "--p", "3", "--dims", "6", "--sign", "minus", "--twist", "1"):
         "dbba267d52b2d60a4f36fe14ad7e574671245843836e4028588a991b2c36e036",
     ("gain", "--p", "7", "--d", "2", "--sign", "minus"):
@@ -622,20 +625,21 @@ class _Reached(Exception):
     pass
 
 
-@pytest.mark.parametrize("name", ["_gain_graph_for_dims", "twisted_adjacency"])
-def test_even_dims_bound_builds_no_gain_graph_and_no_dense_matrix(name, capsys, monkeypatch):
+@pytest.mark.parametrize("name", ["_gain_graph_for_dims", "gain_from_cocycle", "twisted_adjacency"])
+def test_bound_builds_no_gain_graph_and_no_dense_matrix(name, capsys, monkeypatch):
     def reached(*args):
         raise _Reached(name)
 
-    monkeypatch.setattr(cli, name, reached)
+    for module in (cli, gains, spectra):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, reached)
     for argv in (("bound", "--p", "3", "--dims", "4", "--sign", "minus", "--twist", "1"),
-                 ("bound", "--p", "3", "--dims", "2", "--twist", "0")):
+                 ("bound", "--p", "3", "--dims", "2", "--twist", "0"),
+                 ("bound", "--p", "3", "--dims", "3"),
+                 ("bound", "--p", "7", "--dims", "3")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
-    # Odd dims still solve the dense matrix of the restricted gain graph.
-    with pytest.raises(_Reached):
-        main(["bound", "--p", "3", "--dims", "3"])
 
 
 def test_usage_errors_exit_2(capsys):

@@ -162,8 +162,8 @@ def test_edge_list_writers_refuse_an_id_outside_the_graph():
     for bad in (-1, 5):
         with pytest.raises(ValueError, match=f"id {bad} out of range for n=5"):
             write_pairs([np.array([[0, 1], [2, bad]])], 5, [].append)
-    # edge_blocks keeps only the heads above their row's id, so of a row
-    # of -1 and n, n reaches the writer.
+    # edge_blocks checks the heads of each block before it keeps any, and
+    # of a row of -1 and n it names n, the id above the range.
     rows = lambda ids: np.column_stack((np.full(len(ids), -1), np.full(len(ids), 5)))
     with pytest.raises(ValueError, match="id 5 out of range for n=5"):
         write_edge_rows(5, rows, [].append)

@@ -9,7 +9,7 @@ from mpmath import mp, polyroots
 
 from cyclecovers.covers import cohen_tits_signing
 from cyclecovers.graphs import cycle_graph
-from cyclecovers.groups import MINUS, PLUS, SIGNS
+from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup
 from cyclecovers.spectra import (
     CLUSTER_TOLERANCE,
     MAX_EIGEN_SIZE,
@@ -197,30 +197,45 @@ def test_random_gain_spectra_decompose():
 
 # ---------------------------------------------------------------- Stone-von Neumann blocks
 
-# Every (p, d) whose base C_p^{2d} the eigensolver takes whole.
-BLOCK_CASES = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 4)
-               if p ** (2 * d) <= MAX_EIGEN_SIZE]
+# Every (p, dims) whose base C_p^dims the eigensolver takes whole, but for
+# (11, 3), whose twenty dense 1331 x 1331 solves take about 20 s.
+BLOCK_CASES = [(p, dims) for p in (3, 5, 7, 11, 13) for dims in range(1, 7)
+               if p ** dims <= MAX_EIGEN_SIZE and (p, dims) != (11, 3)]
 
 
 @pytest.mark.parametrize("sign", SIGNS)
-@pytest.mark.parametrize("p, d", BLOCK_CASES)
-def test_block_spectra_match_the_dense_twisted_spectra(p, d, sign):
-    for k, block in enumerate(twisted_spectra(p, d, sign, range(p))):
-        dense = dense_twisted_spectrum(p, d, sign, k)
-        assert block.n == dense.n == p ** (2 * d)
+@pytest.mark.parametrize("p, dims", BLOCK_CASES)
+def test_block_spectra_match_the_dense_twisted_spectra(p, dims, sign):
+    for k, block in enumerate(twisted_spectra(p, dims, sign, range(p))):
+        dense = dense_twisted_spectrum(p, dims, sign, k)
+        assert block.n == dense.n == p ** dims
         assert np.max(np.abs(np.array(block.eigenvalues) - dense.eigenvalues)) < 1e-9
         assert [m for _, m in block.clusters] == [m for _, m in dense.clusters]
     with pytest.raises(ValueError, match="twist"):
-        next(twisted_spectra(p, d, sign, [p]))
+        next(twisted_spectra(p, dims, sign, [p]))
+    with pytest.raises(ValueError, match="sign"):
+        next(twisted_spectra(p, dims, "other", [1]))
 
 
 @pytest.mark.parametrize("sign", SIGNS)
-@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (3, 2)])
-def test_block_spectra_match_the_induced_representation_in_mpmath(p, d, sign):
-    for k, block in enumerate(twisted_spectra(p, d, sign, range(1, p)), 1):
+@pytest.mark.parametrize("p, dims", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2), (3, 3),
+                                     (5, 3), (7, 3), (3, 4)])
+def test_block_spectra_match_the_induced_representation_in_mpmath(p, dims, sign):
+    for k, block in enumerate(twisted_spectra(p, dims, sign, range(1, p)), 1):
         got = np.array(block.eigenvalues[::-1])
-        want = np.repeat(np.array(block_eigenvalues_by_induction(p, d, sign, k), float), p ** d)
-        assert np.max(np.abs(got - want)) < 1e-12
+        want = np.array(block_eigenvalues_by_induction(p, dims, sign, k), float)
+        assert np.max(np.abs(got - np.repeat(want, p ** (dims // 2)))) < 1e-12
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_block_spectra_build_no_group(sign, monkeypatch):
+    def refused(*args):
+        raise AssertionError("ExtraspecialGroup built")
+
+    monkeypatch.setattr(ExtraspecialGroup, "__init__", refused)
+    for dims in (3, 4):
+        reports = list(twisted_spectra(3, dims, sign, range(3)))
+        assert [r.n for r in reports] == [3 ** dims] * 3
 
 
 # ---------------------------------------------------------------- degree bounds
