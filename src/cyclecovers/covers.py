@@ -23,7 +23,6 @@ from .graphs import (_BLOCK, Graph, RowFunction, cayley, cycle_power, hypercube,
                      id_blocks, write_pairs)
 from .groups import (
     SIGNS,
-    ExtraspecialElement,
     ExtraspecialGroup,
     extraspecial_group,
     low_bit_parities,
@@ -220,7 +219,7 @@ def _broken_axiom(cm: CoveringMap, gamma: np.ndarray, u: int) -> CoverVerificati
     return CoverVerificationError("perfect_matching", (u, image[u], y))
 
 
-def lifted_connection(group: ExtraspecialGroup) -> tuple[ExtraspecialElement, ...]:
+def lifted_connection(group: ExtraspecialGroup) -> tuple[int, ...]:
     """Embed the connection vectors at central coordinate 0 and close under
     inverse; the two halves are disjoint for odd p, giving 4d elements."""
     embedded = tuple(group.embed(v) for v in connection_set(group.p, group.d))
@@ -242,27 +241,15 @@ class NoncommutingReport:
 
 
 def pairwise_noncommuting_check(group: ExtraspecialGroup,
-                                elements: Sequence[ExtraspecialElement]) -> NoncommutingReport:
+                                elements: Sequence[int]) -> NoncommutingReport:
     """Verify no two distinct elements commute; commutators must be central
-    with last coordinate +-1."""
-    table = []
-    ok = True
-    central_units = True
-    witness = None
-    zero = (0,) * group.d
-    for i, g in enumerate(elements):
-        for j, h in enumerate(elements):
-            if i == j:
-                continue
-            c = group.commutator(g, h)
-            table.append((i, j, c.z))
-            if c == group.identity:
-                ok = False
-                if witness is None:
-                    witness = (i, j)
-            if not (c.a == zero and c.b == zero and c.z in (1, group.p - 1)):
-                central_units = False
-    return NoncommutingReport(ok, central_units, tuple(table), witness)
+    with last coordinate +-1. A central element has a = b = 0, so its id is
+    its last coordinate."""
+    pairs = [(i, j, group.commutator(g, h)) for i, g in enumerate(elements)
+             for j, h in enumerate(elements) if i != j]
+    witness = next(((i, j) for i, j, c in pairs if c == group.identity), None)
+    return NoncommutingReport(witness is None, all(c in (1, group.p - 1) for _, _, c in pairs),
+                              tuple((i, j, c % group.p) for i, j, c in pairs), witness)
 
 
 def _extraspecial_prime(p: int, d: int, sign: str) -> Prime:
@@ -283,16 +270,14 @@ def _extraspecial_prime(p: int, d: int, sign: str) -> Prime:
 def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     """Cayley cover of the 4d-regular Cartesian power of a p-cycle.
 
-    Total vertices are group elements in codec order, so u // p is the id of
-    u's first 2d coordinates; base vertices are standard coordinates of
+    Total vertices are the group's element ids, so u // p is the id of u's
+    first 2d coordinates; base vertices are standard coordinates of
     Z_p^{2d}, reached through standard_ids, so the base is the Cartesian
     power of the p-cycle that cycle_power builds.
     """
     p = _extraspecial_prime(p, d, sign)
     group = extraspecial_group(p, d, sign)
-    conn = lifted_connection(group)
-    carrier = list(group.elements())
-    total = cayley(carrier, group.mul, group.inv, conn)
+    total = cayley(group.elements(), group.mul, group.inv, lifted_connection(group))
     return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
 
 

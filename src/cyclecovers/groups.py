@@ -8,12 +8,15 @@ Z_2^d x Z_2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .modular import Prime, carry_int
 
@@ -23,11 +26,7 @@ SIGNS = (PLUS, MINUS)
 
 
 class ExtraspecialElement(NamedTuple):
-    """A triple (a, b, z) with a, b in Z_p^d and z in Z_p.
-
-    A tuple, so it hashes and compares by value: it equals the plain tuple
-    (a, b, z) and the element of any other group with the same coordinates.
-    """
+    """The coordinates (a, b, z) of an extraspecial element id; a tuple."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -63,11 +62,11 @@ class ExtraspecialGroup:
     sign="plus" gives the exponent-p group (cocycle b.c); sign="minus" gives
     the exponent-p^2 group (cocycle b.c + carry on the first coordinates).
 
-    mul and inv read two tables over Z_p^d x Z_p^d built here, the
-    componentwise sum mod p and the dot product mod p, and do not validate
-    their arguments; cocycle is the checked definition they agree with.
-    The tables are nested dicts, table[u][v], so a product hashes the
-    vectors it holds and builds no pair key.
+    Elements are the cover's vertex ids (A p^d + B) p + z, A and B the
+    base-p numbers of the blocks a and b, a_1 most significant; element and
+    embed encode, coordinates decodes. mul reads flat p^d x p^d lists over
+    pairs of block ids, built with the first product, and does not validate
+    its arguments; cocycle is the checked definition it agrees with.
     """
 
     def __init__(self, p: int, d: int, sign: str):
@@ -75,83 +74,102 @@ class ExtraspecialGroup:
             raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
-        self.p = p = Prime(p)
+        self.p = Prime(p)
         self.d = d
         self.sign = sign
-        self.size = p ** (1 + 2 * d)
-        self.identity = ExtraspecialElement((0,) * d, (0,) * d, 0)
-        self._minus = sign == MINUS
-        vectors = {v: v for v in itertools.product(range(p), repeat=d)}
-        # Each sum is the tuple held in vectors, so the table shares p^d tuples.
-        self._sum = {u: {v: vectors[tuple((x + y) % p for x, y in zip(u, v))] for v in vectors}
-                     for u in vectors}
-        self._dot = {u: {v: sum(map(operator.mul, u, v)) % p for v in vectors} for u in vectors}
+        self.size = self.p ** (1 + 2 * d)
+        self.identity = 0
+        self._q = self.p ** d
 
-    def element(self, a, b, z: int) -> ExtraspecialElement:
-        a = tuple(int(x) % self.p for x in a)
-        b = tuple(int(x) % self.p for x in b)
+    def _build_tables(self) -> tuple[list[int], ...]:
+        """Build and keep the lists that mul reads, at the pair ids u q + v of
+        block ids u, v, q = p^d: the id of u + v times p q and times p, u.v,
+        the carry of the first coordinates (0 for plus), u and v. Not a
+        cached_property: the interpreter loads an instance attribute that a
+        class descriptor shadows on a slow path, which made mul 20% slower."""
+        p, q = self.p, self._q
+        weights = p ** np.arange(self.d - 1, -1, -1)
+        digits = np.arange(q)[:, None] // weights % p
+        sums = sum(np.add.outer(x, x) % p * w for x, w in zip(digits.T, weights)) * p
+        carries = np.add.outer(digits[:, 0], digits[:, 0]) // p * (self.sign == MINUS)
+        self._tables = tuple(t.ravel().tolist() for t in (
+            sums * q, sums, digits @ digits.T % p, carries, *np.divmod(np.arange(q * q), q)))
+        return self._tables
+
+    def _checked(self, g: int) -> int:
+        g = operator.index(g)
+        if not 0 <= g < self.size:
+            raise ValueError(f"element id {g} out of range 0..{self.size - 1}")
+        return g
+
+    def element(self, a, b, z: int) -> int:
+        """The id of (a, b, z); each coordinate must be an integer, taken mod p."""
+        a, b = tuple(a), tuple(b)
         if len(a) != self.d or len(b) != self.d:
             raise ValueError(f"blocks must have length d={self.d}")
-        return ExtraspecialElement(a, b, int(z) % self.p)
+        return functools.reduce(lambda g, x: g * self.p + operator.index(x) % self.p,
+                                (*a, *b, z), 0)
 
-    def embed(self, vec: tuple[int, ...]) -> ExtraspecialElement:
+    def embed(self, vec: tuple[int, ...]) -> int:
         """Include a vector of Z_p^{2d} as (a, b, 0)."""
         if len(vec) != 2 * self.d:
             raise ValueError(f"expected a vector of length {2 * self.d}")
         return self.element(vec[: self.d], vec[self.d:], 0)
+
+    def coordinates(self, g: int) -> ExtraspecialElement:
+        """The element (a, b, z) with id g."""
+        g, p, d = self._checked(g), self.p, self.d
+        digits = tuple(g // p ** k % p for k in range(2 * d, -1, -1))
+        return ExtraspecialElement(digits[:d], digits[d: 2 * d], digits[-1])
 
     def cocycle(self, g: tuple[tuple[int, ...], tuple[int, ...]],
                 h: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         """The 2-cocycle on pairs ((a,b),(c,d)): b.c, plus a carry term for minus."""
         return extraspecial_cocycle(self.p, self.sign, g, h)
 
-    def mul(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
-        (ga, gb, gz), (ha, hb, hz) = g, h
-        z = gz + hz + self._dot[gb][ha]
-        if self._minus and ga[0] + ha[0] >= self.p:
-            z += 1
-        sums = self._sum
-        # tuple.__new__ skips the NamedTuple's Python-level __new__.
-        return tuple.__new__(ExtraspecialElement, (sums[ga][ha], sums[gb][hb], z % self.p))
+    def mul(self, g: int, h: int) -> int:
+        # g = x p + z and h = y p + w with pair ids x = A q + B, y = C q + D
+        # give (A + C, B + D, z + w + B.C + carry(A, C)), on the blocks' vectors.
+        try:
+            high_sums, low_sums, dots, carries, firsts, seconds = self._tables
+        except AttributeError:  # the first product
+            high_sums, low_sums, dots, carries, firsts, seconds = self._build_tables()
+        p, q = self.p, self._q
+        x, y = g // p, h // p
+        b, c = seconds[x], firsts[y]
+        ac = x - b + c
+        b *= q
+        return (high_sums[ac] + low_sums[b + seconds[y]]
+                + (g + h - (x + y) * p + dots[b + c] + carries[ac]) % p)
 
-    def inv(self, g: ExtraspecialElement) -> ExtraspecialElement:
-        # (a, b, z)^-1 = (-a, -b, a.b - z), less the carry of a_1 + (-a_1) for minus.
-        a, b, z = g
-        p = self.p
-        z = self._dot[a][b] - z
-        if self._minus and a[0]:
-            z -= 1
-        return tuple.__new__(ExtraspecialElement,
-                             (tuple(-x % p for x in a), tuple(-x % p for x in b), z % p))
+    def inv(self, g: int) -> int:
+        # (a, b, z)^-1 = (-a, -b, a.b - z), less the carry of a_1 + (-a_1) for
+        # minus. No build inverts every vertex, so this works on coordinates.
+        a, b, z = self.coordinates(g)
+        z = sum(map(operator.mul, a, b)) - z - (self.sign == MINUS and a[0] > 0)
+        return self.element([-x for x in a], [-x for x in b], z)
 
-    def commutator(self, g: ExtraspecialElement, h: ExtraspecialElement) -> ExtraspecialElement:
+    def commutator(self, g: int, h: int) -> int:
         """g^-1 h^-1 g h, computed by composition."""
         return self.mul(self.mul(self.mul(self.inv(g), self.inv(h)), g), h)
 
-    def power(self, g: ExtraspecialElement, k: int) -> ExtraspecialElement:
+    def power(self, g: int, k: int) -> int:
+        g = self._checked(g)
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, g)
-        return out
+        return functools.reduce(self.mul, itertools.repeat(g, k), self.identity)
 
-    def order(self, g: ExtraspecialElement) -> int:
-        out = g
+    def order(self, g: int) -> int:
+        out = g = self._checked(g)
         n = 1
         while out != self.identity:
             out = self.mul(out, g)
             n += 1
         return n
 
-    def elements(self) -> Iterator[ExtraspecialElement]:
-        """All elements, ordered a_1..a_d, b_1..b_d, z with a_1 most
-        significant. The blocks a and b are shared tuples, one per vector
-        of Z_p^d, and tuple.__new__ skips the NamedTuple's Python-level
-        __new__."""
-        vectors = list(itertools.product(range(self.p), repeat=self.d))
-        triples = itertools.product(vectors, vectors, range(self.p))
-        return map(tuple.__new__, itertools.repeat(ExtraspecialElement), triples)
+    def elements(self) -> range:
+        """All ids: a_1..a_d, b_1..b_d, z in order, a_1 most significant."""
+        return range(self.size)
 
 
 _shared_groups: "weakref.WeakValueDictionary[tuple, ExtraspecialGroup]" = (
@@ -180,10 +198,10 @@ class HeisenbergGroup:
         self.identity = HeisenbergElement((0,) * d, 0)
 
     def element(self, x, t: int) -> HeisenbergElement:
-        x = tuple(int(v) % 2 for v in x)
+        x = tuple(operator.index(v) % 2 for v in x)
         if len(x) != self.d:
             raise ValueError(f"vector must have length d={self.d}")
-        return HeisenbergElement(x, int(t) % 2)
+        return HeisenbergElement(x, operator.index(t) % 2)
 
     def mul(self, g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
         # form(x, y) is the sum of the prefix sums x_1 + ... + x_{j-1} over
@@ -252,21 +270,15 @@ def cocycle_check(cocycle_fn: Callable[[tuple[int, ...], tuple[int, ...]], int],
 
     total = p ** (3 * dim)
     if total <= EXHAUSTIVE_LIMIT:
-        count = 0
         vecs = list(itertools.product(range(p), repeat=dim))
-        for a in vecs:
-            for b in vecs:
-                for c in vecs:
-                    count += 1
-                    if violates(a, b, c):
-                        return CocycleCheckResult(False, (a, b, c), True, count)
-        return CocycleCheckResult(True, None, True, count)
+        for count, (a, b, c) in enumerate(itertools.product(vecs, repeat=3), 1):
+            if violates(a, b, c):
+                return CocycleCheckResult(False, (a, b, c), True, count)
+        return CocycleCheckResult(True, None, True, total)
 
     rng = random.Random(SAMPLE_SEED)
     for count in range(1, SAMPLE_SIZE + 1):
-        a = tuple(rng.randrange(p) for _ in range(dim))
-        b = tuple(rng.randrange(p) for _ in range(dim))
-        c = tuple(rng.randrange(p) for _ in range(dim))
+        a, b, c = (tuple(rng.randrange(p) for _ in range(dim)) for _ in range(3))
         if violates(a, b, c):
             return CocycleCheckResult(False, (a, b, c), False, count)
     return CocycleCheckResult(True, None, False, SAMPLE_SIZE)

@@ -93,12 +93,9 @@ def check_inverses_exhaustive(p: int, d: int, sign: str) -> bool:
 def check_center_exhaustive(p: int, d: int, sign: str) -> bool:
     """The center, found by brute force, is the p elements with a = b = 0."""
     group, els = group_elements(p, d, sign)
-    expected = sorted(
-        (group.element((0,) * d, (0,) * d, z) for z in range(p)),
-        key=lambda g: (g.a, g.b, g.z),
-    )
+    expected = [((0,) * d, (0,) * d, z) for z in range(p)]
     center = [g for g in els if all(group.mul(g, h) == group.mul(h, g) for h in els)]
-    found = sorted(center, key=lambda g: (g.a, g.b, g.z))
+    found = sorted(group.coordinates(g) for g in center)
     return found == expected
 
 
@@ -108,11 +105,12 @@ def check_commutator_form_exhaustive(p: int, d: int, sign: str) -> bool:
     group, els = group_elements(p, d, sign)
     zero = (0,) * d
     for g in els:
+        cg = group.coordinates(g)
         for h in els:
-            got = group.commutator(g, h)
-            want = (sum(x * y for x, y in zip(g.b, h.a))
-                    - sum(x * y for x, y in zip(g.a, h.b))) % p
-            if got != group.element(zero, zero, want):
+            ch = group.coordinates(h)
+            want = (sum(x * y for x, y in zip(cg.b, ch.a))
+                    - sum(x * y for x, y in zip(cg.a, ch.b))) % p
+            if group.coordinates(group.commutator(g, h)) != (zero, zero, want):
                 return False
     return True
 

@@ -323,11 +323,13 @@ def block_eigenvalues_by_induction(p: int, dims: int, sign: str, k: int, dps: in
     with mp.workdps(dps):
         block = mp.zeros(len(vectors))
         for s in lifted[:dims] + lifted[2 * d: 2 * d + dims]:
+            s_b = group.coordinates(s).b
             for a in vectors:
                 image = group.mul(s, group.element(a, zero, 0))
-                coset = group.element(image.a, zero, 0)
-                assert group.mul(coset, group.element(zero, s.b, image.z)) == image
-                block[index[image.a], index[a]] += mp.expjpi(mp.mpf(2 * k * image.z) / p)
+                at = group.coordinates(image)
+                coset = group.element(at.a, zero, 0)
+                assert group.mul(coset, group.element(zero, s_b, at.z)) == image
+                block[index[at.a], index[a]] += mp.expjpi(mp.mpf(2 * k * at.z) / p)
         return sorted(mp.eighe(block, eigvals_only=True))
 
 

@@ -24,6 +24,7 @@ from cyclecovers.covers import (
     standard_ids,
     verify_cover,
 )
+from cyclecovers.gains import cocycle_rows
 from cyclecovers.graphs import (
     Graph,
     cayley,
@@ -114,6 +115,17 @@ def test_basis_change_sends_units_to_connection_vectors():
 
 
 # ---------------------------------------------------------------- lifted connection
+
+# Every (p, d) whose cover has at most 3125 vertices.
+@pytest.mark.parametrize("p,d", [(p, d) for p in (3, 5, 7, 11, 13) for d in (1, 2, 3)
+                                 if p ** (2 * d + 1) <= 3125])
+@pytest.mark.parametrize("sign", SIGNS)
+def test_cayley_cover_on_ids_equals_the_cocycle_rows(p, d, sign):
+    # build_cover multiplies element ids; cocycle_rows lifts the cocycle on
+    # arrays of the same ids, with no group.
+    n = p ** (2 * d + 1)
+    assert cover(p, d, sign).total == Graph._from_id_arithmetic(n, cocycle_rows(p, d, sign))
+
 
 def test_lifted_connection_inverses_31():
     plus = ExtraspecialGroup(3, 1, PLUS)

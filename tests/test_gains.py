@@ -86,7 +86,8 @@ def test_zero_gain_cover_is_disjoint_copies():
 # checks the cocycle on arrays that gain_from_cocycle evaluates against the
 # group's own multiplication; the maps are compared whole, ids, base and
 # fiber map included.
-@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1), (7, 2)])
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1), (13, 1),
+                                 (7, 2)])
 @pytest.mark.parametrize("sign", SIGNS)
 def test_gain_cover_equals_cayley_cover(p, d, sign):
     gm = cocycle_cover(p, d, sign)

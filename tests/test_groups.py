@@ -177,10 +177,87 @@ def test_element_validation():
         ExtraspecialGroup(3, 0, PLUS)
 
 
+def test_element_refuses_float_coordinates():
+    group = ExtraspecialGroup(3, 1, PLUS)
+    with pytest.raises(TypeError):
+        group.element((1.7,), (0,), 2.9)
+    with pytest.raises(TypeError):
+        group.element((1,), (0,), 2.0)
+    with pytest.raises(TypeError):
+        group.embed((1, 0.5))
+
+
+def test_element_refuses_string_coordinates():
+    group = ExtraspecialGroup(3, 1, PLUS)
+    with pytest.raises(TypeError):
+        group.element(("2",), (0,), 0)
+    with pytest.raises(TypeError):
+        group.embed(("2", 0))
+
+
+def test_heisenberg_element_refuses_non_integers():
+    group = HeisenbergGroup(2)
+    with pytest.raises(TypeError):
+        group.element((1.0, 0), 0)
+    with pytest.raises(TypeError):
+        group.element((1, "0"), 0)
+    with pytest.raises(TypeError):
+        group.element((1, 0), 0.5)
+
+
+def test_element_takes_integer_types():
+    group = ExtraspecialGroup(5, 1, MINUS)
+    assert group.element((np.int64(7),), [True], np.uint8(9)) == group.element((2,), (1,), 4)
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 1)])
+def test_ids_are_the_coordinates_in_order(p, d, sign):
+    # Ids count the coordinates a_1..a_d, b_1..b_d, z with a_1 most
+    # significant, the order of the cover's vertices.
+    group = ExtraspecialGroup(p, d, sign)
+    assert group.elements() == range(group.size)
+    digits = list(itertools.product(range(p), repeat=2 * d + 1))
+    assert [group.coordinates(g) for g in group.elements()] == [
+        (t[:d], t[d: 2 * d], t[-1]) for t in digits]
+    assert [group.element(t[:d], t[d: 2 * d], t[-1]) for t in digits] == list(group.elements())
+    assert group.coordinates(group.identity) == ((0,) * d, (0,) * d, 0)
+    assert all(group.embed(t[: 2 * d]) == group.element(t[:d], t[d: 2 * d], 0) for t in digits)
+
+
+def test_ids_outside_the_group_are_refused():
+    group = ExtraspecialGroup(3, 1, MINUS)
+    for g in (-1, group.size, -group.size, 10 ** 30):
+        for call in (group.coordinates, group.order, lambda g: group.power(g, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                call(g)
+    with pytest.raises(TypeError):
+        group.coordinates(1.0)
+    with pytest.raises(TypeError):
+        group.order("1")
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_construction_builds_no_tables(sign):
+    # The product tables come with the first product, so a group at (13, 3),
+    # 13^6 block pairs, is made in constant time.
+    group = ExtraspecialGroup(13, 3, sign)
+    assert "_tables" not in vars(group)
+    assert group.coordinates(group.size - 1) == ((12,) * 3, (12,) * 3, 12)
+    assert group.element((12,) * 3, (12,) * 3, 12) == group.size - 1
+    small = ExtraspecialGroup(3, 1, sign)
+    small.mul(1, 2)
+    assert len(vars(small)["_tables"][0]) == 9
+
+
 # ---------------------------------------------------------------- table arithmetic
-# mul and inv read precomputed tables; these oracles are the definitions they
-# must agree with: the cocycle for mul, the closed form (-a, -b, a.b - z,
-# less the carry of a_1 + (-a_1) for minus) for inv.
+# mul and inv read precomputed tables over ids; these oracles are the
+# definitions they must agree with, on coordinates: the cocycle for mul, the
+# closed form (-a, -b, a.b - z, less the carry of a_1 + (-a_1) for minus)
+# for inv, and compositions of the two for power, order and commutator.
+
+# Every odd supported p with p^(2d+1) <= 10^6, the cover cap.
+SUPPORTED = [(p, d) for p in (3, 5, 7, 11, 13) for d in range(1, 6) if p ** (2 * d + 1) <= 10 ** 6]
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,8 +266,10 @@ def _group(p, d, sign):
 
 
 def _mul_oracle(group, g, h):
-    return group.element([x + y for x, y in zip(g.a, h.a)], [x + y for x, y in zip(g.b, h.b)],
-                         g.z + h.z + group.cocycle((g.a, g.b), (h.a, h.b)))
+    p = group.p
+    return ExtraspecialElement(tuple((x + y) % p for x, y in zip(g.a, h.a)),
+                               tuple((x + y) % p for x, y in zip(g.b, h.b)),
+                               (g.z + h.z + group.cocycle((g.a, g.b), (h.a, h.b))) % p)
 
 
 def _inv_oracle(group, g):
@@ -198,39 +277,58 @@ def _inv_oracle(group, g):
     z = -g.z + sum(x * y for x, y in zip(g.a, g.b))
     if group.sign == MINUS:
         z -= carry_int(g.a[0], (-g.a[0]) % p, p)
-    return group.element([-x for x in g.a], [-x for x in g.b], z)
+    return ExtraspecialElement(tuple(-x % p for x in g.a), tuple(-x % p for x in g.b), z % p)
+
+
+def _powers_oracle(group, g):
+    """g, g^2, ... up to the first power that is the identity, on coordinates."""
+    identity = group.coordinates(group.identity)
+    out = [g]
+    while out[-1] != identity:
+        out.append(_mul_oracle(group, out[-1], g))
+    return out
+
+
+def _commutator_oracle(group, g, h):
+    mul = functools.partial(_mul_oracle, group)
+    return mul(mul(mul(_inv_oracle(group, g), _inv_oracle(group, h)), g), h)
 
 
 @pytest.mark.parametrize("sign", SIGNS)
 @pytest.mark.parametrize("p, d", [(3, 1), (3, 2), (5, 1), (7, 1)])
 def test_mul_and_inv_match_oracles_exhaustive(p, d, sign):
     group, els = group_elements(p, d, sign)
-    for g in els:
-        assert group.inv(g) == _inv_oracle(group, g)
-        for h in els:
-            assert group.mul(g, h) == _mul_oracle(group, g, h)
+    coords = [group.coordinates(g) for g in els]
+    for g, cg in zip(els, coords):
+        assert group.coordinates(group.inv(g)) == _inv_oracle(group, cg)
+        for h, ch in zip(els, coords):
+            assert group.coordinates(group.mul(g, h)) == _mul_oracle(group, cg, ch)
 
 
 @pytest.mark.parametrize("sign", SIGNS)
 def test_products_are_extraspecial_elements(sign):
-    # mul and inv build their results with tuple.__new__; they must still be
-    # the named tuple, not plain tuples that only compare equal.
+    # mul, inv, power and commutator return ids, plain ints, whose
+    # coordinates are the named tuple of two blocks and a residue.
     group = ExtraspecialGroup(5, 2, sign)
     g, h = group.element([1, 4], [2, 3], 1), group.element([3, 0], [4, 4], 2)
     for value in (group.mul(g, h), group.inv(g), group.power(g, 3), group.commutator(g, h)):
-        assert type(value) is ExtraspecialElement
-        assert value == (value.a, value.b, value.z)
-        assert all(type(x) is tuple and len(x) == 2 for x in (value.a, value.b))
-    assert group.mul(g, h).a == (4, 4) and group.mul(g, h).b == (1, 2)
-    assert group.commutator(g, h) == (group.identity.a, group.identity.b, group.commutator(g, h).z)
+        assert type(value) is int and 0 <= value < group.size
+        coords = group.coordinates(value)
+        assert type(coords) is ExtraspecialElement
+        assert coords == (coords.a, coords.b, coords.z)
+        assert all(type(x) is tuple and len(x) == 2 for x in (coords.a, coords.b))
+        assert type(coords.z) is int
+    product = group.coordinates(group.mul(g, h))
+    assert product.a == (4, 4) and product.b == (1, 2)
+    commutator = group.coordinates(group.commutator(g, h))
+    assert commutator == ((0, 0), (0, 0), commutator.z)
 
 
 @st.composite
 def _extraspecial_pair(draw):
-    p, d = draw(st.sampled_from([(7, 3), (13, 2), (3, 5)]))
+    p, d = draw(st.sampled_from(SUPPORTED))
     group = _group(p, d, draw(st.sampled_from(SIGNS)))
-    vec = st.lists(st.integers(0, p - 1), min_size=d, max_size=d)
-    g, h = (group.element(draw(vec), draw(vec), draw(st.integers(0, p - 1))) for _ in range(2))
+    g, h = (draw(st.integers(0, group.size - 1)) for _ in range(2))
     return group, g, h
 
 
@@ -238,9 +336,24 @@ def _extraspecial_pair(draw):
 @given(_extraspecial_pair())
 def test_mul_and_inv_match_oracles_sampled(case):
     group, g, h = case
-    assert group.mul(g, h) == _mul_oracle(group, g, h)
-    assert group.inv(g) == _inv_oracle(group, g)
+    cg, ch = group.coordinates(g), group.coordinates(h)
+    assert group.element(*cg) == g
+    assert group.coordinates(group.mul(g, h)) == _mul_oracle(group, cg, ch)
+    assert group.coordinates(group.inv(g)) == _inv_oracle(group, cg)
     assert group.mul(g, group.inv(g)) == group.identity
+
+
+@settings(max_examples=300, deadline=None)
+@given(_extraspecial_pair(), st.integers(0, 30))
+def test_power_order_and_commutator_match_oracles_sampled(case, k):
+    group, g, h = case
+    cg, ch = group.coordinates(g), group.coordinates(h)
+    powers = _powers_oracle(group, cg)
+    assert group.order(g) == len(powers)
+    # g^k is powers[k - 1] for 0 < k <= order; k = 0 and its multiples of
+    # the order wrap to the last, the identity.
+    assert group.coordinates(group.power(g, k)) == powers[k % len(powers) - 1]
+    assert group.coordinates(group.commutator(g, h)) == _commutator_oracle(group, cg, ch)
 
 
 def _heisenberg_mul_oracle(group, g, h):
@@ -282,10 +395,12 @@ def test_elements_hash_and_compare_by_value():
     g = group.element((1, 2), (3, 4), 0)
     made = ExtraspecialElement((1, 2), (3, 4), 0)
     computed = group.mul(group.element((1, 0), (0, 0), 0), group.element((0, 2), (3, 4), 0))
-    assert g == made == computed == ((1, 2), (3, 4), 0)
-    assert len({g, made, computed}) == 1
+    assert g == computed
+    assert group.coordinates(g) == made == group.coordinates(computed) == ((1, 2), (3, 4), 0)
+    assert len({group.coordinates(g), made, group.coordinates(computed)}) == 1
     assert g != group.element((1, 2), (3, 4), 1)
-    assert (g.a, g.b, g.z) == ((1, 2), (3, 4), 0)
+    coords = group.coordinates(g)
+    assert (coords.a, coords.b, coords.z) == ((1, 2), (3, 4), 0)
     cube = HeisenbergGroup(3)
     x = cube.mul(cube.element((1, 0, 0), 0), cube.element((0, 1, 1), 0))
     assert x == HeisenbergElement((1, 1, 1), 0) and hash(x) == hash(((1, 1, 1), 0))
