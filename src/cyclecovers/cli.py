@@ -420,7 +420,8 @@ def cmd_gain(args) -> int:
         docs.append({
             "construction": {"kind": "gain", "p": p, "d": args.d, "sign": sign},
             "n": gg.base.n,
-            "arcs": gg.arc_table(),
+            # One block, the arc table: heads and tails below n, gains below p <= n.
+            "arcs": IntBlocks(partial(list, [gg.arc_table()]), gg.base.n),
             "three_cycle_sums_nonzero": ok3,
             "three_cycle_zero_witness": list(wit3) if wit3 else None,
             "four_cycle_sums_nonzero": ok4,

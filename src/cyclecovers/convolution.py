@@ -1,11 +1,11 @@
-"""Dense functions on small finite groups: convolution, the mod-2 twisted
-convolution, and the lift to the Heisenberg carrier.
+"""Dense functions on small finite groups: convolution over Z_2^d and the
+Heisenberg group, the mod-2 twisted convolution, and the lift to the
+Heisenberg carrier.
 
 Each convolution is one exact kernel, (f * g)(x) = sum over y of
 f(y) g(T[y, x]), times S[y, x] for the twisted convolution, over tables T
-and S that depend only on the group and are built once per carrier and
-group. The kernel sums in int64 and refuses input where a sum could
-overflow.
+and S that depend only on the group, built once per d from bit ids. The
+kernel sums in int64 and refuses input where a sum could overflow.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ class GroupFunction:
     """A total function from an enumerated carrier to integers.
 
     Values stay integers through convolution, keeping the algebraic identity
-    checks exact.
+    checks exact. The constructor checks the carrier; a function that a
+    kernel returns reuses its input's carrier unchecked (_on).
     """
 
     def __init__(self, carrier: Sequence, values: Sequence):
@@ -33,9 +34,20 @@ class GroupFunction:
             raise ValueError("one value per carrier element required")
         self.carrier = tuple(carrier)
         self.values = tuple(values)
-        self.index = {g: i for i, g in enumerate(self.carrier)}
-        if len(self.index) != len(self.carrier):
+        if len(set(self.carrier)) != len(self.carrier):
             raise ValueError("carrier contains repeated elements")
+
+    @classmethod
+    def _on(cls, carrier: tuple, values: Sequence) -> "GroupFunction":
+        """The function with these values on a carrier already checked."""
+        out = cls.__new__(cls)
+        out.carrier, out.values = carrier, tuple(values)
+        return out
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Carrier index of each element, built on the first call of self."""
+        return {g: i for i, g in enumerate(self.carrier)}
 
     @classmethod
     def delta(cls, carrier: Sequence, at) -> "GroupFunction":
@@ -57,12 +69,8 @@ class GroupFunction:
             and self.values == other.values
         )
 
-    def __add__(self, other: "GroupFunction") -> "GroupFunction":
-        self._check(other)
-        return GroupFunction(self.carrier, [a + b for a, b in zip(self.values, other.values)])
-
     def scale(self, c) -> "GroupFunction":
-        return GroupFunction(self.carrier, [c * v for v in self.values])
+        return GroupFunction._on(self.carrier, [c * v for v in self.values])
 
     def _check(self, other: "GroupFunction") -> None:
         if self.carrier != other.carrier:
@@ -86,23 +94,14 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _division_table(carrier: tuple, mul: Callable, inv: Callable) -> np.ndarray:
-    """Carrier index of y^-1 x at [y, x] in any group: mul runs once per
-    pair, inv once per element."""
-    index = {g: i for i, g in enumerate(carrier)}
-    return _frozen(np.array([[index[mul(y_inv, x)] for x in carrier]
-                             for y_inv in map(inv, carrier)], dtype=np.intp))
-
-
-@functools.lru_cache(maxsize=8)
 def _heisenberg_division_table(d: int) -> np.ndarray:
-    """_division_table of HeisenbergGroup(d) over heisenberg_carrier(d),
-    from bit ids: element (x, t) has index 2 xid + t, xid the bit id of x.
-    The inverse of (y, s) is (y, s + C(k, 2)), k the number of ones in y,
-    and the product adds form(y, x) to the central bit, so y^-1 x is
-    (y XOR x, s + t + C(k, 2) + form(y, x)). As form(y, y XOR x) = C(k, 2)
-    + form(y, x) mod 2, that central bit is s + t + 1 exactly where
-    _twist_tables gives the sign -1."""
+    """The index of y^-1 x at [y, x] in HeisenbergGroup(d) over
+    heisenberg_carrier(d), from bit ids: element (x, t) has index 2 xid + t,
+    xid the bit id of x. The inverse of (y, s) is (y, s + C(k, 2)), k the
+    number of ones in y, and the product adds form(y, x) to the central bit,
+    so y^-1 x is (y XOR x, s + t + C(k, 2) + form(y, x)). As form(y, y XOR
+    x) = C(k, 2) + form(y, x) mod 2, that central bit is s + t + 1 exactly
+    where _twist_tables gives the sign -1."""
     sums, signs = _twist_tables(z2_carrier(d))
     central = (signs < 0)[:, None, :, None]
     s = np.arange(2)
@@ -148,13 +147,7 @@ def _gather_sum(f: GroupFunction, g: GroupFunction, ids: np.ndarray,
     signs[y, x] when signs are given."""
     fv, gv = _exact(f, g)
     terms = gv[ids] if signs is None else gv[ids] * signs
-    return GroupFunction(f.carrier, (fv @ terms).tolist())
-
-
-def convolve(f: GroupFunction, g: GroupFunction, mul: Callable, inv: Callable) -> GroupFunction:
-    """(f * g)(x) = sum over y of f(y) g(y^-1 x) in the group that mul and
-    inv give f's carrier."""
-    return _gather_sum(f, g, _division_table(f.carrier, mul, inv))
+    return GroupFunction._on(f.carrier, (fv @ terms).tolist())
 
 
 def standard_basis_indicator(d: int) -> GroupFunction:
@@ -172,16 +165,19 @@ def twisted_convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 
 
 def central_lift(f: GroupFunction) -> GroupFunction:
-    """Lift f on Z_2^d to the Heisenberg carrier, weighted by the parity
-    character on the central coordinate: (x, t) -> (-1)^t f(x)."""
-    carrier = heisenberg_carrier(len(f.carrier[0]))
-    values = [((-1) ** g.t) * f.values[f.index[g.x]] for g in carrier]
-    return GroupFunction(carrier, values)
+    """Lift f on z2_carrier(d) to heisenberg_carrier(d), weighted by the
+    parity character on the central coordinate: (x, t) -> (-1)^t f(x), at
+    index 2 xid + t, xid the bit id of x. ValueError for another carrier."""
+    d = len(f.carrier[0])
+    if f.carrier != z2_carrier(d):
+        raise ValueError("the central lift needs the carrier z2_carrier(d)")
+    return GroupFunction._on(heisenberg_carrier(d), [w for v in f.values for w in (v, -v)])
 
 
 def check_central_lift_identity(f: GroupFunction, g: GroupFunction) -> tuple[bool, int]:
-    """Verify convolve(lift f, lift g) equals the lift of the twisted
-    convolution scaled by the center order. Returns (ok, center_order)."""
+    """Verify that the convolution of lift f and lift g in the Heisenberg
+    group equals the lift of the twisted convolution scaled by the center
+    order. Returns (ok, center_order)."""
     center_order = 2
     table = _heisenberg_division_table(len(f.carrier[0]))
     lhs = _gather_sum(central_lift(f), central_lift(g), table)

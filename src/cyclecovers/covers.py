@@ -277,7 +277,7 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     """
     p = _extraspecial_prime(p, d, sign)
     group = extraspecial_group(p, d, sign)
-    total = cayley(group.elements(), group.mul, group.inv, lifted_connection(group))
+    total = cayley(group.size, group.mul, group.inv, lifted_connection(group))
     return CoveringMap(total, cycle_power(p, 2 * d), np.repeat(standard_ids(p, d), p))
 
 

@@ -218,17 +218,16 @@ def write_edge_rows(n: int, rows: RowFunction, write: Callable[[str], object]) -
         raise ValueError(f"rows give {lines} edges, not the {m} of the header")
 
 
-def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence) -> Graph:
-    """Cayley graph: vertices in carrier order, {g,h} an edge when g h^-1 is in
-    the connection set. The connection set must be inverse closed and must not
-    contain the identity; a repeated element counts once. Row g holds the
-    products s g, so mul runs once per vertex and connection element, and
-    once more for the identity."""
-    index = {g: i for i, g in enumerate(carrier)}
-    if len(index) != len(carrier):
-        raise ValueError("carrier contains repeated elements")
+def cayley(n: int, mul: Callable[[int, int], int], inv: Callable[[int], int],
+           connection: Sequence[int]) -> Graph:
+    """Cayley graph of a group on the ids 0..n-1: {g,h} an edge when g h^-1
+    is in the connection set. The connection set must be inverse closed and
+    must not contain the identity; a repeated element counts once. Row g
+    holds the products s g, so mul runs once per vertex and connection
+    element, and once more for the identity. ValueError for a product
+    outside 0..n-1 (reporting.check_ids)."""
     if not connection:
-        return Graph(len(carrier), [])
+        return Graph(n, [])
     conn = list(dict.fromkeys(connection))
     identity = mul(inv(conn[0]), conn[0])
     conn_set = set(conn)
@@ -240,10 +239,10 @@ def cayley(carrier: Sequence, mul: Callable, inv: Callable, connection: Sequence
     # One column of neighbour ids per connection element: s g = s' g only
     # when s = s', and h = s g gives g = s^-1 h, so each row is free of
     # repeats and the rows are symmetric.
-    table = np.empty((len(carrier), len(conn)), np.int64)
+    table = np.empty((n, len(conn)), np.int64)
     for j, s in enumerate(conn):
-        table[:, j] = np.fromiter(map(index.__getitem__, map(mul, repeat(s), carrier)),
-                                  np.int64, len(carrier))
+        table[:, j] = np.fromiter(map(mul, repeat(s), range(n)), np.int64, n)
+    check_ids(table, n)
     table.sort(axis=1)
     return Graph._from_table(table)
 

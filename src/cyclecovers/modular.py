@@ -6,14 +6,17 @@ value as an ordinary integer is the inclusion into Z.
 
 from __future__ import annotations
 
+import operator
+
 SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class Prime(int):
-    """A validated prime modulus. Behaves as a plain int."""
+    """A validated prime modulus. Behaves as a plain int. p is read through
+    operator.index, so a float or a string raises TypeError."""
 
     def __new__(cls, p: int) -> "Prime":
-        p = int(p)
+        p = operator.index(p)
         if p not in SUPPORTED_PRIMES:
             raise ValueError(f"modulus must be a prime in {SUPPORTED_PRIMES}, got {p}")
         return super().__new__(cls, p)

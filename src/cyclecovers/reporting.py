@@ -2,12 +2,12 @@
 
 Documents are JSON with sorted keys and an indent of two spaces; every float
 is rounded to 12 significant digits before it is written, so identical runs
-emit identical bytes. Dict keys are written as str(key), and lists,
-tuples and 1-D or 2-D integer numpy arrays all become JSON arrays. An
+emit identical bytes. Dict keys are written as str(key), and lists and
+tuples become JSON arrays. Integer numpy arrays are written only as an
 IntBlocks value, an array of ids below a bound given as the blocks it
-concatenates, is written byte for byte as that array would be, one block at
-a time, so an array too large to hold can still be a value. Ids are written
-by id_text, which gathers their digits from a digit_table.
+concatenates: byte for byte as the list of its values would be, one block
+at a time, so an array too large to hold can still be a value. Ids are
+written by id_text, which gathers their digits from a digit_table.
 """
 
 from __future__ import annotations
@@ -47,13 +47,9 @@ def _scalar_text(obj: Any) -> Optional[str]:
         if x == -math.inf:
             return "-Infinity"
         return float.__repr__(x)
-    if isinstance(obj, (dict, list, tuple, IntBlocks)) or _is_int_array(obj):
+    if isinstance(obj, (dict, list, tuple, IntBlocks)):
         return None
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _is_int_array(obj: Any) -> bool:
-    return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
 
 
 def digit_table(n: int) -> np.ndarray:
@@ -106,20 +102,19 @@ class IntBlocks:
         self.bound = bound
 
 
-# Members of an integer ndarray or IntBlocks written by one write call.
+# Members of an IntBlocks written by one write call.
 BLOCK = 1024
 
 
-def _member_texts(arrays: Iterable[Any], inner: str,
-                  table: Optional[np.ndarray]) -> Iterator[str]:
+def _member_texts(arrays: Iterable[Any], inner: str, table: np.ndarray) -> Iterator[str]:
     """The members of the arrays, BLOCK per text, each after "," and inner,
-    the line break and indent of the members: by id_text from table, or by
-    one % per block without one. TypeError for an array that is not a 1-D
-    or 2-D integer ndarray with columns, ValueError for one whose shape is
-    not that of the first."""
+    the line break and indent of the members, by id_text from table.
+    TypeError for an array that is not a 1-D or 2-D integer ndarray with
+    columns, ValueError for one whose shape is not that of the first."""
     shape = None
     for array in arrays:
-        if not _is_int_array(array) or array.shape[1:] == (0,):
+        if (not isinstance(array, np.ndarray) or array.dtype.kind not in "iu"
+                or array.ndim not in (1, 2) or array.shape[1:] == (0,)):
             raise TypeError("a block of ints must be a 1-D or 2-D integer ndarray with columns")
         if shape is None:
             shape, row = array.shape[1:], inner + "  "
@@ -129,15 +124,14 @@ def _member_texts(arrays: Iterable[Any], inner: str,
             raise ValueError(f"block of shape {array.shape} after blocks of {shape} columns")
         for start in range(0, len(array), BLOCK):
             block = array[start:start + BLOCK]
-            yield ("%d".join(seps) * len(block) % tuple(block.ravel().tolist()) if table is None
-                   else id_text(table, block.reshape(len(block), -1), seps))
+            yield id_text(table, block.reshape(len(block), -1), seps)
 
 
 def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None:
     """Write a container; newline is a line break plus the indent of the
     line the container opens on. Scalar members go out in one write with
-    the separator before them; an integer ndarray with columns, or an
-    IntBlocks, goes out BLOCK members per write (_member_texts)."""
+    the separator before them; an IntBlocks goes out BLOCK members per
+    write (_member_texts)."""
     if isinstance(obj, dict):
         if not obj:
             write("{}")
@@ -157,10 +151,8 @@ def _write_value(obj: Any, write: Callable[[str], object], newline: str) -> None
         return
     inner = newline + "  "
     sep = "[" + inner
-    if isinstance(obj, IntBlocks) or (isinstance(obj, np.ndarray) and obj.shape[1:] != (0,)):
-        blocks = (_member_texts(obj.make(), inner, digit_table(obj.bound))
-                  if isinstance(obj, IntBlocks) else _member_texts((obj,), inner, None))
-        for text in blocks:
+    if isinstance(obj, IntBlocks):
+        for text in _member_texts(obj.make(), inner, digit_table(obj.bound)):
             write(text if sep[0] == "," else "[" + text[1:])
             sep = ","
     else:

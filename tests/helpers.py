@@ -11,11 +11,19 @@ from typing import Sequence
 from cyclecovers.cli import _gain_graph_for_dims
 from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
-from cyclecovers.graphs import Graph
+from cyclecovers.graphs import Graph, cayley
 from cyclecovers.groups import SIGNS, ExtraspecialGroup, HeisenbergElement, HeisenbergGroup
 from cyclecovers.spectra import SpectrumReport, hermitian_eigenvalues, twisted_adjacency
 
 from oracles import induced_subgraph
+
+
+def cayley_on_ids(carrier, mul, inv, connection) -> Graph:
+    """graphs.cayley of a group given on an enumerated carrier, through an
+    index map of the carrier: vertex i is carrier[i]."""
+    index = {g: i for i, g in enumerate(carrier)}
+    return cayley(len(carrier), lambda i, j: index[mul(carrier[i], carrier[j])],
+                  lambda i: index[inv(carrier[i])], [index[s] for s in connection])
 
 
 @functools.lru_cache(maxsize=None)

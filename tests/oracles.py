@@ -600,15 +600,16 @@ def cocycle_cover(p: int, d: int, sign: str) -> CoveringMap:
 def cover_files(cm: CoveringMap, stem: str, fmt: str) -> dict[str, bytes]:
     """The files build writes for the cover, by name, made from the whole
     graphs: Graph.write_edge_list, CoveringMap.write_fiber_map, and
-    write_stable on the whole edge arrays and fiber map."""
+    write_stable on the lists of the whole edge arrays and fiber map."""
     if fmt == "edges":
         files = {".total.edges": cm.total.write_edge_list,
                  ".base.edges": cm.base.write_edge_list,
                  ".fibers.txt": cm.write_fiber_map}
     else:
-        doc = {"total": {"n": cm.total.n, "edges": np.column_stack(cm.total.edge_arrays())},
-               "base": {"n": cm.base.n, "edges": np.column_stack(cm.base.edge_arrays())},
-               "fiber_map": np.asarray(cm.fiber_map)}
+        doc = {"total": {"n": cm.total.n,
+                         "edges": np.column_stack(cm.total.edge_arrays()).tolist()},
+               "base": {"n": cm.base.n, "edges": np.column_stack(cm.base.edge_arrays()).tolist()},
+               "fiber_map": np.asarray(cm.fiber_map).tolist()}
         files = {".json": lambda write: write_stable(doc, write)}
     out = {}
     for suffix, write_file in files.items():

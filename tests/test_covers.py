@@ -27,7 +27,6 @@ from cyclecovers.covers import (
 from cyclecovers.gains import cocycle_rows
 from cyclecovers.graphs import (
     Graph,
-    cayley,
     cycle_graph,
     girth,
     has_4cycle,
@@ -37,7 +36,8 @@ from cyclecovers.graphs import (
 from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup, HeisenbergGroup
 from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 
-from helpers import VertexCodec, cover, cube_cover, heisenberg_generators, is_regular, odd_cover
+from helpers import (VertexCodec, cayley_on_ids, cover, cube_cover, heisenberg_generators,
+                     is_regular, odd_cover)
 from oracles import (
     DictGainGraph,
     brute_isomorphic,
@@ -418,14 +418,14 @@ def test_heisenberg_cover_small():
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_heisenberg_cover_is_the_cayley_graph(d):
-    # The rows from bit ids against the group's products: cayley's rows s g,
-    # the build they replaced, at every d, and the pairwise definition where
-    # its 2^(2d+1) products stay cheap.
+    # The rows from bit ids against the group's products: cayley's rows s g
+    # on the carrier's indices, the build they replaced, at every d, and the
+    # pairwise definition where its 2^(2d+1) products stay cheap.
     group = HeisenbergGroup(d)
     carrier = list(group.elements())
     generators = heisenberg_generators(group)
     cm = heisenberg_cover(d)
-    assert cm.total == cayley(carrier, group.mul, group.inv, generators)
+    assert cm.total == cayley_on_ids(carrier, group.mul, group.inv, generators)
     if d <= 8:
         assert cm.total == cayley_by_definition(carrier, group.mul, group.inv, generators)
     assert cm.base == hypercube_by_definition(d)

@@ -26,7 +26,7 @@ from cyclecovers.graphs import (
 )
 from cyclecovers.groups import SIGNS, ExtraspecialGroup
 
-from helpers import VertexCodec, cover, graph_from_edge_list_text, is_regular
+from helpers import VertexCodec, cayley_on_ids, cover, graph_from_edge_list_text, is_regular
 from oracles import (
     TupleGraph,
     induced_subgraph,
@@ -207,7 +207,7 @@ def test_cayley_cube():
     for d in (1, 2, 3, 4):
         carrier = z2_tuples(d)
         units = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-        g = cayley(carrier, xor, lambda x: x, units)
+        g = cayley_on_ids(carrier, xor, lambda x: x, units)
         assert g == hypercube(d)
         assert is_regular(g) == d
 
@@ -218,18 +218,37 @@ def test_hypercube_matches_definition(d):
 
 
 def test_cayley_triangle():
-    g = cayley([0, 1, 2], lambda a, b: (a + b) % 3, lambda a: (-a) % 3, [1, 2])
+    g = cayley(3, lambda a, b: (a + b) % 3, lambda a: (-a) % 3, [1, 2])
     assert g == cycle_graph(3)
 
 
 def test_cayley_rejects_identity_in_connection():
     with pytest.raises(ValueError):
-        cayley([0, 1, 2], lambda a, b: (a + b) % 3, lambda a: (-a) % 3, [0, 1, 2])
+        cayley(3, lambda a, b: (a + b) % 3, lambda a: (-a) % 3, [0, 1, 2])
 
 
 def test_cayley_rejects_non_inverse_closed():
     with pytest.raises(ValueError):
-        cayley([0, 1, 2], lambda a, b: (a + b) % 3, lambda a: (-a) % 3, [1])
+        cayley(3, lambda a, b: (a + b) % 3, lambda a: (-a) % 3, [1])
+
+
+@pytest.mark.parametrize("wrap", [lambda c: c + 3, lambda c: c - 3],
+                         ids=["above n", "below 0"])
+def test_cayley_refuses_a_product_outside_the_ids(wrap):
+    # Z_3 with one product moved off 0..2: without the check a bad id
+    # would reach the CSR arrays unseen.
+    def mul(a, b):
+        c = (a + b) % 3
+        return wrap(c) if (a, b) == (1, 2) else c
+
+    with pytest.raises(ValueError, match="out of range for n=3"):
+        cayley(3, mul, lambda a: (-a) % 3, [1, 2])
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_cayley_with_no_connection_elements_is_edgeless(n):
+    g = cayley(n, lambda a, b: (a + b) % n, lambda a: (-a) % n, [])
+    assert g == Graph(n, []) and g.n == n and g.m == 0
 
 
 def test_cayley_cycle_power_is_4d_regular():
@@ -241,10 +260,10 @@ def test_cayley_cycle_power_is_4d_regular():
             e = tuple(1 if j == i else 0 for j in range(dim))
             conn.append(e)
             conn.append(tuple((-x) % p for x in e))
-        g = cayley(carrier,
-                   lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-                   lambda a: tuple((-x) % p for x in a),
-                   conn)
+        g = cayley_on_ids(carrier,
+                          lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+                          lambda a: tuple((-x) % p for x in a),
+                          conn)
         assert g.n == p ** dim
         assert is_regular(g) == 4 * d
 
@@ -265,7 +284,7 @@ def test_cayley_multiplies_once_per_vertex_and_connection_element(sign):
     carrier = list(group.elements())
     conn = lifted_connection(group)
     mul, calls = _counting(group.mul)
-    g = cayley(carrier, mul, group.inv, conn)
+    g = cayley(group.size, mul, group.inv, conn)
     assert calls[0] == len(carrier) * len(conn) + 1
     assert g == cayley_by_definition(carrier, group.mul, group.inv, conn)
 
@@ -273,14 +292,14 @@ def test_cayley_multiplies_once_per_vertex_and_connection_element(sign):
 def test_cayley_counts_a_repeated_connection_element_once():
     add, neg = (lambda a, b: (a + b) % 7), (lambda a: (-a) % 7)
     mul, calls = _counting(add)
-    g = cayley(list(range(7)), mul, neg, [1, 6, 1, 6, 6, 2, 5, 2])
+    g = cayley(7, mul, neg, [1, 6, 1, 6, 6, 2, 5, 2])
     assert g == cayley_by_definition(list(range(7)), add, neg, [1, 6, 2, 5])
     assert calls[0] == 7 * 4 + 1
     group = ExtraspecialGroup(3, 1, "minus")
     carrier = list(group.elements())
     conn = lifted_connection(group)
-    assert (cayley(carrier, group.mul, group.inv, conn + conn[::-1])
-            == cayley(carrier, group.mul, group.inv, conn))
+    assert (cayley(group.size, group.mul, group.inv, conn + conn[::-1])
+            == cayley(group.size, group.mul, group.inv, conn))
 
 
 # ---------------------------------------------------------------- products
@@ -303,10 +322,10 @@ def test_product_matches_cayley_form():
     prod = cartesian_power(cycle_graph(p), 2)
     carrier = list(itertools.product(range(p), repeat=2))
     conn = [(1, 0), (2, 0), (0, 1), (0, 2)]
-    cay = cayley(carrier,
-                 lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
-                 lambda a: tuple((-x) % p for x in a),
-                 conn)
+    cay = cayley_on_ids(carrier,
+                        lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+                        lambda a: tuple((-x) % p for x in a),
+                        conn)
     assert prod == cay
 
 
@@ -478,14 +497,14 @@ def extraspecial_cayley(draw):
 @given(st.one_of(cyclic_cayley(), extraspecial_cayley()))
 def test_cayley_matches_the_definition(case):
     carrier, mul, inv, conn = case
-    assert cayley(carrier, mul, inv, conn) == cayley_by_definition(carrier, mul, inv, conn)
+    assert cayley(len(carrier), mul, inv, conn) == cayley_by_definition(carrier, mul, inv, conn)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(cyclic_cayley(), extraspecial_cayley()), st.integers(3, 13))
 def test_rooted_scans_match_all_roots_on_cayley_graphs(case, cap):
     carrier, mul, inv, conn = case
-    g = cayley(carrier, mul, inv, conn)
+    g = cayley(len(carrier), mul, inv, conn)
     found4, wit4 = has_4cycle(g, root=0)
     assert found4 == has_4cycle(g)[0] == has_4cycle_by_pairs(g)[0]
     assert _is_4cycle_from(g, wit4, 0) if found4 else wit4 is None

@@ -2,6 +2,7 @@ import re
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,23 @@ def test_library_example_runs():
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_exports_the_names_of_the_library_example():
+    # The names the example imports from the package, read from the block
+    # test_library_example_runs runs, and __version__ beside them.
+    import cyclecovers
+
+    text = (ROOT / "README.md").read_text()
+    library = text[text.index("\n## Library\n"):]
+    code = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    imported = re.search(r"from cyclecovers import \((.*?)\)", code, re.S).group(1)
+    names = {name.strip() for name in imported.split(",") if name.strip()}
+    # Submodules become attributes of the package as they are imported.
+    public = {name for name, value in vars(cyclecovers).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(names) == 9 and public == names
+    assert cyclecovers.__version__ == "0.1.0"
 
 
 # Every line of the README's sh blocks that runs the CLI.

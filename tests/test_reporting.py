@@ -146,8 +146,14 @@ def test_int_arrays_nested_at_several_indents():
 
 
 # ---------------------------------------------------------------- int ndarrays
-# 1-D and 2-D integer arrays are written like the lists of their values,
-# BLOCK members per write; arrays of any other dtype or rank are refused.
+# An integer array of unsigned values is written as an IntBlocks, BLOCK
+# members per write, one of signed values as the list of its values; a bare
+# ndarray of any dtype or rank is refused.
+
+
+def _one_block(array: np.ndarray) -> IntBlocks:
+    """The array as one block, bounded just above its largest value."""
+    return IntBlocks(lambda: [array], int(array.max(initial=0)) + 1)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
@@ -157,20 +163,28 @@ def test_int_ndarrays_across_the_block_edge(n, dtype):
     pairs = np.arange(2 * n, dtype=dtype).reshape(n, 2)
     triples = (np.arange(3 * n, dtype=dtype) % 100).reshape(n, 3)
     no_columns = np.zeros((n, 0), dtype=dtype)
-    _assert_oracle_text(ints, pairs, triples, no_columns,
-                        {"ints": ints, "rows": {"pairs": pairs, "triples": [triples, ints]}})
-    assert stable_text(pairs) == stable_text(pairs.tolist())
+
+    def docs(wrap):
+        return [wrap(ints), wrap(pairs), wrap(triples),
+                {"ints": wrap(ints), "rows": {"pairs": wrap(pairs),
+                                              "triples": [wrap(triples), wrap(ints)]}}]
+
+    for blocks, doc in zip(docs(_one_block), docs(lambda array: array)):
+        assert stable_text(blocks) == json_stable_text(doc)
+    _assert_oracle_text(no_columns.tolist())
+    assert stable_text(_one_block(pairs)) == stable_text(pairs.tolist())
 
 
 def test_signed_int_ndarrays_match_their_lists():
     values = np.array([-(2 ** 63), -1, 0, 1, 2 ** 63 - 1] * 500, dtype=np.int64)
-    _assert_oracle_text(values, values.reshape(-1, 5), values.astype(np.int32) // 7)
+    for array in (values, values.reshape(-1, 5), values.astype(np.int32) // 7):
+        assert stable_text(array.tolist()) == json_stable_text(array)
 
 
 def test_int_ndarray_writes_at_most_one_block_per_piece():
     rows = np.arange(200_000).reshape(-1, 2)
     pieces: list[str] = []
-    write_stable(rows, pieces.append)
+    write_stable(_one_block(rows), pieces.append)
     assert "".join(pieces) == json_stable_text(rows)
     assert len(pieces) == -(-len(rows) // BLOCK) + 2
 
@@ -187,6 +201,17 @@ def test_other_ndarrays_are_refused(array):
             json_stable_text(doc)
 
 
+@pytest.mark.parametrize("array", [np.arange(5), np.arange(6).reshape(3, 2),
+                                   np.arange(5, dtype=np.uint8), np.array([-1, 2]),
+                                   np.zeros((2, 0), int), np.zeros(0, int)],
+                         ids=["1-d", "2-d", "uint8", "signed", "no-columns", "empty"])
+def test_raw_int_ndarrays_are_refused(array):
+    # Integer arrays go out as IntBlocks only, through one writer.
+    for doc in ({"x": array}, [1, array], array):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            stable_text(doc)
+
+
 # ---------------------------------------------------------------- blocked int arrays
 # An IntBlocks value is written byte for byte as the array its blocks
 # concatenate, whatever the cuts, and anew each time it is written.
@@ -200,9 +225,10 @@ def test_int_blocks_write_the_whole_array(n, columns, data):
         whole = whole.reshape(n, columns)
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
     blocks = IntBlocks(lambda: np.split(whole, cuts), whole.size)
-    for doc, as_array in (({"a": blocks, "b": [blocks, 1]}, {"a": whole, "b": [whole, 1]}),
-                          (blocks, whole)):
-        assert stable_text(doc) == stable_text(as_array) == json_stable_text(as_array)
+    listed = whole.tolist()
+    for doc, as_list in (({"a": blocks, "b": [blocks, 1]}, {"a": listed, "b": [listed, 1]}),
+                         (blocks, listed)):
+        assert stable_text(doc) == stable_text(as_list) == json_stable_text(as_list)
         assert stable_text(doc) == stable_text(doc)
 
 
@@ -211,7 +237,7 @@ def test_int_blocks_write_each_block_in_pieces_of_at_most_block_members():
     pieces: list[str] = []
     write_stable(blocks, pieces.append)
     assert len(pieces) == 3 + 1 + 2
-    assert "".join(pieces) == stable_text(np.concatenate(list(blocks.make())))
+    assert "".join(pieces) == json_stable_text(np.concatenate(list(blocks.make())))
 
 
 @pytest.mark.parametrize("block", [np.array([1.7, 2.2]), np.array([True, False]),
