@@ -28,6 +28,7 @@ from .groups import (
     low_bit_parities,
 )
 from .modular import Prime
+from .reporting import check_ints
 
 MAX_COVER_SIZE = 10 ** 6
 
@@ -119,9 +120,15 @@ class CoveringMap:
         return (isinstance(other, CoveringMap) and self.total == other.total
                 and self.base == other.base and np.array_equal(self.fiber_map, other.fiber_map))
 
+    def fiber_array(self) -> np.ndarray:
+        """The fiber map as an int64 array; TypeError for an entry that is
+        not an integer (reporting.check_ints)."""
+        check_ints(self.fiber_map)
+        return np.asarray(self.fiber_map, dtype=np.int64)
+
     def write_fiber_map(self, write: Callable[[str], object]) -> None:
         """Write one line "total_id base_id" per total vertex through write."""
-        gamma = np.asarray(self.fiber_map, dtype=np.int64)
+        gamma = self.fiber_array()
         write_pairs([np.column_stack((np.arange(len(gamma)), gamma))],
                     max(len(gamma), self.base.n), write)
 
@@ -167,10 +174,11 @@ def verify_cover(cm: CoveringMap) -> int:
     exactly when the map is a homomorphism, fibers are independent sets (the
     base has no loops) and every base edge induces a perfect matching
     between its two fibers. Raises CoverVerificationError with the
-    offending vertex or edge.
+    offending vertex or edge, TypeError for a fiber map entry that is not
+    an integer.
     """
     total, base = cm.total, cm.base
-    gamma = np.asarray(cm.fiber_map, dtype=np.int64)
+    gamma = cm.fiber_array()
     if len(gamma) != total.n:
         raise CoverVerificationError("map_domain", len(gamma))
     outside = (gamma < 0) | (gamma >= base.n)
@@ -315,13 +323,15 @@ class GainGraph:
     """A base graph with an antisymmetric arc labeling into Z_p, held as an
     int64 array aligned with the base's indices: gains[i] is the gain of the
     arc from base.tails()[i] to base.indices[i]. Gains are reduced mod p;
-    a gain past int64 is reduced as a Python int. Raises ValueError unless
+    a gain past int64 is reduced as a Python int. Raises TypeError for a
+    gain that is not an integer (reporting.check_ints), ValueError unless
     there is one gain per entry of base.indices and gain(v, u) = -gain(u, v)
     mod p."""
 
     def __init__(self, base: Graph, p: int, gains: Sequence[int]):
         self.base = base
         self.p = Prime(p)
+        check_ints(gains)
         try:
             values = np.asarray(gains, dtype=np.int64)
         except OverflowError:

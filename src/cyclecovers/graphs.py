@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .reporting import check_ids, digit_table, id_text
+from .reporting import check_ids, check_ints, digit_table, id_text
 
 # Rows per block when rows come from a row function or are lifted from a
 # gain graph (_BLOCK // p base rows), and lines per write when pairs are
@@ -23,12 +23,16 @@ RowFunction = Callable[[np.ndarray], np.ndarray]
 class Graph:
     """Immutable simple graph on vertex ids 0..n-1 in CSR form: row v,
     indices[indptr[v]:indptr[v + 1]], holds v's neighbours in ascending
-    order. Both arrays are int64 and read-only."""
+    order. Both arrays are int64 and read-only. The constructor raises
+    TypeError for an endpoint that is not an integer (reporting.check_ints)
+    and ValueError for a self-loop or an id outside 0..n-1."""
 
     __slots__ = ("indptr", "indices")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        pairs = np.fromiter(chain.from_iterable(edges), np.int64).reshape(-1, 2)
+        ends = list(chain.from_iterable(edges))
+        check_ints(ends)
+        pairs = np.fromiter(ends, np.int64, len(ends)).reshape(-1, 2)
         tails, heads = pairs[:, 0], pairs[:, 1]
         bad = (tails == heads) | (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n)
         if bad.any():

@@ -76,6 +76,19 @@ def check_ids(ids: np.ndarray, n: int) -> None:
             raise ValueError(f"id {high if high >= n else low} out of range for n={n}")
 
 
+def check_ints(values) -> None:
+    """TypeError unless every entry of values, an integer ndarray or a
+    sequence whose entries may be sequences in turn, is an int, a bool or a
+    numpy integer or bool: numpy would truncate a float and parse a string."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biu":
+        return
+    for v in values:
+        if isinstance(v, (list, tuple, np.ndarray)):
+            check_ints(v)
+        elif not isinstance(v, (int, np.integer, np.bool_)):
+            raise TypeError(f"expected integers, got {type(v).__name__} {v!r}")
+
+
 def id_text(table: np.ndarray, ids: np.ndarray, seps: Sequence[str]) -> str:
     """The rows of the 2-D integer array ids as text, each row seps[0], its
     first id, seps[1], ..., its last id, seps[-1]: the separators with NUL

@@ -279,6 +279,39 @@ def test_verify_cover_identity_map():
     assert verify_cover(CoveringMap(g, g, tuple(range(5)))) == 1
 
 
+@pytest.mark.parametrize("fiber_map", [
+    [0.2, 1.9, 2.5, 0.7, 1.1, 2.0],  # numpy would truncate these to a 2-fold map
+    np.array([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]),
+    ["0", "1", "2", "0", "1", "2"],
+    "012012",
+], ids=["floats", "float array", "strings", "str"])
+def test_verify_cover_refuses_a_fiber_map_that_is_not_integer(fiber_map):
+    cm = CoveringMap(cycle_graph(6), cycle_graph(3), fiber_map)
+    with pytest.raises(TypeError):
+        verify_cover(cm)
+    with pytest.raises(TypeError):
+        cm.write_fiber_map(lambda text: None)
+
+
+def test_verify_cover_takes_python_and_numpy_ints():
+    for gamma in ([0, 1, 2, 0, 1, 2], [np.int64(0), 1, np.uint8(2), 0, True, 2],
+                  np.array([0, 1, 2, 0, 1, 2], dtype=np.int32)):
+        assert verify_cover(CoveringMap(cycle_graph(6), cycle_graph(3), gamma)) == 2
+    with pytest.raises(OverflowError):
+        verify_cover(CoveringMap(cycle_graph(6), cycle_graph(3), [0, 1, 2, 0, 1, 2 ** 70]))
+
+
+@pytest.mark.parametrize("gains", [
+    [1.5, 1.2, -1.5, 1.9, -1.2, -1.9],  # numpy would store these as [1 1 2 1 2 2]
+    np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0]),
+    ["1", "2", "2", "1", "1", "2"],
+    [1, 2, 2, 1, 1, 2.0],
+], ids=["floats", "float array", "strings", "one float"])
+def test_gain_graph_refuses_gains_that_are_not_integers(gains):
+    with pytest.raises(TypeError):
+        GainGraph(cycle_graph(3), 3, gains)
+
+
 def _fresh_cover():
     return cover(3, 1, MINUS)
 

@@ -95,6 +95,25 @@ def test_graph_rejects_out_of_range():
         Graph(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1.7), (1, 2)],  # numpy would truncate these to (0, 1)
+    [("0", "1")],  # and parse these
+    np.array([[0.0, 1.0], [1.0, 2.0]]),
+    [(0, 1), (1, None)],
+], ids=["floats", "strings", "float array", "None"])
+def test_graph_refuses_endpoints_that_are_not_integers(edges):
+    with pytest.raises(TypeError):
+        Graph(3, edges)
+
+
+def test_graph_takes_python_and_numpy_ints_and_bools():
+    edges = [(np.int32(0), np.uint8(1)), (True, np.int64(2)), (np.bool_(False), 2)]
+    assert Graph(3, edges) == cycle_graph(3)
+    assert Graph(3, np.array([[0, 1], [1, 2]])).edge_set() == {(0, 1), (1, 2)}
+    with pytest.raises(OverflowError):
+        Graph(3, [(0, 2 ** 70)])
+
+
 def test_graph_adjacency_is_symmetric_and_loopless():
     for g in CORPUS.values():
         for u in range(g.n):
