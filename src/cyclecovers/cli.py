@@ -79,12 +79,14 @@ def _require_d(d: int) -> None:
 
 
 def _cover_params(args) -> Optional[int]:
-    """Check --heisenberg, --p and --d of build, verify and spectrum, and the
-    cover size against MAX_COVER_SIZE, before anything is built or written;
-    return the odd prime p, or None for the Heisenberg cover."""
+    """Check --heisenberg, --p, --d and --sign of build, verify and spectrum,
+    and the cover size against MAX_COVER_SIZE, before anything is built or
+    written; return the odd prime p, or None for the Heisenberg cover."""
     if args.heisenberg:
         if args.p is not None:
             raise UsageError("--heisenberg does not take --p")
+        if args.sign is not None:
+            raise UsageError("--heisenberg does not take --sign")
         if args.d is None or args.d < 1:
             raise UsageError("--heisenberg requires --d >= 1")
         p, base, exponent = None, 2, args.d + 1
@@ -99,8 +101,8 @@ def _cover_params(args) -> Optional[int]:
     return p
 
 
-def _signs(sign: str) -> list[str]:
-    return [PLUS, MINUS] if sign == "both" else [sign]
+def _signs(sign: Optional[str]) -> list[str]:
+    return [PLUS, MINUS] if sign in (None, "both") else [sign]
 
 
 def _write_stdout(text: str) -> None:
@@ -491,57 +493,57 @@ class _ArgumentParser(argparse.ArgumentParser):
             super().print_help(file)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The top-level parser with the subparser of the named command alone,
+    or with all of them when command names none (--help, no command, an
+    unknown one). The table is made here, not at import, so it holds the
+    cmd_* functions bound when the parser is built."""
+    signs = ["plus", "minus", "both"]
+    sign = ("--sign", {"default": "both", "choices": signs})
+    cover = (("--p", {"type": int, "help": "odd prime modulus"}),
+             ("--d", {"type": int, "help": "half the base dimension"}),
+             ("--heisenberg", {"action": "store_true", "help": "mod-2 cube cover instead"}),
+             ("--sign", {"choices": signs}))  # None, not both, so --heisenberg can refuse it
+    commands = {
+        "build": ("write edge lists and the fiber map", cmd_build, cover + (
+            ("--out", {"default": ".", "help": "output directory"}),
+            ("--format", {"default": "edges", "choices": ["edges", "json"]}))),
+        "verify": ("certify the covering axioms and cycle structure", cmd_verify, cover + (
+            ("--girth", {"action": "store_true", "help": "also compute the girth"}),)),
+        "bound": ("induced-subgraph degree bounds from twisted spectra", cmd_bound, (
+            ("--p", {"type": int}),
+            ("--dims", {"type": int, "help": "number of cycle factors in the base"}),
+            sign,
+            ("--twist", {"default": "all", "help": "a twist in [0, p) or 'all'"}),
+            ("--ranking", {"default": "magnitude", "choices": ["magnitude", "eigenvalue"]}))),
+        "spectrum": ("cover spectrum and its per-twist decomposition", cmd_spectrum, cover),
+        "gain": ("export the cocycle gain graph", cmd_gain,
+                 (("--p", {"type": int}), ("--d", {"type": int}), sign)),
+        "convolve-check": ("convolution and lift identities", cmd_convolve_check,
+                           (("--d", {"type": int}),)),
+    }
     parser = _ArgumentParser(
         prog="cyclecovers",
         description="Build and certify 4-cycle-free p-fold covers of products of p-cycles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--p", type=int, default=None, help="odd prime modulus")
-        sp.add_argument("--d", type=int, default=None, help="half the base dimension")
-        sp.add_argument("--heisenberg", action="store_true", help="mod-2 cube cover instead")
-        sp.add_argument("--sign", default="both", choices=["plus", "minus", "both"])
-
-    sp = sub.add_parser("build", help="write edge lists and the fiber map")
-    common(sp)
-    sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--format", default="edges", choices=["edges", "json"])
-    sp.set_defaults(func=cmd_build)
-
-    sp = sub.add_parser("verify", help="certify the covering axioms and cycle structure")
-    common(sp)
-    sp.add_argument("--girth", action="store_true", help="also compute the girth")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("bound", help="induced-subgraph degree bounds from twisted spectra")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--dims", type=int, default=None, help="number of cycle factors in the base")
-    sp.add_argument("--sign", default="both", choices=["plus", "minus", "both"])
-    sp.add_argument("--twist", default="all", help="a twist in [0, p) or 'all'")
-    sp.add_argument("--ranking", default="magnitude", choices=["magnitude", "eigenvalue"])
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("spectrum", help="cover spectrum and its per-twist decomposition")
-    common(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("gain", help="export the cocycle gain graph")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--sign", default="both", choices=["plus", "minus", "both"])
-    sp.set_defaults(func=cmd_gain)
-
-    sp = sub.add_parser("convolve-check", help="convolution and lift identities")
-    sp.add_argument("--d", type=int, default=None)
-    sp.set_defaults(func=cmd_convolve_check)
-
+    # Built with one subparser, the usage that errors print would list that
+    # command alone; the metavar keeps the full list. The full parser leaves
+    # it unset, because its "arguments are required" error names the dest.
+    one = command in commands
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(commands) + "}" if one else None)
+    for name in [command] if one else commands:
+        help_text, func, options = commands[name]
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

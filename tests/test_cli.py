@@ -732,6 +732,18 @@ def test_heisenberg_rejects_p(command, tmp_path, capsys):
     assert err == "error: --heisenberg does not take --p\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--heisenberg", "--d", "3", "--sign", "plus"),
+    ("spectrum", "--heisenberg", "--d", "2", "--sign", "minus"),
+    ("build", "--heisenberg", "--d", "2", "--sign", "plus"),
+    ("verify", "--heisenberg", "--d", "1", "--sign", "both"),
+], ids=" ".join)
+def test_heisenberg_rejects_sign(argv, tmp_path):
+    out = tmp_path / "out"
+    _assert_usage_error(*argv, *(("--out", str(out)) if argv[0] == "build" else ()))
+    assert not out.exists()
+
+
 ODD_PRIMES = (3, 5, 7, 11, 13)
 COMMANDS = ("build", "verify", "spectrum", "gain", "bound")
 HEISENBERG_COMMANDS = ("build", "verify", "spectrum")
@@ -880,3 +892,45 @@ def test_help_to_a_working_stdout_exits_0(argv, capsys, monkeypatch):
         main(list(argv))
     assert exit_info.value.code == 0
     assert capsys.readouterr() == (proc.stdout, "")
+
+
+def _main_output(capsys, argv):
+    """main's exit code, also from a SystemExit of argparse, and what it printed."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("name", ["build", "verify", "bound", "spectrum", "gain",
+                                  "convolve-check"])
+def test_the_parser_of_one_command_prints_what_the_full_parser_prints(name, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [(name, "--help"), (name, "--sign", "sideways"), (name, "--ranking", "x"),
+             (name, "--p", "x"), (name, "--p=3", "unrecognized")]
+    single = [_main_output(capsys, argv) for argv in cases]
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    assert [_main_output(capsys, argv) for argv in cases] == single
+    code, out, err = single[0]
+    assert (code, err) == (0, "") and out.startswith(f"usage: cyclecovers {name} [-h]")
+    assert all(code == 2 and out == "" and "error:" in err for code, out, err in single[1:])
+
+
+def test_a_named_command_builds_two_parsers_and_anything_else_seven(capsys, monkeypatch):
+    built = []
+    init = cli._ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+    assert main(["bound", "--p", "3", "--dims", "2"]) == 0
+    assert built == ["cyclecovers", "cyclecovers bound"]
+    for argv, code in ((["--help"], 0), ([], 2), (["nope"], 2)):
+        built.clear()
+        assert _main_output(capsys, argv)[0] == code
+        assert len(built) == 7
