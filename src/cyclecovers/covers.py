@@ -14,8 +14,7 @@ each arc; the signed double cover is that lift at p = 2.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -106,15 +105,16 @@ def modular_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return rank
 
 
-@dataclass(frozen=True, eq=False)
 class CoveringMap:
     """A graph homomorphism total -> base given as a per-vertex array: an
     int array from the builders, any int sequence from a caller. Maps are
-    equal when their graphs and fiber maps are."""
+    equal when their graphs and fiber maps are. Not a tuple, so that
+    iteration, hashing and != never reach the fiber map."""
 
-    total: Graph
-    base: Graph
-    fiber_map: Sequence[int]
+    __slots__ = ("total", "base", "fiber_map")
+
+    def __init__(self, total: Graph, base: Graph, fiber_map: Sequence[int]):
+        self.total, self.base, self.fiber_map = total, base, fiber_map
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, CoveringMap) and self.total == other.total
@@ -133,8 +133,7 @@ class CoveringMap:
                     max(len(gamma), self.base.n), write)
 
 
-@dataclass(frozen=True)
-class RowCover:
+class RowCover(NamedTuple):
     """A covering map given by row functions, for covers written a block of
     ids at a time (graphs.id_blocks) and never held whole: total vertices
     0..n-1 with rows, base vertices 0..base_n-1 with base_rows, and fibers
@@ -238,8 +237,7 @@ def lifted_connection(group: ExtraspecialGroup) -> tuple[int, ...]:
     return embedded + inverses
 
 
-@dataclass(frozen=True)
-class NoncommutingReport:
+class NoncommutingReport(NamedTuple):
     """Commutators of all ordered pairs of the embedded connection vectors."""
 
     ok: bool
@@ -353,7 +351,7 @@ class GainGraph:
 
     def gain(self, u: int, v: int) -> int:
         """The gain of the arc u -> v; ValueError when uv is not an edge."""
-        return int(self.gains[self.base.indptr[u] + self.base.neighbors(u).index(v)])
+        return int(self.gains[self.base.neighbors(u).index(v) + self.base.indptr[u]])
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Canonical arcs (u, v, gain) with u < v, ascending."""
@@ -392,14 +390,13 @@ def cover_from_gain(gg: GainGraph) -> CoveringMap:
     return CoveringMap(Graph._from_degrees(degrees, indices), base, fiber_map)
 
 
-@dataclass(frozen=True)
 class SignedMatrix:
-    """Symmetric matrix with entries in {-1, 0, +1} and zero diagonal."""
+    """Symmetric matrix with entries in {-1, 0, +1} and zero diagonal, as int8."""
 
-    entries: np.ndarray
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries)
+    def __init__(self, entries: np.ndarray):
+        m = np.asarray(entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("signed matrix must be square")
         if not np.array_equal(m, m.T):
@@ -408,7 +405,7 @@ class SignedMatrix:
             raise ValueError("entries must be in {-1, 0, 1}")
         if np.any(np.diag(m) != 0):
             raise ValueError("diagonal must be zero")
-        object.__setattr__(self, "entries", m.astype(np.int8))
+        self.entries = m.astype(np.int8)
 
     @property
     def n(self) -> int:

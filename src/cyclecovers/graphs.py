@@ -3,6 +3,7 @@ and short-cycle scans the cover constructions rely on."""
 
 from __future__ import annotations
 
+import operator
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -82,7 +83,9 @@ class Graph:
         return len(self.indices) // 2
 
     def _vertex(self, v: int) -> int:
-        """v; ValueError for an id outside 0..n-1, which numpy would wrap or reject."""
+        """v as an int; TypeError for a non-integer, ValueError for an id
+        outside 0..n-1, which numpy would wrap or reject."""
+        v = operator.index(v)
         if not 0 <= v < len(self.indptr) - 1:
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return v
@@ -95,7 +98,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors(u)
+        return self._vertex(v) in self.neighbors(u)
 
     def tails(self) -> np.ndarray:
         """The row of each entry of indices: with indices, every arc u -> v
@@ -127,7 +130,9 @@ class Graph:
     def induced(self, vertices: Sequence[int]) -> tuple["Graph", np.ndarray]:
         """The subgraph induced on the given vertices, relabeled in list
         order, and for each entry of its indices the position of the same
-        arc in this graph's indices."""
+        arc in this graph's indices. TypeError for a vertex that is not an
+        integer (reporting.check_ints)."""
+        check_ints(vertices)
         kept = np.asarray(vertices, dtype=np.int64).reshape(-1)
         for v in (kept.min(), kept.max()) if len(kept) else ():
             self._vertex(v)  # every id is in range when these two are

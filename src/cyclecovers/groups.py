@@ -13,7 +13,6 @@ import itertools
 import operator
 import random
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -72,6 +71,7 @@ class ExtraspecialGroup:
     def __init__(self, p: int, d: int, sign: str):
         if sign not in SIGNS:
             raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
+        d = operator.index(d)
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
         self.p = Prime(p)
@@ -180,9 +180,10 @@ def extraspecial_group(p: int, d: int, sign: str) -> ExtraspecialGroup:
     """ExtraspecialGroup(p, d, sign), shared while any caller still holds
     it: verify holds its group while build_cover builds the cover, so both
     use one group and its tables, and a build alone frees them after."""
-    group = _shared_groups.get((p, d, sign))
+    key = (Prime(p), operator.index(d), sign)  # a float key would find the int's group
+    group = _shared_groups.get(key)
     if group is None:
-        group = _shared_groups[(p, d, sign)] = ExtraspecialGroup(p, d, sign)
+        group = _shared_groups[key] = ExtraspecialGroup(*key)
     return group
 
 
@@ -237,8 +238,7 @@ def low_bit_parities(x, d: int) -> Iterator:
         parity = parity ^ ((x >> k) & 1)
 
 
-@dataclass(frozen=True)
-class CocycleCheckResult:
+class CocycleCheckResult(NamedTuple):
     ok: bool
     witness: Optional[tuple]
     exhaustive: bool

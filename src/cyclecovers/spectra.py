@@ -4,8 +4,8 @@ induced-subgraph degree bounds derived from them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+import operator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 def twisted_adjacency(gg: GainGraph, k: int) -> np.ndarray:
     """Entry (u, v) is the k-th power of the p-th root of unity raised to the
     arc gain; zero off the edge set. k = 0 returns the plain adjacency."""
+    k = operator.index(k)
     if not 0 <= k < gg.p:
         raise ValueError(f"twist must lie in [0, {gg.p})")
     powers = np.array([np.exp(2j * math.pi * j / gg.p) for j in range(gg.p)])
@@ -48,9 +49,9 @@ def twisted_adjacency(gg: GainGraph, k: int) -> np.ndarray:
 
 def hermitian_eigenvalues(m: np.ndarray, source: str = "") -> "SpectrumReport":
     """All real eigenvalues of a real symmetric or complex Hermitian matrix,
-    by LAPACK through numpy.linalg.eigvalsh. Input must be conjugate-symmetric
-    to 1e-10. Eigenvalues whose successive gaps are at most CLUSTER_TOLERANCE
-    form one cluster.
+    by LAPACK through numpy.linalg.eigvalsh. Input must be finite and
+    conjugate-symmetric to 1e-10. Eigenvalues whose successive gaps are at
+    most CLUSTER_TOLERANCE form one cluster.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -58,6 +59,8 @@ def hermitian_eigenvalues(m: np.ndarray, source: str = "") -> "SpectrumReport":
     n = m.shape[0]
     if n > MAX_EIGEN_SIZE:
         raise ValueError(f"matrix size {n} exceeds the {MAX_EIGEN_SIZE} limit")
+    if not np.isfinite(m).all():  # a NaN deviation would pass the check below
+        raise NotHermitianError("entries must be finite")
     deviation = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
     if deviation > HERMITIAN_TOLERANCE:
         raise NotHermitianError(f"conjugate-symmetry deviation {deviation:.3e}")
@@ -92,7 +95,7 @@ def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iter
         -extraspecial_cocycle(p, sign, halves, (behind.transpose(2, 0, 1), None))), axis=1)
     powers = np.exp(2j * np.pi * np.arange(p) / p)
     cosines = 2 * np.cos(2 * np.pi * np.arange(p) / p)
-    for k in twists:
+    for k in map(operator.index, twists):
         if not 0 <= k < p:
             raise ValueError(f"twist must lie in [0, {p})")
         if k == 0:
@@ -113,35 +116,31 @@ def _report(eigenvalues: np.ndarray, source: str = "") -> "SpectrumReport":
     # A zero eigenvalue comes out as roundoff whose digits depend on the
     # LAPACK build; report it as 0.
     eigenvalues[np.abs(eigenvalues) <= INTEGER_SNAP] = 0.0
-    descending = tuple(eigenvalues[::-1].tolist())
-    return SpectrumReport(descending, _cluster(descending), len(descending), source)
+    return SpectrumReport(tuple(eigenvalues[::-1].tolist()), source)
 
 
-def _cluster(descending: Sequence[float]) -> tuple[tuple[float, int], ...]:
-    clusters = []
-    i = 0
-    while i < len(descending):
-        j = i
-        while j + 1 < len(descending) and descending[j] - descending[j + 1] <= CLUSTER_TOLERANCE:
-            j += 1
-        block = descending[i: j + 1]
-        clusters.append((sum(block) / len(block), len(block)))
-        i = j + 1
-    return tuple(clusters)
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Eigenvalues in descending order with multiplicity clusters."""
+class SpectrumReport(NamedTuple):
+    """Eigenvalues in descending order, and what they are the spectrum of;
+    n and the multiplicity clusters are read from the eigenvalues."""
 
     eigenvalues: tuple[float, ...]
-    clusters: tuple[tuple[float, int], ...]
-    n: int
     source: str
 
-    def __post_init__(self) -> None:
-        if sum(mult for _, mult in self.clusters) != self.n:
-            raise ValueError("cluster multiplicities must sum to n")
+    @property
+    def n(self) -> int:
+        return len(self.eigenvalues)
+
+    @property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        """(mean, multiplicity) of each run of eigenvalues whose successive
+        gaps are at most CLUSTER_TOLERANCE, computed on each read."""
+        runs = []
+        for value in self.eigenvalues:
+            if runs and runs[-1][-1] - value <= CLUSTER_TOLERANCE:
+                runs[-1].append(value)
+            else:
+                runs.append([value])
+        return tuple((sum(run) / len(run), len(run)) for run in runs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,15 +151,13 @@ class SpectrumReport:
         }
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     size: int
     bound: float
     integer_bound: int
 
 
-@dataclass(frozen=True)
-class DegreeBoundTable:
+class DegreeBoundTable(NamedTuple):
     """Per-subgraph-size lower bounds on the maximum degree."""
 
     rows: tuple[BoundRow, ...]

@@ -848,6 +848,16 @@ def test_only_the_cli_freezes_the_heap(module, frozen):
     assert (int(proc.stdout) > 0) is frozen
 
 
+def test_the_cli_imports_no_dataclasses():
+    # numpy does not import dataclasses, so only a record of ours could.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cyclecovers.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [

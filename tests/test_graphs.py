@@ -601,16 +601,23 @@ def test_rooted_scans_refuse_a_root_outside_the_graph():
     searches = (lambda r: has_4cycle(g, root=r), lambda r: girth(g, root=r),
                 lambda r: has_cycle_of_length(g, 4, root=r),
                 lambda r: list(rooted_cycles(g, 3, r)),
-                g.neighbors, g.degree, lambda r: g.has_edge(r, 0),
+                g.neighbors, g.degree, lambda r: g.has_edge(r, 0), lambda r: g.has_edge(0, r),
                 lambda r: g.induced([r, 0]))
+    gain_searches = (lambda r: all_cycle_sums_nonzero(gg, 3, root=r),
+                     lambda r: gg.restrict([r, 0]), lambda r: gg.restrict([r]))
     for root in (-1, -4, 4, 5):
         for search in searches:
             with pytest.raises(ValueError, match="out of range"):
                 search(root)
     for root in (-1, -9, 9):
-        for search in (lambda r: all_cycle_sums_nonzero(gg, 3, root=r),
-                       lambda r: gg.restrict([r, 0]), lambda r: gg.restrict([r])):
+        for search in gain_searches:
             with pytest.raises(ValueError, match="out of range"):
+                search(root)
+    # A float root failed inside numpy with IndexError, and induced([0.5, 1])
+    # truncated 0.5 to 0.
+    for root in (0.5, 1.0, "1"):
+        for search in (*searches, *gain_searches, lambda r: gg.gain(r, 1)):
+            with pytest.raises(TypeError):
                 search(root)
 
 

@@ -17,6 +17,7 @@ from cyclecovers.groups import (
     HeisenbergGroup,
     cocycle_check,
     extraspecial_cocycle,
+    extraspecial_group,
 )
 from cyclecovers.modular import carry_int
 
@@ -175,6 +176,21 @@ def test_element_validation():
         ExtraspecialGroup(3, 1, "other")
     with pytest.raises(ValueError):
         ExtraspecialGroup(3, 0, PLUS)
+
+
+def test_rank_must_be_an_integer():
+    # d = 1.5 built a group of size 81.0.
+    for d in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            ExtraspecialGroup(3, d, PLUS)
+    # A float key found the group held for d = 1.
+    held = extraspecial_group(3, 1, PLUS)
+    with pytest.raises(TypeError):
+        extraspecial_group(3, 1.0, PLUS)
+    with pytest.raises(TypeError):
+        extraspecial_group(3.0, 1, PLUS)
+    assert extraspecial_group(np.int64(3), np.int64(1), PLUS) is held
+    assert ExtraspecialGroup(3, np.int64(2), PLUS).size == 3 ** 5
 
 
 def test_element_refuses_float_coordinates():

@@ -60,6 +60,14 @@ def test_twist_range_validated():
     gg = gain_graph(3, 1, PLUS)
     with pytest.raises(ValueError):
         twisted_adjacency(gg, 3)
+    # A float twist indexed numpy's table of powers, which raised IndexError.
+    for k in (1.0, 0.5, "1"):
+        with pytest.raises(TypeError):
+            twisted_adjacency(gg, k)
+        with pytest.raises(TypeError):
+            next(twisted_spectra(3, 2, PLUS, [k]))
+    assert twisted_adjacency(gg, np.int64(1)).shape == (9, 9)
+    assert next(twisted_spectra(3, 2, PLUS, [np.int64(1)])).n == 9
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -91,6 +99,15 @@ def test_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.5, 0.0]]))
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(np.array([[0, 1j], [1j * 1.0, 0]]))
+
+
+@pytest.mark.parametrize("m", [
+    [[1.0, 2.0], [np.nan, 0.0]],  # passed: NaN > 1e-10 is False
+    [[np.nan]], [[np.inf]], [[0.0, np.inf], [np.inf, 0.0]], [[0, 1j], [-1j, np.nan]],
+], ids=["nan-off-diagonal", "nan", "inf", "inf-symmetric", "complex-nan"])
+def test_rejects_non_finite_entries(m):
+    with pytest.raises(NotHermitianError, match="finite"):
+        hermitian_eigenvalues(np.array(m))
 
 
 def test_rejects_oversized():
@@ -144,9 +161,11 @@ def test_cluster_tolerance():
     assert [m for _, m in rep2.clusters] == [1, 1, 1]
 
 
-def test_spectrum_report_validates_multiplicities():
-    with pytest.raises(ValueError):
-        SpectrumReport((1.0, 0.5), ((1.0, 1),), 2, "bad")
+def test_spectrum_report_reads_n_and_clusters_from_its_eigenvalues():
+    rep = SpectrumReport((2.0, 1.0, 1.0, -3.0), "four")
+    assert rep.n == 4
+    assert rep.clusters == ((2.0, 1), (1.0, 2), (-3.0, 1))
+    assert rep.to_json_dict()["n"] == 4
 
 
 def test_spectrum_report_serialization():
