@@ -106,6 +106,18 @@ def test_build_holds_no_whole_cover(tmp_path, capsys, monkeypatch):
             assert max(sizes, default=0) < n
 
 
+# sha256 of the files build --heisenberg --d 16 writes, recorded before the
+# Heisenberg group moved onto bit ids.
+HEISENBERG_D16_DIGESTS = {
+    "heisenberg_d16.total.edges":
+        "43b1a91df0e963aa8acf9c17d55956642c363e2b407052ba835337191bd7f9ad",
+    "heisenberg_d16.base.edges":
+        "0e8abac56d7b4cbcc161294945caba4cb93be54b157a4cbbbc755f5e6a74460e",
+    "heisenberg_d16.fibers.txt":
+        "f81e57e01bdd65d86133b5877462ffe8a91103877ee9fc57e00499bed3ce9933",
+}
+
+
 def test_build_memory_is_a_block_of_rows(tmp_path, capsys):
     # The Heisenberg cover at d = 16 has 131072 vertices of degree 16: its
     # neighbour ids alone would take 16.8 MB if held whole.
@@ -118,6 +130,9 @@ def test_build_memory_is_a_block_of_rows(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "heisenberg_d16.total.edges").read_text().count("\n") == 1 + 2 ** 16 * 16
     assert peak < 3 * 2 ** 20
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert written == HEISENBERG_D16_DIGESTS
 
 
 def test_build_files_roundtrip_to_library_objects(tmp_path, capsys):
@@ -571,6 +586,8 @@ STDOUT_DIGESTS = {
         "d89ecc4068911062aa184528c976022d3324192aebf1869b9261e58bb00fa65c",
     ("convolve-check", "--d", "7"):
         "017c16b804b0219ec2881244997071be766d593e1676458de058a13c284baed6",
+    ("convolve-check", "--d", "8"):
+        "4636c970d05bad0ac246349368445fd25cdd0912c4b1550f87ef8f7f38686f78",
     ("bound", "--p", "3", "--dims", "4", "--sign", "minus", "--twist", "1"):
         "10cf798fd0cd1b3061ac51e50834a2f6cd03c7d74f8cf29847b20fa16c7609fa",
     ("bound", "--p", "3", "--dims", "3"):
