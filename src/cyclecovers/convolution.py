@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .groups import HeisenbergElement, HeisenbergGroup, low_bit_parities
+from .groups import HeisenbergGroup
 
 _INT64_MAX = 2 ** 63 - 1
 
@@ -83,8 +83,18 @@ def z2_carrier(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.product(range(2), repeat=d))
 
 
+def _z2_rank(carrier: tuple, use: str) -> int:
+    """The d whose z2_carrier(d) is carrier; ValueError naming the use for
+    any other carrier."""
+    d = len(carrier).bit_length() - 1
+    if d < 0 or carrier != z2_carrier(d):
+        raise ValueError(f"{use} needs the carrier z2_carrier(d)")
+    return d
+
+
 @functools.lru_cache(maxsize=None)
-def heisenberg_carrier(d: int) -> tuple[HeisenbergElement, ...]:
+def heisenberg_carrier(d: int) -> tuple[int, ...]:
+    """The ids of HeisenbergGroup(d)."""
     return tuple(HeisenbergGroup(d).elements())
 
 
@@ -95,35 +105,23 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _heisenberg_division_table(d: int) -> np.ndarray:
-    """The index of y^-1 x at [y, x] in HeisenbergGroup(d) over
-    heisenberg_carrier(d), from bit ids: element (x, t) has index 2 xid + t,
-    xid the bit id of x. The inverse of (y, s) is (y, s + C(k, 2)), k the
-    number of ones in y, and the product adds form(y, x) to the central bit,
-    so y^-1 x is (y XOR x, s + t + C(k, 2) + form(y, x)). As form(y, y XOR
-    x) = C(k, 2) + form(y, x) mod 2, that central bit is s + t + 1 exactly
-    where _twist_tables gives the sign -1."""
-    sums, signs = _twist_tables(z2_carrier(d))
-    central = (signs < 0)[:, None, :, None]
-    s = np.arange(2)
-    table = 2 * sums[:, None, :, None] + (central ^ s[:, None, None] ^ s)
-    return _frozen(table.reshape(2 ** (d + 1), 2 ** (d + 1)))
+    """The index of y^-1 x at [y, x] over heisenberg_carrier(d), whose
+    indices are the ids."""
+    group = HeisenbergGroup(d)
+    ids = np.arange(group.size)
+    return _frozen(group.mul(group.inv(ids)[:, None], ids))
 
 
 @functools.lru_cache(maxsize=8)
 def _twist_tables(carrier: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Over z2_carrier(d), where each element's index is its bit id: the
     index of y + x at [y, x], which is the XOR of the ids, and the sign
-    (-1)^form(y, y + x) that twisted convolution gives that term, with the
-    form summed over the bits of y (groups.low_bit_parities)."""
-    d = len(carrier[0])
-    if carrier != z2_carrier(d):
-        raise ValueError("twisted convolution needs the carrier z2_carrier(d)")
+    (-1)^form(y, y + x) that twisted convolution gives that term, the
+    central bit of the product (y, 0)(y + x, 0) in HeisenbergGroup(d)."""
+    d = _z2_rank(carrier, "twisted convolution")
     y = np.arange(len(carrier))[:, None]
     sums = y ^ y.T
-    form = np.zeros_like(sums)
-    for k, parity in enumerate(low_bit_parities(sums, d)):
-        form ^= (y >> k) & parity
-    return _frozen(sums), _frozen(1 - 2 * form)
+    return _frozen(sums), _frozen(1 - 2 * (HeisenbergGroup(d).mul(2 * y, 2 * sums) & 1))
 
 
 def _exact(f: GroupFunction, g: GroupFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +166,7 @@ def central_lift(f: GroupFunction) -> GroupFunction:
     """Lift f on z2_carrier(d) to heisenberg_carrier(d), weighted by the
     parity character on the central coordinate: (x, t) -> (-1)^t f(x), at
     index 2 xid + t, xid the bit id of x. ValueError for another carrier."""
-    d = len(f.carrier[0])
-    if f.carrier != z2_carrier(d):
-        raise ValueError("the central lift needs the carrier z2_carrier(d)")
+    d = _z2_rank(f.carrier, "the central lift")
     return GroupFunction._on(heisenberg_carrier(d), [w for v in f.values for w in (v, -v)])
 
 
@@ -179,7 +175,7 @@ def check_central_lift_identity(f: GroupFunction, g: GroupFunction) -> tuple[boo
     group equals the lift of the twisted convolution scaled by the center
     order. Returns (ok, center_order)."""
     center_order = 2
-    table = _heisenberg_division_table(len(f.carrier[0]))
+    table = _heisenberg_division_table(_z2_rank(f.carrier, "the central lift"))
     lhs = _gather_sum(central_lift(f), central_lift(g), table)
     rhs = central_lift(twisted_convolve(f, g)).scale(center_order)
     return lhs == rhs, center_order

@@ -13,6 +13,7 @@ each arc; the signed double cover is that lift at p = 2.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -20,12 +21,7 @@ import numpy as np
 
 from .graphs import (_BLOCK, Graph, RowFunction, cayley, cycle_power, hypercube, hypercube_rows,
                      id_blocks, write_pairs)
-from .groups import (
-    SIGNS,
-    ExtraspecialGroup,
-    extraspecial_group,
-    low_bit_parities,
-)
+from .groups import SIGNS, ExtraspecialGroup, HeisenbergGroup, extraspecial_group
 from .modular import Prime
 from .reporting import check_ints
 
@@ -289,25 +285,15 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
 
 def heisenberg_row_cover(d: int) -> RowCover:
     """2-fold cover of the d-cube by rows of the Cayley graph of
-    HeisenbergGroup(d); the map drops the central bit.
-
-    Vertex v = 2x + t is the element (x, t), and row v holds the products
-    (e_i, 0)(x, t) = (x + e_i, t + sum_{j>i} x_j), the rows cayley would
-    build from the generators. With k = d - i, e_i is bit k of x and the
-    sum is the parity of the k low bits of x, so the neighbours of v are v
-    XOR 2^(k+1) XOR that parity.
-    """
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    HeisenbergGroup(d); the map drops the central bit. Row v holds the
+    products s v of the generators s = (e_i, 0), the ids 2 << k."""
+    d = operator.index(d)
     if power_exceeds(2, d + 1, MAX_COVER_SIZE):
         raise ValueError(f"cover would exceed {MAX_COVER_SIZE} vertices")
-
-    def rows(v: np.ndarray) -> np.ndarray:
-        parities = low_bit_parities(v >> 1, d)
-        return np.sort(np.column_stack([v ^ (2 << k) ^ parity
-                                        for k, parity in enumerate(parities)]), axis=1)
-
-    return RowCover(2 ** (d + 1), rows, 2 ** d, hypercube_rows(d), lambda v: v >> 1)
+    group = HeisenbergGroup(d)
+    generators = 2 << np.arange(d)
+    return RowCover(group.size, lambda v: np.sort(group.mul(generators, v[:, None]), axis=1),
+                    2 ** d, hypercube_rows(d), lambda v: v >> 1)
 
 
 def heisenberg_cover(d: int) -> CoveringMap:
@@ -350,8 +336,13 @@ class GainGraph:
         return self.base.tails(), self.base.indices, self.gains
 
     def gain(self, u: int, v: int) -> int:
-        """The gain of the arc u -> v; ValueError when uv is not an edge."""
-        return int(self.gains[self.base.neighbors(u).index(v) + self.base.indptr[u]])
+        """The gain of the arc u -> v; TypeError for a vertex that is not an
+        integer, ValueError for one out of range or when uv is not an edge."""
+        u, v = self.base._vertex(u), self.base._vertex(v)
+        row = self.base.neighbors(u)
+        if v not in row:
+            raise ValueError(f"({u},{v}) is not an arc")
+        return int(self.gains[row.index(v) + self.base.indptr[u]])
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Canonical arcs (u, v, gain) with u < v, ascending."""
@@ -419,6 +410,7 @@ class SignedMatrix:
 def cohen_tits_signing(d: int) -> SignedMatrix:
     """The recursive signing of the d-cube: two oppositely signed copies of
     the previous signing joined by an all-positive perfect matching."""
+    d = operator.index(d)
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     a = np.array([[0, 1], [1, 0]], dtype=np.int64)

@@ -3,7 +3,7 @@
 Both extraspecial groups of order p^{1+2d} live on the same carrier
 Z_p^d x Z_p^d x Z_p; the sign selects the cocycle, and with it the
 multiplication. The mod-2 Heisenberg extension of Z_2^d lives on
-Z_2^d x Z_2.
+Z_2^d x Z_2. Both groups' elements are integer ids.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import operator
 import random
 import weakref
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,12 +32,11 @@ class ExtraspecialElement(NamedTuple):
     z: int
 
 
-class HeisenbergElement(NamedTuple):
-    """A pair (x, t) with x in Z_2^d and t in Z_2; a tuple, compared by value
-    like ExtraspecialElement."""
-
-    x: tuple[int, ...]
-    t: int
+def _checked(g: int, size: int) -> int:
+    g = operator.index(g)
+    if not 0 <= g < size:
+        raise ValueError(f"element id {g} out of range 0..{size - 1}")
+    return g
 
 
 def extraspecial_cocycle(p: int, sign: str, g: tuple[tuple[int, ...], tuple[int, ...]],
@@ -96,12 +95,6 @@ class ExtraspecialGroup:
             sums * q, sums, digits @ digits.T % p, carries, *np.divmod(np.arange(q * q), q)))
         return self._tables
 
-    def _checked(self, g: int) -> int:
-        g = operator.index(g)
-        if not 0 <= g < self.size:
-            raise ValueError(f"element id {g} out of range 0..{self.size - 1}")
-        return g
-
     def element(self, a, b, z: int) -> int:
         """The id of (a, b, z); each coordinate must be an integer, taken mod p."""
         a, b = tuple(a), tuple(b)
@@ -118,7 +111,7 @@ class ExtraspecialGroup:
 
     def coordinates(self, g: int) -> ExtraspecialElement:
         """The element (a, b, z) with id g."""
-        g, p, d = self._checked(g), self.p, self.d
+        g, p, d = _checked(g, self.size), self.p, self.d
         digits = tuple(g // p ** k % p for k in range(2 * d, -1, -1))
         return ExtraspecialElement(digits[:d], digits[d: 2 * d], digits[-1])
 
@@ -154,13 +147,13 @@ class ExtraspecialGroup:
         return self.mul(self.mul(self.mul(self.inv(g), self.inv(h)), g), h)
 
     def power(self, g: int, k: int) -> int:
-        g = self._checked(g)
+        g = _checked(g, self.size)
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         return functools.reduce(self.mul, itertools.repeat(g, k), self.identity)
 
     def order(self, g: int) -> int:
-        out = g = self._checked(g)
+        out = g = _checked(g, self.size)
         n = 1
         while out != self.identity:
             out = self.mul(out, g)
@@ -189,53 +182,59 @@ def extraspecial_group(p: int, d: int, sign: str) -> ExtraspecialGroup:
 
 class HeisenbergGroup:
     """Central extension of Z_2^d by Z_2 via the strictly-upper bilinear form
-    form(x, y) = sum over i < j of x_i y_j, mod 2."""
+    form(x, y) = sum over i < j of x_i y_j, mod 2.
+
+    Elements are the ids 2x + t of the pairs (x, t), x read as the bits
+    x_1..x_d, x_1 most significant, and t the central bit; element encodes,
+    coordinates decodes. mul and inv take ints or int64 arrays, which
+    broadcast, and do not validate their arguments.
+    """
 
     def __init__(self, d: int):
+        d = operator.index(d)
         if d < 1:
             raise ValueError(f"d must be >= 1, got {d}")
         self.d = d
         self.size = 2 ** (d + 1)
-        self.identity = HeisenbergElement((0,) * d, 0)
+        self.identity = 0
+        # XOR-ing x >> s into x for s = 1, 2, ..., 2^(m-1), where 2^m >= d,
+        # leaves at bit k the parity of the bits k..k+2^m-1 of x: of all its
+        # bits from k up.
+        self._shifts = tuple(1 << k for k in range((d - 1).bit_length()))
 
-    def element(self, x, t: int) -> HeisenbergElement:
-        x = tuple(operator.index(v) % 2 for v in x)
+    def _parities(self, x):
+        for shift in self._shifts:
+            x = x ^ (x >> shift)
+        return x
+
+    def _form(self, x, y):
+        # Bit k of y holds y_{d-k}, and bit k of parities(x) >> 1 the sum of
+        # the x_i with i < d - k, so their common bits count the pairs i < j.
+        return self._parities((self._parities(x) >> 1) & y) & 1
+
+    def element(self, x, t: int) -> int:
+        """The id of (x, t); each coordinate must be an integer, taken mod 2."""
+        x = tuple(x)
         if len(x) != self.d:
             raise ValueError(f"vector must have length d={self.d}")
-        return HeisenbergElement(x, operator.index(t) % 2)
+        return functools.reduce(lambda g, v: 2 * g + operator.index(v) % 2, (*x, t), 0)
 
-    def mul(self, g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-        # form(x, y) is the sum of the prefix sums x_1 + ... + x_{j-1} over
-        # the j with y_j = 1.
-        (gx, gt), (hx, ht) = g, h
-        form = sum(itertools.compress(itertools.accumulate(gx, initial=0), hx))
-        return HeisenbergElement(tuple(map(operator.xor, gx, hx)), (gt + ht + form) % 2)
+    def coordinates(self, g: int) -> tuple[tuple[int, ...], int]:
+        """The pair (x, t) with id g."""
+        g = _checked(g, self.size)
+        return tuple(g >> k & 1 for k in range(self.d, 0, -1)), g & 1
 
-    def inv(self, g: HeisenbergElement) -> HeisenbergElement:
-        # In characteristic 2 the inverse of (x, t) is (x, t + form(x, x)), and
-        # form(x, x) counts the pairs i < j among the k nonzero entries of x.
-        x, t = g
-        k = sum(x)
-        return HeisenbergElement(x, (t + k * (k - 1) // 2) % 2)
+    def mul(self, g, h):
+        # (x, t)(y, s) = (x + y, t + s + form(x, y)).
+        return g ^ h ^ self._form(g >> 1, h >> 1)
 
-    def elements(self) -> Iterator[HeisenbergElement]:
-        """Ordered x_1..x_d, t with x_1 most significant."""
-        for digits in itertools.product(range(2), repeat=self.d + 1):
-            yield HeisenbergElement(digits[:-1], digits[-1])
+    def inv(self, g):
+        # In characteristic 2 the inverse of (x, t) is (x, t + form(x, x)).
+        return g ^ self._form(g >> 1, g >> 1)
 
-
-def low_bit_parities(x, d: int) -> Iterator:
-    """For k = 0..d-1, the parity of the k low bits of x, an int or an
-    integer array, by a running XOR.
-
-    On the bit id of x in Z_2^d, x_1 most significant, bit k holds x_{d-k},
-    so the k low bits are the x_j with j > d - k. Hence form(y, x) is the sum
-    mod 2 over k of bit k of y times the k-th parity of x.
-    """
-    parity = x & 0
-    for k in range(d):
-        yield parity
-        parity = parity ^ ((x >> k) & 1)
+    def elements(self) -> range:
+        """All ids: x_1..x_d, t in order, x_1 most significant."""
+        return range(self.size)
 
 
 class CocycleCheckResult(NamedTuple):

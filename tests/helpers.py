@@ -12,7 +12,7 @@ from cyclecovers.cli import _gain_graph_for_dims
 from cyclecovers.covers import CoveringMap, build_cover, heisenberg_cover
 from cyclecovers.gains import GainGraph, gain_from_cocycle
 from cyclecovers.graphs import Graph, cayley
-from cyclecovers.groups import SIGNS, ExtraspecialGroup, HeisenbergElement, HeisenbergGroup
+from cyclecovers.groups import SIGNS, ExtraspecialGroup, HeisenbergGroup
 from cyclecovers.spectra import SpectrumReport, hermitian_eigenvalues, twisted_adjacency
 
 from oracles import induced_subgraph
@@ -81,12 +81,9 @@ def check_associativity_exhaustive(p: int, d: int, sign: str) -> bool:
     return True
 
 
-def heisenberg_generators(group: HeisenbergGroup) -> tuple[HeisenbergElement, ...]:
-    """(e_1, 0), ..., (e_d, 0)."""
-    return tuple(
-        HeisenbergElement(tuple(1 if j == i else 0 for j in range(group.d)), 0)
-        for i in range(group.d)
-    )
+def heisenberg_generators(group: HeisenbergGroup) -> tuple[int, ...]:
+    """The ids of (e_1, 0), ..., (e_d, 0)."""
+    return tuple(group.element([int(j == i) for j in range(group.d)], 0) for i in range(group.d))
 
 
 def check_inverses_exhaustive(p: int, d: int, sign: str) -> bool:

@@ -549,6 +549,19 @@ def upper_form(x, y) -> int:
     return sum(x[i] * y[j] for i in range(len(x)) for j in range(i + 1, len(y))) % 2
 
 
+def heisenberg_mul_by_form(group, g, h) -> int:
+    """The product of the ids g and h of a HeisenbergGroup from their
+    coordinates: (x, s)(y, t) = (x + y, s + t + upper_form(x, y))."""
+    (x, s), (y, t) = group.coordinates(g), group.coordinates(h)
+    return group.element([a + b for a, b in zip(x, y)], s + t + upper_form(x, y))
+
+
+def heisenberg_inv_by_form(group, g) -> int:
+    """(x, t)^-1 = (x, t + upper_form(x, x)), on the id g of a HeisenbergGroup."""
+    x, t = group.coordinates(g)
+    return group.element(x, t + upper_form(x, x))
+
+
 def minimal_rows_by_scan(table) -> dict:
     """For each degree from 1 to the largest integer bound of a degree-bound
     table, the first row whose integer bound reaches it, by a scan of all
@@ -570,9 +583,10 @@ def twisted_convolve_by_definition(f, g) -> list:
     return out
 
 
-def central_lift_by_definition(f, carrier) -> list:
-    """(x, t) -> (-1)^t f(x) over a carrier of pairs (x, t)."""
-    return [(-1) ** t * f(x) for x, t in carrier]
+def central_lift_by_definition(f, group) -> list:
+    """(x, t) -> (-1)^t f(x) over the ids of a HeisenbergGroup, read
+    through its coordinates."""
+    return [(-1) ** t * f(x) for x, t in map(group.coordinates, group.elements())]
 
 
 def standard_ids_by_product(p: int, d: int) -> np.ndarray:

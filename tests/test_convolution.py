@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -26,8 +27,18 @@ from cyclecovers.spectra import adjacency_matrix, hermitian_eigenvalues
 from oracles import (
     central_lift_by_definition,
     convolve_by_definition,
+    heisenberg_inv_by_form,
+    heisenberg_mul_by_form,
     twisted_convolve_by_definition,
 )
+
+
+def _form_ops(d):
+    """The product and inverse of HeisenbergGroup(d) on ids, from the upper
+    form of their coordinates, one element at a time."""
+    group = HeisenbergGroup(d)
+    return (functools.partial(heisenberg_mul_by_form, group),
+            functools.partial(heisenberg_inv_by_form, group))
 
 
 def _z2_ops(d):
@@ -95,8 +106,10 @@ def test_central_lift_of_delta():
     d = 2
     carrier = z2_carrier(d)
     lifted = central_lift(GroupFunction.delta(carrier, (0, 0)))
+    h = HeisenbergGroup(d)
     for g in lifted.carrier:
-        expected = ((-1) ** g.t) if g.x == (0, 0) else 0
+        x, t = h.coordinates(g)
+        expected = ((-1) ** t) if x == (0, 0) else 0
         assert lifted(g) == expected
 
 
@@ -182,12 +195,11 @@ def _draw_function(data, carrier, bound=1000):
 @given(st.integers(1, 5), st.data())
 def test_heisenberg_convolution_matches_oracle(d, data):
     # The kernel over the table check_central_lift_identity convolves with.
-    h = HeisenbergGroup(d)
     carrier = heisenberg_carrier(d)
     f, g = _draw_function(data, carrier), _draw_function(data, carrier)
     got = conv._gather_sum(f, g, conv._heisenberg_division_table(d))
     assert got.carrier == carrier
-    assert list(got.values) == convolve_by_definition(f, g, h.mul, h.inv)
+    assert list(got.values) == convolve_by_definition(f, g, *_form_ops(d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,12 +237,12 @@ def test_lift_identity_matches_oracle(d, data):
     h = HeisenbergGroup(d)
     carrier = z2_carrier(d)
     f, g = _draw_function(data, carrier), _draw_function(data, carrier)
-    lifted = heisenberg_carrier(d)
     lift_f = central_lift(f)
-    assert list(lift_f.values) == central_lift_by_definition(f, lifted)
-    lhs = convolve_by_definition(lift_f, central_lift(g), h.mul, h.inv)
+    assert lift_f.carrier == heisenberg_carrier(d)
+    assert list(lift_f.values) == central_lift_by_definition(f, h)
+    lhs = convolve_by_definition(lift_f, central_lift(g), *_form_ops(d))
     twisted = GroupFunction(carrier, twisted_convolve_by_definition(f, g))
-    rhs = [2 * v for v in central_lift_by_definition(twisted, lifted)]
+    rhs = [2 * v for v in central_lift_by_definition(twisted, h)]
     assert lhs == rhs
     assert check_central_lift_identity(f, g) == (True, 2)
 
@@ -243,11 +255,11 @@ def _division_table_by_pairs(carrier, mul, inv):
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_bit_id_division_tables_match_the_per_pair_tables(d):
-    # The per-pair table makes one product per pair of elements: the
-    # definition the Heisenberg and Z_2^d tables from bit ids must equal.
-    h = HeisenbergGroup(d)
+    # The per-pair table makes one product per pair of elements, from the
+    # upper form of their coordinates: the definition the Heisenberg and
+    # Z_2^d tables from bit ids must equal.
     assert np.array_equal(conv._heisenberg_division_table(d),
-                          _division_table_by_pairs(heisenberg_carrier(d), h.mul, h.inv))
+                          _division_table_by_pairs(heisenberg_carrier(d), *_form_ops(d)))
     add, neg = _z2_ops(d)
     sums, _ = conv._twist_tables(z2_carrier(d))
     assert np.array_equal(sums, _division_table_by_pairs(z2_carrier(d), add, neg))

@@ -17,6 +17,7 @@ from cyclecovers.covers import (
     connection_set,
     cover_from_gain,
     heisenberg_cover,
+    heisenberg_row_cover,
     lifted_connection,
     modular_rank,
     pairwise_noncommuting_check,
@@ -43,6 +44,8 @@ from oracles import (
     brute_isomorphic,
     cayley_by_definition,
     has_4cycle_by_pairs,
+    heisenberg_inv_by_form,
+    heisenberg_mul_by_form,
     hypercube_by_definition,
     signed_double_cover_by_edges,
     standard_ids_by_product,
@@ -451,16 +454,19 @@ def test_heisenberg_cover_small():
 
 @pytest.mark.parametrize("d", range(1, 13))
 def test_heisenberg_cover_is_the_cayley_graph(d):
-    # The rows from bit ids against the group's products: cayley's rows s g
-    # on the carrier's indices, the build they replaced, at every d, and the
-    # pairwise definition where its 2^(2d+1) products stay cheap.
+    # The rows of the group's products on arrays against cayley's rows s g
+    # from scalar products, the build they replaced, at every d, and against
+    # the pairwise definition on the upper form of the coordinates where its
+    # 2^(2d+1) products stay cheap.
     group = HeisenbergGroup(d)
     carrier = list(group.elements())
     generators = heisenberg_generators(group)
     cm = heisenberg_cover(d)
     assert cm.total == cayley_on_ids(carrier, group.mul, group.inv, generators)
     if d <= 8:
-        assert cm.total == cayley_by_definition(carrier, group.mul, group.inv, generators)
+        assert cm.total == cayley_by_definition(
+            carrier, functools.partial(heisenberg_mul_by_form, group),
+            functools.partial(heisenberg_inv_by_form, group), generators)
     assert cm.base == hypercube_by_definition(d)
     assert cm.fiber_map.tolist() == [u // 2 for u in range(cm.total.n)]
 
@@ -470,6 +476,16 @@ def test_heisenberg_cover_rejects_bad_d():
         heisenberg_cover(0)
     with pytest.raises(ValueError):
         heisenberg_cover(19)
+    with pytest.raises(ValueError):
+        cohen_tits_signing(0)
+    # d is read through operator.index first; a float d used to fail deep
+    # in numpy or range, or in power_exceeds.
+    for build in (heisenberg_cover, heisenberg_row_cover, cohen_tits_signing):
+        for d in (2.0, 1.5, "2", 10.0 ** 9):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                build(d)
+    assert heisenberg_row_cover(np.int64(2)).n == 8
+    assert cohen_tits_signing(np.int64(2)).n == 4
 
 
 @pytest.mark.parametrize("d", range(1, 7))

@@ -199,6 +199,22 @@ def test_gain_graph_validation():
         GainGraph(base, 3, [1, 0, 1, 0, 0, 0])  # gain(1, 0) != -gain(0, 1)
 
 
+def test_gain_refuses_non_integer_out_of_range_and_non_adjacent_vertices():
+    # Vertex 0 of the (3, 1, plus) base has neighbours 3, 5, 6 and 7; the
+    # head used to be found with tuple.index, which matched 3.0.
+    gg = gain_from_cocycle(3, 1, PLUS)
+    assert gg.base.neighbors(0) == (3, 5, 6, 7)
+    assert gg.gain(np.int64(0), np.int64(3)) == gg.gain(0, 3)
+    for u, v in ((0, 3.0), (0.0, 3), (0, "3")):
+        with pytest.raises(TypeError):
+            gg.gain(u, v)
+    for u, v in ((0, 99), (0, -1), (9, 3)):
+        with pytest.raises(ValueError, match="out of range"):
+            gg.gain(u, v)
+    with pytest.raises(ValueError, match=r"\(0,4\) is not an arc"):
+        gg.gain(0, 4)
+
+
 def test_gain_from_cocycle_validation():
     with pytest.raises(ValueError):
         gain_from_cocycle(2, 1, PLUS)

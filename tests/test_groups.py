@@ -13,7 +13,6 @@ from cyclecovers.groups import (
     SIGNS,
     ExtraspecialElement,
     ExtraspecialGroup,
-    HeisenbergElement,
     HeisenbergGroup,
     cocycle_check,
     extraspecial_cocycle,
@@ -30,7 +29,7 @@ from helpers import (
     heisenberg_generators,
     max_order,
 )
-from oracles import upper_form
+from oracles import heisenberg_inv_by_form, heisenberg_mul_by_form, upper_form
 
 
 def test_cocycle_examples():
@@ -191,6 +190,12 @@ def test_rank_must_be_an_integer():
         extraspecial_group(3.0, 1, PLUS)
     assert extraspecial_group(np.int64(3), np.int64(1), PLUS) is held
     assert ExtraspecialGroup(3, np.int64(2), PLUS).size == 3 ** 5
+    for d in (2.0, 1.5, "2"):
+        with pytest.raises(TypeError):
+            HeisenbergGroup(d)
+    with pytest.raises(ValueError):
+        HeisenbergGroup(0)
+    assert HeisenbergGroup(np.int64(2)).size == 2 ** 3
 
 
 def test_element_refuses_float_coordinates():
@@ -372,22 +377,14 @@ def test_power_order_and_commutator_match_oracles_sampled(case, k):
     assert group.coordinates(group.commutator(g, h)) == _commutator_oracle(group, cg, ch)
 
 
-def _heisenberg_mul_oracle(group, g, h):
-    return group.element([x + y for x, y in zip(g.x, h.x)], g.t + h.t + upper_form(g.x, h.x))
-
-
-def _heisenberg_inv_oracle(group, g):
-    return group.element(g.x, g.t + upper_form(g.x, g.x))
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_heisenberg_mul_and_inv_match_form_exhaustive(d):
     group = HeisenbergGroup(d)
     els = list(group.elements())
     for g in els:
-        assert group.inv(g) == _heisenberg_inv_oracle(group, g)
+        assert group.inv(g) == heisenberg_inv_by_form(group, g)
         for h in els:
-            assert group.mul(g, h) == _heisenberg_mul_oracle(group, g, h)
+            assert group.mul(g, h) == heisenberg_mul_by_form(group, g, h)
 
 
 @st.composite
@@ -402,8 +399,42 @@ def _heisenberg_pair(draw):
 @given(_heisenberg_pair())
 def test_heisenberg_mul_and_inv_match_form_sampled(case):
     group, g, h = case
-    assert group.mul(g, h) == _heisenberg_mul_oracle(group, g, h)
-    assert group.inv(g) == _heisenberg_inv_oracle(group, g)
+    assert group.mul(g, h) == heisenberg_mul_by_form(group, g, h)
+    assert group.inv(g) == heisenberg_inv_by_form(group, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_heisenberg_arrays_match_the_scalar_calls_and_the_form(d, data):
+    # mul and inv on int64 arrays, element by element and broadcast, against
+    # the scalar calls and the upper form on coordinates, up to 31-bit ids.
+    group = HeisenbergGroup(d)
+    n = data.draw(st.integers(1, 8))
+    ids = st.lists(st.integers(0, group.size - 1), min_size=n, max_size=n)
+    g, h = data.draw(ids), data.draw(ids)
+    gs, hs = np.array(g, dtype=np.int64), np.array(h, dtype=np.int64)
+    products = [group.mul(a, b) for a, b in zip(g, h)]
+    assert products == [heisenberg_mul_by_form(group, a, b) for a, b in zip(g, h)]
+    assert group.mul(gs, hs).tolist() == products
+    inverses = [group.inv(a) for a in g]
+    assert inverses == [heisenberg_inv_by_form(group, a) for a in g]
+    assert group.inv(gs).tolist() == inverses
+    table = group.mul(gs[:, None], hs)
+    assert table.dtype == np.int64
+    assert table.tolist() == [[group.mul(a, b) for b in h] for a in g]
+
+
+def test_heisenberg_ids_and_coordinates():
+    group = HeisenbergGroup(3)
+    assert group.elements() == range(16) and group.identity == 0
+    assert [group.element(*group.coordinates(g)) for g in group.elements()] == list(range(16))
+    assert group.coordinates(group.element((1, 0, 1), 1)) == ((1, 0, 1), 1)
+    assert group.element((1, 0, 0), 0) == 8 and group.element((3, -2, 0), 5) == 9
+    for g in (-1, 16):
+        with pytest.raises(ValueError, match="out of range"):
+            group.coordinates(g)
+    with pytest.raises(TypeError):
+        group.coordinates(1.0)
 
 
 def test_elements_hash_and_compare_by_value():
@@ -417,10 +448,6 @@ def test_elements_hash_and_compare_by_value():
     assert g != group.element((1, 2), (3, 4), 1)
     coords = group.coordinates(g)
     assert (coords.a, coords.b, coords.z) == ((1, 2), (3, 4), 0)
-    cube = HeisenbergGroup(3)
-    x = cube.mul(cube.element((1, 0, 0), 0), cube.element((0, 1, 1), 0))
-    assert x == HeisenbergElement((1, 1, 1), 0) and hash(x) == hash(((1, 1, 1), 0))
-    assert len({x, HeisenbergElement((1, 1, 1), 0), HeisenbergElement((1, 1, 1), 1)}) == 2
 
 
 # ---------------------------------------------------------------- Heisenberg
