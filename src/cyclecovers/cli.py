@@ -37,7 +37,7 @@ from .covers import (
     verify_cover,
 )
 from .gains import GainGraph, all_cycle_sums_nonzero, extraspecial_row_cover, gain_from_cocycle
-from .graphs import (edge_blocks, girth, has_4cycle, has_cycle_of_length, hypercube,
+from .graphs import (Graph, edge_blocks, girth, has_4cycle, has_cycle_of_length, hypercube,
                      write_edge_rows)
 from .groups import MINUS, PLUS, extraspecial_group
 from .modular import SUPPORTED_PRIMES
@@ -385,7 +385,9 @@ def cmd_spectrum(args) -> int:
         raise UsageError("cover too large for the eigensolver")
     constructions = []
     for sign in _signs(args.sign):
-        cover = hermitian_eigenvalues(adjacency_matrix(build_cover(p, args.d, sign).total),
+        row_cover = extraspecial_row_cover(p, args.d, sign)
+        total = Graph._from_id_arithmetic(row_cover.n, row_cover.rows)
+        cover = hermitian_eigenvalues(adjacency_matrix(total),
                                       source=f"cover p={p} d={args.d} sign={sign}")
         gg = gain_from_cocycle(p, args.d, sign)
         twists = [hermitian_eigenvalues(twisted_adjacency(gg, k), source=f"twist k={k} sign={sign}")

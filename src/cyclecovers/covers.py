@@ -276,6 +276,10 @@ def build_cover(p: int, d: int, sign: str) -> CoveringMap:
     first 2d coordinates; base vertices are standard coordinates of
     Z_p^{2d}, reached through standard_ids, so the base is the Cartesian
     power of the p-cycle that cycle_power builds.
+
+    verify is its only CLI caller; every other command builds from
+    gains.extraspecial_row_cover. perfbench's traced test holds verify on
+    this Cayley build, through group products (ROADMAP, the gate).
     """
     p = _extraspecial_prime(p, d, sign)
     group = extraspecial_group(p, d, sign)

@@ -12,11 +12,13 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .covers import (  # noqa: F401
+    MAX_COVER_SIZE,
     GainGraph,
     RowCover,
     _extraspecial_prime,
     connection_set,
     cover_from_gain,
+    power_exceeds,
     standard_ids,
 )
 from .graphs import Graph, RowFunction, cycle_power_rows, rooted_cycles, row_table
@@ -24,19 +26,17 @@ from .groups import SIGNS, extraspecial_cocycle
 from .modular import Prime
 
 
-def cocycle_rows(p: int, d: int, sign: str) -> RowFunction:
-    """Row function of the extraspecial cover as the cocycle lift (README,
-    "The extraspecial cover as a cocycle lift"): row (x, z), vertex u*p + z
-    with u the base-p number of x, holds (x + s)*p + (z + kappa(s, x)) mod p
-    and (x - s)*p + (z - kappa(s, x - s)) mod p for each connection vector
-    s. That is row (x, 0) with z added to each residue, so rows (x, 0) are
-    made once for each x the block spans. A block in which a row repeats a
-    base vertex or holds its own raises ValueError before it is returned.
-    """
+def cocycle_arcs(p: int, d: int, sign: str, count: Optional[int] = None) -> RowFunction:
+    """Row function of the cocycle gain graph's arcs on any base ids x of
+    Z_p^{2d}, a_1 most significant (README, "The extraspecial cover as a
+    cocycle lift"): row x holds, sorted, the keys (x + s)*p + kappa(s, x)
+    and (x - s)*p - kappa(s, x - s), gains mod p, for the first count
+    connection vectors s, all 2d by default. ValueError for rows that
+    repeat a head or hold x, before they are returned."""
     p = Prime(p)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    vectors = np.array(connection_set(p, d))
+    vectors = np.array(connection_set(p, d)[:count])
     steps = np.concatenate((vectors, -vectors)) % p  # s, then -s, as digits
     halves = (vectors[:, :d].T, vectors[:, d:].T)  # coordinate i of every s in row i
     weights = p ** np.arange(2 * d - 1, -1, -1)
@@ -45,21 +45,32 @@ def cocycle_rows(p: int, d: int, sign: str) -> RowFunction:
     wraps = np.where(steps > 0, p - steps, p)
     offsets = steps @ weights
 
-    def rows(ids: np.ndarray) -> np.ndarray:
-        low = ids.min() // p
-        x = np.arange(low, ids.max() // p + 1)
+    def arcs(x: np.ndarray) -> np.ndarray:
         digits = x[:, None] // weights % p
         heads = x[:, None] + offsets - p * ((digits[:, None] >= wraps) @ weights)
         ahead = extraspecial_cocycle(p, sign, halves, (digits.T[:d, :, None], None))
         # kappa(s, x - s) reads the first d digits of x - s.
-        lower = (digits[:, None, :d] + steps[2 * d:, :d]) % p
+        lower = (digits[:, None, :d] + steps[len(vectors):, :d]) % p
         behind = extraspecial_cocycle(p, sign, halves, (lower.transpose(2, 0, 1), None))
-        gains = np.concatenate((ahead, -behind), axis=1) % p
-        keys = np.sort(heads * p + gains, axis=1)
+        keys = np.sort(heads * p + np.concatenate((ahead, -behind), axis=1) % p, axis=1)
         heads = keys // p
         if (heads[:, 1:] == heads[:, :-1]).any() or (heads == x[:, None]).any():
             raise ValueError("connection vectors give repeated arcs")
-        keys = keys[ids // p - low]
+        return keys
+
+    return arcs
+
+
+def cocycle_rows(p: int, d: int, sign: str) -> RowFunction:
+    """Row function of the extraspecial cover as the cocycle lift: row
+    (x, z), vertex u*p + z with u the base-p number of x, is row x of
+    cocycle_arcs with z added to each residue mod p. The arcs are made once
+    for each x the block spans."""
+    arcs = cocycle_arcs(p, d, sign)
+
+    def rows(ids: np.ndarray) -> np.ndarray:
+        low = ids.min() // p
+        keys = arcs(np.arange(low, ids.max() // p + 1))[ids // p - low]
         return keys - keys % p + (keys + ids[:, None]) % p
 
     return rows
@@ -78,11 +89,13 @@ def extraspecial_row_cover(p: int, d: int, sign: str) -> RowCover:
 def gain_from_cocycle(p: int, d: int, sign: str) -> GainGraph:
     """Label the Cayley form of the 4d-regular cycle power by the cocycle:
     the arc from g to s+g carries the cocycle at (s, g) for each connection
-    vector s, the opposite arc its negation. Row x*p of cocycle_rows holds
+    vector s, the opposite arc its negation. Row x of cocycle_arcs holds
     (x +- s)*p + gain, so its quotients by p are the base row of x and its
-    residues the gains."""
-    rows = cocycle_rows(p, d, sign)
-    table = row_table(p ** (2 * d), lambda x: rows(x * p))
+    residues the gains. ValueError before any work for a base of more than
+    MAX_COVER_SIZE vertices."""
+    if power_exceeds(p, 2 * d, MAX_COVER_SIZE):
+        raise ValueError(f"base would exceed {MAX_COVER_SIZE} vertices")
+    table = row_table(p ** (2 * d), cocycle_arcs(p, d, sign))
     return GainGraph(Graph._from_table(table // p), p, (table % p).ravel())
 
 

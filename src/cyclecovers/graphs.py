@@ -278,6 +278,14 @@ def cartesian_power(x: Graph, k: int) -> Graph:
     return out
 
 
+def _nonnegative(value: int, name: str) -> int:
+    """value through operator.index; ValueError when it is negative."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def cycle_power_rows(p: int, k: int) -> RowFunction:
     """Row function of the k-th Cartesian power of the p-cycle: ids are the
     base-p numbers of Z_p^k, first digit most significant, and an edge adds
@@ -285,7 +293,7 @@ def cycle_power_rows(p: int, k: int) -> RowFunction:
     within digit j."""
     if p < 3:
         raise ValueError("cycle needs at least 3 vertices")
-    weights = p ** np.arange(k)
+    weights = p ** np.arange(_nonnegative(k, "k"))
 
     def rows(v: np.ndarray) -> np.ndarray:
         digits = v[:, None] // weights % p
@@ -298,6 +306,7 @@ def cycle_power_rows(p: int, k: int) -> RowFunction:
 
 def cycle_power(p: int, k: int) -> Graph:
     """The graph cartesian_power(cycle_graph(p), k) builds, by rows."""
+    k = _nonnegative(k, "k")
     return Graph._from_id_arithmetic(p ** k, cycle_power_rows(p, k))
 
 
@@ -305,12 +314,13 @@ def hypercube_rows(d: int) -> RowFunction:
     """Row function of the d-cube: vertex ids are the bit strings x_1..x_d,
     x_1 most significant; an edge flips one bit, so the neighbours of v
     are v XOR 2^k."""
-    bits = 1 << np.arange(d)
+    bits = 1 << np.arange(_nonnegative(d, "d"))
     return lambda v: np.sort(v[:, None] ^ bits, axis=1)
 
 
 def hypercube(d: int) -> Graph:
     """The d-cube, by rows."""
+    d = _nonnegative(d, "d")
     return Graph._from_id_arithmetic(1 << d, hypercube_rows(d))
 
 

@@ -44,7 +44,9 @@ def extraspecial_cocycle(p: int, sign: str, g: tuple[tuple[int, ...], tuple[int,
     """The 2-cocycle of ExtraspecialGroup(p, d, sign) on pairs ((a,b),(c,d)):
     b.c, plus a carry term for minus. Needs no group, so none of its tables.
     The coordinates of h may be integer arrays, one per coordinate, for the
-    values at many h at once."""
+    values at many h at once. ValueError for an unknown sign."""
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
     (a, b), (c, _) = g, h
     if len(a) != len(c):
         raise ValueError("dimension mismatch in cocycle arguments")

@@ -9,10 +9,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .covers import connection_set
-from .gains import GainGraph
+from .covers import power_exceeds
+from .gains import GainGraph, cocycle_arcs
 from .graphs import Graph
-from .groups import SIGNS, extraspecial_cocycle
 
 HERMITIAN_TOLERANCE = 1e-10
 CLUSTER_TOLERANCE = 1e-6
@@ -72,27 +71,22 @@ def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iter
     cocycle gain graph over C_p^dims, p^dims eigenvalues, without that
     matrix (README, "Twisted spectra from Stone-von Neumann blocks"). With
     d = ceil(dims / 2), that gain graph is gain_from_cocycle(p, d, sign)
-    on the span of the first dims vectors of connection_set(p, d): all of
-    Z_p^{2d} on even dims, a hyperplane on odd dims. At k = 0 it is the
+    on the span of its first dims connection vectors: all of Z_p^{2d} on
+    even dims, a hyperplane on odd dims. At k = 0 it is the
     spectrum of C_p^dims, the sums over j of 2cos(2 pi m_j / p) for m in
     Z_p^dims. At k != 0 it is the spectrum of the p^d x p^d Hermitian
     matrix whose row a holds, for each of those vectors s = (s_a, s_b),
     omega^{k kappa(s, a)} in column a + s_a and omega^{-k kappa(s, a - s_a)}
     in column a - s_a, each eigenvalue repeated p^(dims - d) times. The
-    phases are made once for all the twists."""
-    if sign not in SIGNS:
-        raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
+    phases are made once for all the twists. ValueError before any array
+    is made for a block of more than MAX_EIGEN_SIZE rows."""
     d = (dims + 1) // 2
-    vectors = np.array(connection_set(p, d)[:dims])
-    weights = p ** np.arange(d - 1, -1, -1)
-    digits = np.arange(p ** d)[:, None] // weights % p  # row a, a_1 most significant
-    behind = (digits[:, None] - vectors[:, :d]) % p
-    heads = np.concatenate(((digits[:, None] + vectors[:, :d]) % p, behind), axis=1) @ weights
-    # kappa(s, x) reads the first d digits of x, as gains.cocycle_rows does.
-    halves = (vectors[:, :d].T, vectors[:, d:].T)
-    phases = np.concatenate((
-        extraspecial_cocycle(p, sign, halves, (digits.T[:, :, None], None)),
-        -extraspecial_cocycle(p, sign, halves, (behind.transpose(2, 0, 1), None))), axis=1)
+    if power_exceeds(p, d, MAX_EIGEN_SIZE):
+        raise ValueError(f"block size {p}^{d} exceeds the {MAX_EIGEN_SIZE} limit")
+    # Row a of the block is row (a, 0) of the arcs read in its first d
+    # digits, since kappa(s, x) reads only x's first block.
+    keys = cocycle_arcs(p, d, sign, dims)(np.arange(p ** d) * p ** d)
+    columns, phases = keys // p ** (d + 1), keys % p
     powers = np.exp(2j * np.pi * np.arange(p) / p)
     cosines = 2 * np.cos(2 * np.pi * np.arange(p) / p)
     for k in map(operator.index, twists):
@@ -106,7 +100,7 @@ def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iter
             continue
         block = np.zeros((p ** d, p ** d), complex)
         # Two vectors may share +-s_a at p = 3, so their terms add.
-        np.add.at(block, (np.arange(p ** d)[:, None], heads), powers[k * phases % p])
+        np.add.at(block, (np.arange(p ** d)[:, None], columns), powers[k * phases % p])
         yield _report(np.repeat(hermitian_eigenvalues(block).eigenvalues, p ** (dims - d)))
 
 

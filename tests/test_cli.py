@@ -659,6 +659,22 @@ def test_bound_builds_no_gain_graph_and_no_dense_matrix(name, capsys, monkeypatc
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
 
 
+def test_spectrum_builds_no_cayley_cover(capsys, monkeypatch):
+    # spectrum builds the extraspecial cover from its rows, with no group
+    # product, and keeps every recorded digest.
+    def reached(*args):
+        raise _Reached("Cayley build")
+
+    monkeypatch.setattr(cli, "build_cover", reached)
+    monkeypatch.setattr(groups.ExtraspecialGroup, "mul", reached)
+    argvs = [argv for argv in STDOUT_DIGESTS if argv[0] == "spectrum"]
+    assert len(argvs) == 5
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify")[0] == 2
     assert run_cli(capsys, "bound", "--p", "3")[0] == 2

@@ -7,6 +7,7 @@ from cyclecovers.covers import connection_set, standard_ids, verify_cover
 from cyclecovers.gains import (
     GainGraph,
     all_cycle_sums_nonzero,
+    cocycle_arcs,
     cocycle_rows,
     cover_from_gain,
     cycle_gain_sums,
@@ -220,6 +221,43 @@ def test_gain_from_cocycle_validation():
         gain_from_cocycle(2, 1, PLUS)
     with pytest.raises(ValueError):
         gain_from_cocycle(3, 1, "other")
+
+
+def test_gain_from_cocycle_size_checked_before_any_work(monkeypatch):
+    # (13, 9) died inside numpy; (13, 4) asked for an 8.2e8-row table.
+    import cyclecovers.gains as gains
+
+    def reached(*args):
+        raise AssertionError("made the gain graph's rows")
+
+    monkeypatch.setattr(gains, "cocycle_arcs", reached)
+    monkeypatch.setattr(gains, "row_table", reached)
+    for d in (4, 9):
+        with pytest.raises(ValueError, match="exceed"):
+            gain_from_cocycle(13, d, PLUS)
+
+
+@pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)])
+@pytest.mark.parametrize("sign", SIGNS)
+def test_cocycle_arcs_are_the_gain_graph_rows_on_any_ids(p, d, sign):
+    # Rows of shuffled, repeated and scattered ids, one id alone and every
+    # id in reverse, against the table of gain_from_cocycle; with the last
+    # connection vector left out, the same rows without its two arcs.
+    gg = gain_from_cocycle(p, d, sign)
+    heads = gg.base.indices.reshape(gg.base.n, -1)
+    keys = heads * p + gg.gains.reshape(heads.shape)
+    weights = p ** np.arange(2 * d - 1, -1, -1)
+    last = np.array(connection_set(p, d)[-1])
+    rng = np.random.default_rng(p * 100 + d)
+    for ids in (rng.integers(0, gg.base.n, 50), np.array([gg.base.n - 1]),
+                np.arange(gg.base.n)[::-1]):
+        assert np.array_equal(cocycle_arcs(p, d, sign)(ids), keys[ids])
+        digits = ids[:, None] // weights % p
+        ends = [(digits + last) % p @ weights, (digits - last) % p @ weights]
+        kept = (heads[ids] != ends[0][:, None]) & (heads[ids] != ends[1][:, None])
+        expected = keys[ids][kept].reshape(len(ids), -1)
+        assert expected.shape[1] == 4 * d - 2
+        assert np.array_equal(cocycle_arcs(p, d, sign, 2 * d - 1)(ids), expected)
 
 
 def test_gain_from_cocycle_rejects_repeated_arcs(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from cyclecovers.graphs import (
     cayley,
     cycle_graph,
     cycle_power,
+    cycle_power_rows,
     edge_blocks,
     girth,
     has_4cycle,
     has_cycle_of_length,
     hypercube,
+    hypercube_rows,
     rooted_cycles,
     write_edge_rows,
     write_pairs,
@@ -360,6 +363,18 @@ def test_cycle_power_is_the_cartesian_power(p, k):
     assert cycle_power(p, k) == expected
     if p ** k <= 343:
         assert cycle_power(p, k) == torus_by_definition(p, k)
+
+
+def test_cycle_power_and_hypercube_read_exponents_as_indices():
+    for build in (partial(cycle_power, 3), partial(cycle_power_rows, 3), hypercube,
+                  hypercube_rows):
+        with pytest.raises(ValueError, match=">= 0"):
+            build(-1)
+        for bad in (1.0, "2"):
+            with pytest.raises(TypeError):
+                build(bad)
+    assert cycle_power(3, np.int64(2)) == cycle_power(3, 2)
+    assert hypercube(np.int64(3)) == hypercube(3)
 
 
 def test_cartesian_product_matches_the_definition_on_the_corpus():

@@ -41,6 +41,13 @@ def test_cocycle_examples():
         assert g.cocycle(((0,), (0,)), ((0,), (0,))) == 0
 
 
+def test_cocycle_rejects_an_unknown_sign():
+    # An unknown sign used to give the plus cocycle.
+    for sign in ("minsu", "both", None):
+        with pytest.raises(ValueError, match="sign"):
+            extraspecial_cocycle(3, sign, ((1,), (0,)), ((2,), (0,)))
+
+
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1)])
 @pytest.mark.parametrize("sign", SIGNS)
 def test_cocycle_on_arrays_matches_each_pair(p, d, sign):

@@ -257,6 +257,20 @@ def test_block_spectra_build_no_group(sign, monkeypatch):
         assert [r.n for r in reports] == [3 ** dims] * 3
 
 
+def test_block_size_checked_before_any_array(monkeypatch):
+    # (3, 30) asked numpy for a 48 GiB block; (13, 6) built a 2197 x 2197
+    # block before the eigensolver refused it.
+    import cyclecovers.spectra as spectra
+
+    def reached(*args):
+        raise AssertionError("made the block's arcs")
+
+    monkeypatch.setattr(spectra, "cocycle_arcs", reached)
+    for p, dims in ((3, 30), (13, 6), (3, 14)):
+        with pytest.raises(ValueError, match=f"exceeds the {MAX_EIGEN_SIZE} limit"):
+            next(twisted_spectra(p, dims, PLUS, [1]))
+
+
 # ---------------------------------------------------------------- degree bounds
 
 def test_snap_ceil():
