@@ -48,7 +48,6 @@ from .spectra import (
     adjacency_matrix,
     hermitian_eigenvalues,
     huang_degree_bound,
-    twisted_adjacency,
     twisted_spectra,
 )
 
@@ -389,9 +388,8 @@ def cmd_spectrum(args) -> int:
         total = Graph._from_id_arithmetic(row_cover.n, row_cover.rows)
         cover = hermitian_eigenvalues(adjacency_matrix(total),
                                       source=f"cover p={p} d={args.d} sign={sign}")
-        gg = gain_from_cocycle(p, args.d, sign)
-        twists = [hermitian_eigenvalues(twisted_adjacency(gg, k), source=f"twist k={k} sign={sign}")
-                  for k in range(p)]
+        twists = [rep._replace(source=f"twist k={k} sign={sign}")
+                  for k, rep in enumerate(twisted_spectra(p, 2 * args.d, sign, range(p)))]
         constructions.append({
             "construction": {"kind": "extraspecial", "p": p, "d": args.d, "sign": sign},
             "cover": cover.to_json_dict(),

@@ -7,6 +7,7 @@ signed double cover is a lift at p = 2, and are imported from here as well.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Optional
 
 import numpy as np
@@ -31,12 +32,18 @@ def cocycle_arcs(p: int, d: int, sign: str, count: Optional[int] = None) -> RowF
     Z_p^{2d}, a_1 most significant (README, "The extraspecial cover as a
     cocycle lift"): row x holds, sorted, the keys (x + s)*p + kappa(s, x)
     and (x - s)*p - kappa(s, x - s), gains mod p, for the first count
-    connection vectors s, all 2d by default. ValueError for rows that
-    repeat a head or hold x, before they are returned."""
+    connection vectors s, all 2d by default; count is read through
+    operator.index, and ValueError before any array is made for a count
+    outside 1..2d. ValueError for rows that repeat a head or hold x, before
+    they are returned."""
     p = Prime(p)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}, got {sign!r}")
-    vectors = np.array(connection_set(p, d)[:count])
+    conn = connection_set(p, d)
+    count = len(conn) if count is None else operator.index(count)
+    if not 1 <= count <= len(conn):
+        raise ValueError(f"count must lie in 1..{len(conn)}, got {count}")
+    vectors = np.array(conn[:count])
     steps = np.concatenate((vectors, -vectors)) % p  # s, then -s, as digits
     halves = (vectors[:, :d].T, vectors[:, d:].T)  # coordinate i of every s in row i
     weights = p ** np.arange(2 * d - 1, -1, -1)

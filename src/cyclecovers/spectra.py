@@ -23,7 +23,15 @@ class NotHermitianError(ValueError):
     pass
 
 
+def _check_eigen_size(n: int) -> None:
+    if n > MAX_EIGEN_SIZE:
+        raise ValueError(f"matrix size {n} exceeds the {MAX_EIGEN_SIZE} limit")
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix of g. ValueError before it is made for more
+    than MAX_EIGEN_SIZE vertices, which hermitian_eigenvalues refuses."""
+    _check_eigen_size(g.n)
     m = np.zeros((g.n, g.n))
     m[g.tails(), g.indices] = 1.0
     return m
@@ -31,10 +39,12 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def twisted_adjacency(gg: GainGraph, k: int) -> np.ndarray:
     """Entry (u, v) is the k-th power of the p-th root of unity raised to the
-    arc gain; zero off the edge set. k = 0 returns the plain adjacency."""
+    arc gain; zero off the edge set. k = 0 returns the plain adjacency.
+    ValueError before it is made for more than MAX_EIGEN_SIZE vertices."""
     k = operator.index(k)
     if not 0 <= k < gg.p:
         raise ValueError(f"twist must lie in [0, {gg.p})")
+    _check_eigen_size(gg.base.n)
     powers = np.array([np.exp(2j * math.pi * j / gg.p) for j in range(gg.p)])
     tails, heads, values = gg.arc_arrays()
     up = tails < heads
@@ -56,8 +66,7 @@ def hermitian_eigenvalues(m: np.ndarray, source: str = "") -> "SpectrumReport":
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError("input must be a square matrix")
     n = m.shape[0]
-    if n > MAX_EIGEN_SIZE:
-        raise ValueError(f"matrix size {n} exceeds the {MAX_EIGEN_SIZE} limit")
+    _check_eigen_size(n)
     if not np.isfinite(m).all():  # a NaN deviation would pass the check below
         raise NotHermitianError("entries must be finite")
     deviation = float(np.max(np.abs(m - m.conj().T))) if n else 0.0
@@ -79,7 +88,10 @@ def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iter
     omega^{k kappa(s, a)} in column a + s_a and omega^{-k kappa(s, a - s_a)}
     in column a - s_a, each eigenvalue repeated p^(dims - d) times. The
     phases are made once for all the twists. ValueError before any array
-    is made for a block of more than MAX_EIGEN_SIZE rows."""
+    is made for dims < 1 or a block of more than MAX_EIGEN_SIZE rows."""
+    dims = operator.index(dims)
+    if dims < 1:
+        raise ValueError(f"dims must be >= 1, got {dims}")
     d = (dims + 1) // 2
     if power_exceeds(p, d, MAX_EIGEN_SIZE):
         raise ValueError(f"block size {p}^{d} exceeds the {MAX_EIGEN_SIZE} limit")

@@ -25,7 +25,7 @@ from cyclecovers.cli import main
 from cyclecovers.covers import MAX_COVER_SIZE, heisenberg_cover
 from cyclecovers.graphs import Graph
 from cyclecovers.groups import SIGNS
-from cyclecovers.reporting import round_sig
+from cyclecovers.reporting import round_sig, stable_text
 from cyclecovers.spectra import MAX_EIGEN_SIZE
 
 from helpers import dense_twisted_spectrum
@@ -566,7 +566,11 @@ def test_convolve_check(capsys):
 # began summing cycles from vertex 0 alone; the bound and spectrum digests
 # before the gain graph was built from digit arrays, the bound minima were
 # derived in one pass and spectrum checked its decomposition in one routine;
-# the last five before the gain graph was held in rows.
+# the last five before the gain graph was held in rows. The four extraspecial
+# spectrum digests were recorded again when spectrum took its twisted spectra
+# from the Stone-von Neumann blocks of spectra.twisted_spectra, as bound does,
+# in place of the dense twisted matrices: twist values moved in the 12th
+# significant digit at most, and decomposition_max_error by less than 1e-14.
 STDOUT_DIGESTS = {
     ("gain", "--p", "3", "--d", "3", "--sign", "both"):
         "52887345a14c0bfef07510c2c9e54f1052ace35c420aec5377cb7548f1f7eb31",
@@ -593,7 +597,7 @@ STDOUT_DIGESTS = {
     ("bound", "--p", "3", "--dims", "3"):
         "7997799e1b611e369962b8355a69fa57a14450726bc90f686ba1628ff18d505d",
     ("spectrum", "--p", "3", "--d", "1", "--sign", "both"):
-        "1b62118b4e1d0028360e72d2c2c19b24af8f5c9a80bd412667d16c9bfc7c1622",
+        "eb65233ef909f14fea51e698c11f1178e0839a7cde1d528c8b8941b570b7fe1d",
     ("spectrum", "--heisenberg", "--d", "5"):
         "02423666da2b7caf2b3c9fceac298f0571ed3e22ec562c22d8c8a88a4497ad1d",
     ("bound", "--p", "3", "--dims", "2", "--ranking", "eigenvalue"):
@@ -603,9 +607,9 @@ STDOUT_DIGESTS = {
     ("bound", "--p", "5", "--dims", "3", "--sign", "plus", "--twist", "1"):
         "3b76479eb5a6c5f685bdd405968d484f046770374a206d449a37b1213cbbf540",
     ("spectrum", "--p", "3", "--d", "2", "--sign", "minus"):
-        "50f245c3015ded6e55950096758dfbbffb6f47a385d640727e259d8d65b8683a",
+        "c00094d851f3872fa5df36f156c85d82ea2e8e0d1da47115076ba4175798df5b",
     ("spectrum", "--p", "5", "--d", "1"):
-        "97be17d4b5b2723c91f9f5efb9b7eda6f7e83a91a1445e48a83a5912f3f4cdd5",
+        "c8050a640dc13ce5a40782df8afb83ffde25dab59511bafe4ef1ee369d97b1c5",
     ("bound", "--p", "3", "--dims", "5"):
         "7ecf8e477aa67b2c8e52f220bd0cac0fb1295ba7ba2e1331c6ebdbfe322f96d2",
     ("bound", "--p", "7", "--dims", "3"):
@@ -615,7 +619,7 @@ STDOUT_DIGESTS = {
     ("gain", "--p", "7", "--d", "2", "--sign", "minus"):
         "38ae1816df822205b0a887ed7de4f0340d5bccd1af47e7ec63a30177f80f2eb3",
     ("spectrum", "--p", "7", "--d", "1"):
-        "4cf31f576fd41663449fbe0ef35d0ac3cb577d0c634be3c88cff7fbc30b4c4b7",
+        "b7b4dfe9d8e0e0ab16ef1f4736126787a91ae5410ec79677af01a4f1eb6fb91f",
     ("gain", "--p", "13", "--d", "2", "--sign", "plus"):
         "f5b324127446fe13ff06d06c2d7f5fbe3330fbc11477854699cc5b649b891e6a",
     ("verify", "--p", "3", "--d", "2", "--sign", "both", "--girth"):
@@ -673,6 +677,87 @@ def test_spectrum_builds_no_cayley_cover(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("name", ["gain_from_cocycle", "twisted_adjacency"])
+def test_spectrum_builds_no_gain_graph_and_no_dense_matrix(name, capsys, monkeypatch):
+    # spectrum takes its twisted spectra from twisted_spectra's blocks.
+    def reached(*args):
+        raise _Reached(name)
+
+    for module in (cli, gains, spectra):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, reached)
+    for argv in [argv for argv in STDOUT_DIGESTS if argv[0] == "spectrum"]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2)])
+def test_spectrum_twists_are_the_spectra_that_bound_ranks(p, d, capsys):
+    # Every (p, d) within spectrum's eigensolver cap. Each twist report
+    # spectrum prints is that of twisted_spectra, and bound --ranking
+    # eigenvalue prints, for the same sign and twist, its top eigenvalue as
+    # largest_bound and, for each degree, the (n - size + 1)-th largest as
+    # the bound. Before, spectrum solved the dense twisted matrices, whose
+    # digits differed from the blocks' at p = 11.
+    code, out, _ = run_cli(capsys, "spectrum", "--p", str(p), "--d", str(d))
+    assert code == 0
+    constructions = json.loads(out)["constructions"]
+    pairs = {}
+    for twist in ("0", "all"):
+        code, out, _ = run_cli(capsys, "bound", "--p", str(p), "--dims", str(2 * d),
+                               "--ranking", "eigenvalue", "--twist", twist)
+        assert code == 0
+        pairs.update(((pair["sign"], pair["twist"]), pair) for pair in json.loads(out)["per_pair"])
+    assert len(pairs) == 2 * p
+    for construction in constructions:
+        sign = construction["construction"]["sign"]
+        assert [t["twist"] for t in construction["twists"]] == list(range(p))
+        for twist in construction["twists"]:
+            k = twist["twist"]
+            block = next(spectra.twisted_spectra(p, 2 * d, sign, [k]))
+            source = f"twist k={k} sign={sign}"
+            assert twist["report"] == json.loads(stable_text(block._replace(source=source).to_json_dict()))
+            values = twist["report"]["eigenvalues"]
+            pair = pairs[sign, k]
+            assert pair["largest_bound"] == values[0]
+            for entry in pair["minimal_size_by_degree"].values():
+                assert entry["bound"] == values[len(values) - entry["size"]]
+
+
+def _one_thread_stdout(argv) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclecovers", *argv], capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin",
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+@pytest.mark.parametrize("argv", [argv for argv in STDOUT_DIGESTS
+                                  if argv[0] in ("bound", "convolve-check")], ids=" ".join)
+def test_bound_and_convolve_check_digests_hold_on_one_thread(argv):
+    # The digests were recorded on two BLAS threads (tests/conftest.py);
+    # these reports print the same bytes on one.
+    assert hashlib.sha256(_one_thread_stdout(argv).encode()).hexdigest() == STDOUT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in STDOUT_DIGESTS
+                                  if argv[0] == "spectrum" and "--heisenberg" not in argv],
+                         ids=" ".join)
+def test_spectrum_twists_hold_on_one_thread(argv, capsys):
+    # The twist sections print the same bytes on one BLAS thread as on two;
+    # the dense solve of the whole cover, its eigenvalues and
+    # decomposition_max_error, need not.
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    two = [c["twists"] for c in json.loads(out)["constructions"]]
+    one = [c["twists"] for c in json.loads(_one_thread_stdout(argv))["constructions"]]
+    assert stable_text(one) == stable_text(two)
 
 
 def test_usage_errors_exit_2(capsys):

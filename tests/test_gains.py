@@ -237,6 +237,28 @@ def test_gain_from_cocycle_size_checked_before_any_work(monkeypatch):
             gain_from_cocycle(13, d, PLUS)
 
 
+@pytest.mark.parametrize("count", [-1, 0, 5])
+def test_cocycle_arcs_count_checked_before_any_array(count, monkeypatch):
+    # At d = 2, count -1 gave the arcs of the first three vectors, 0 raised
+    # IndexError inside numpy and 5 gave all four. Without numpy, any array
+    # made before the check raises AttributeError.
+    import cyclecovers.gains as gains
+
+    monkeypatch.setattr(gains, "np", None)
+    with pytest.raises(ValueError, match=f"count must lie in 1..4, got {count}"):
+        cocycle_arcs(3, 2, MINUS, count)
+
+
+def test_cocycle_arcs_reads_count_as_an_index():
+    for count in (2.0, "2"):
+        with pytest.raises(TypeError):
+            cocycle_arcs(3, 2, PLUS, count)
+    ids = np.arange(9)
+    assert np.array_equal(cocycle_arcs(3, 2, PLUS, np.int64(3))(ids),
+                          cocycle_arcs(3, 2, PLUS, 3)(ids))
+    assert np.array_equal(cocycle_arcs(3, 2, PLUS, 4)(ids), cocycle_arcs(3, 2, PLUS)(ids))
+
+
 @pytest.mark.parametrize("p,d", [(3, 1), (3, 2), (5, 1), (7, 1), (5, 2)])
 @pytest.mark.parametrize("sign", SIGNS)
 def test_cocycle_arcs_are_the_gain_graph_rows_on_any_ids(p, d, sign):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from mpmath import mp, polyroots
 
 from cyclecovers.covers import cohen_tits_signing
-from cyclecovers.graphs import cycle_graph
+from cyclecovers.gains import GainGraph
+from cyclecovers.graphs import cycle_graph, cycle_power
 from cyclecovers.groups import MINUS, PLUS, SIGNS, ExtraspecialGroup
 from cyclecovers.spectra import (
     CLUSTER_TOLERANCE,
@@ -113,6 +115,23 @@ def test_rejects_non_finite_entries(m):
 def test_rejects_oversized():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.zeros((2001, 2001)))
+
+
+def test_dense_matrices_refused_before_they_are_made():
+    # C_3^7 has 2187 vertices, above MAX_EIGEN_SIZE: its adjacency matrix
+    # (38 MB) and twisted matrix (76 MB) were made whole, and only the
+    # eigensolver refused them.
+    base = cycle_power(3, 7)
+    gg = GainGraph(base, 3, np.zeros(base.indices.shape, np.int64))
+    for make in (lambda: adjacency_matrix(base), lambda: twisted_adjacency(gg, 1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"matrix size 2187 exceeds the {MAX_EIGEN_SIZE} limit"):
+                make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_solver_matches_charpoly_oracle_real():
@@ -255,6 +274,19 @@ def test_block_spectra_build_no_group(sign, monkeypatch):
     for dims in (3, 4):
         reports = list(twisted_spectra(3, dims, sign, range(3)))
         assert [r.n for r in reports] == [3 ** dims] * 3
+
+
+@pytest.mark.parametrize("dims", [0, -1])
+def test_twisted_spectra_refuses_dims_below_1(dims, monkeypatch):
+    # dims 0 was refused by connection_set as "d must be >= 1, got 0".
+    import cyclecovers.spectra as spectra
+
+    def reached(*args):
+        raise AssertionError("made the block's arcs")
+
+    monkeypatch.setattr(spectra, "cocycle_arcs", reached)
+    with pytest.raises(ValueError, match=f"dims must be >= 1, got {dims}"):
+        next(twisted_spectra(3, dims, PLUS, [0]))
 
 
 def test_block_size_checked_before_any_array(monkeypatch):
