@@ -6,14 +6,15 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import random
+import re
 import sys
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -482,71 +483,113 @@ def cmd_convolve_check(args) -> int:
 # ---------------------------------------------------------------- entry
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Writes --help to standard output through _write_stdout, so a failed
-    write is a usage error; subcommand parsers are of this class too."""
+_SIGNS = ["plus", "minus", "both"]
+_SIGN = ("--sign", {"default": "both", "choices": _SIGNS})
+_COVER = (("--p", {"type": int, "help": "odd prime modulus"}),
+          ("--d", {"type": int, "help": "half the base dimension"}),
+          ("--heisenberg", {"action": "store_true", "help": "mod-2 cube cover instead"}),
+          # None, not both, so --heisenberg can refuse it.
+          ("--sign", {"choices": _SIGNS, "help": "both if not given"}))
+# Command -> (help, options), an option being its flag and the keywords type,
+# choices, default and help, or action "store_true". main looks the command's
+# cmd_* function up by name when it runs, so a wrapper bound later is called.
+COMMANDS = {
+    "build": ("write edge lists and the fiber map", _COVER + (
+        ("--out", {"default": ".", "help": "output directory"}),
+        ("--format", {"default": "edges", "choices": ["edges", "json"]}))),
+    "verify": ("certify the covering axioms and cycle structure", _COVER + (
+        ("--girth", {"action": "store_true", "help": "also compute the girth"}),)),
+    "bound": ("induced-subgraph degree bounds from twisted spectra", (
+        ("--p", {"type": int}),
+        ("--dims", {"type": int, "help": "number of cycle factors in the base"}),
+        _SIGN,
+        ("--twist", {"default": "all", "help": "a twist in [0, p) or 'all'"}),
+        ("--ranking", {"default": "magnitude", "choices": ["magnitude", "eigenvalue"]}))),
+    "spectrum": ("cover spectrum and its per-twist decomposition", _COVER),
+    "gain": ("export the cocycle gain graph", (("--p", {"type": int}), ("--d", {"type": int}), _SIGN)),
+    "convolve-check": ("convolution and lift identities", (("--d", {"type": int}),)),
+}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def print_help(self, file=None) -> None:
-        if file is None:
-            _write_stdout(self.format_help())
-        else:
-            super().print_help(file)
+
+def _option(token: str, flags) -> Optional[tuple]:
+    """None if token is an argument; else (flag, the text after "=" or
+    None), flag the one that token or its part before "=" names exactly or
+    as a unique prefix, --help for -h, or None if it names no flag."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "h":  # -hX is -h given X
+        return "--help", token[2:] or None
+    name, eq, value = token.partition("=")
+    found = [name] if name in flags else [f for f in flags if f.startswith(name) and token != "--"]
+    if len(found) > 1:
+        raise UsageError(f"ambiguous option: {token!r} could match {', '.join(found)}")
+    if found:
+        return found[0], value if eq else None
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
 
 
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The top-level parser with the subparser of the named command alone,
-    or with all of them when command names none (--help, no command, an
-    unknown one). The table is made here, not at import, so it holds the
-    cmd_* functions bound when the parser is built."""
-    signs = ["plus", "minus", "both"]
-    sign = ("--sign", {"default": "both", "choices": signs})
-    cover = (("--p", {"type": int, "help": "odd prime modulus"}),
-             ("--d", {"type": int, "help": "half the base dimension"}),
-             ("--heisenberg", {"action": "store_true", "help": "mod-2 cube cover instead"}),
-             ("--sign", {"choices": signs}))  # None, not both, so --heisenberg can refuse it
-    commands = {
-        "build": ("write edge lists and the fiber map", cmd_build, cover + (
-            ("--out", {"default": ".", "help": "output directory"}),
-            ("--format", {"default": "edges", "choices": ["edges", "json"]}))),
-        "verify": ("certify the covering axioms and cycle structure", cmd_verify, cover + (
-            ("--girth", {"action": "store_true", "help": "also compute the girth"}),)),
-        "bound": ("induced-subgraph degree bounds from twisted spectra", cmd_bound, (
-            ("--p", {"type": int}),
-            ("--dims", {"type": int, "help": "number of cycle factors in the base"}),
-            sign,
-            ("--twist", {"default": "all", "help": "a twist in [0, p) or 'all'"}),
-            ("--ranking", {"default": "magnitude", "choices": ["magnitude", "eigenvalue"]}))),
-        "spectrum": ("cover spectrum and its per-twist decomposition", cmd_spectrum, cover),
-        "gain": ("export the cocycle gain graph", cmd_gain,
-                 (("--p", {"type": int}), ("--d", {"type": int}), sign)),
-        "convolve-check": ("convolution and lift identities", cmd_convolve_check,
-                           (("--d", {"type": int}),)),
-    }
-    parser = _ArgumentParser(
-        prog="cyclecovers",
-        description="Build and certify 4-cycle-free p-fold covers of products of p-cycles.",
-    )
-    # Built with one subparser, the usage that errors print would list that
-    # command alone; the metavar keeps the full list. The full parser leaves
-    # it unset, because its "arguments are required" error names the dest.
-    one = command in commands
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="{" + ",".join(commands) + "}" if one else None)
-    for name in [command] if one else commands:
-        help_text, func, options = commands[name]
-        sp = sub.add_parser(name, help=help_text)
-        for flag, kwargs in options:
-            sp.add_argument(flag, **kwargs)
-        sp.set_defaults(func=func)
-    return parser
+def _help(name: Optional[str]) -> str:
+    """The --help text of the command, or of the program for None."""
+    rows = [("-h, --help", "show this help message and exit")]
+    if name is None:
+        prog, usage = "cyclecovers", "{" + ",".join(COMMANDS) + "} ..."
+        text = "Build and certify 4-cycle-free p-fold covers of products of p-cycles."
+        rows += [(command, help_text) for command, (help_text, _) in COMMANDS.items()]
+    else:
+        prog, (text, options) = f"cyclecovers {name}", COMMANDS[name]
+        for flag, kw in options:
+            metavar = "{" + ",".join(kw["choices"]) + "}" if "choices" in kw else flag[2:].upper()
+            default = f"(default: {kw['default']})" if "default" in kw else ""
+            rows.append((flag if "action" in kw else f"{flag} {metavar}",
+                         f"{kw.get('help', '')} {default}".strip()))
+        usage = " ".join(f"[{left}]" for left, _ in rows[1:])
+    width = max(len(left) for left, _ in rows) + 2
+    table = "".join(f"  {left:{width}}{right}".rstrip() + "\n" for left, right in rows)
+    return f"usage: {prog} [-h] {usage}\n\n{text}\n\n{table}"
+
+
+def _parse_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The options of argv's command, read from COMMANDS as README, "Command
+    line", says, or None once the --help that argv asks for is written."""
+    if not argv or argv[0] not in COMMANDS:
+        if argv and _option(argv[0], ("--help",)) == ("--help", None):
+            return _write_stdout(_help(None))
+        raise UsageError(f"expected a command, one of {', '.join(COMMANDS)}")
+    options = dict(COMMANDS[argv[0]][1])
+    args = {flag[2:]: False if "action" in kw else kw.get("default") for flag, kw in options.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, value = _option(token, ("--help", *options)) or (None, None)
+        if flag is None:
+            raise UsageError(f"unrecognized argument: {token!r}")
+        kw = options.get(flag, {"action": "help"})
+        if "action" in kw:
+            if value is not None:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag == "--help":
+                return _write_stdout(_help(argv[0]))
+            args[flag[2:]] = True
+            continue
+        if value is None:
+            value = next(tokens, "--")  # "--" is never an option's argument
+            if _option(value, ("--help", *options)) is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+        try:
+            args[flag[2:]] = value = kw.get("type", str)(value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        if value not in kw.get("choices", [value]):
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(kw['choices'])})")
+    return SimpleNamespace(command=argv[0], **args)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parse_args(argv)
+        return 0 if args is None else globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

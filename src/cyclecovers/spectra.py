@@ -87,8 +87,10 @@ def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iter
     matrix whose row a holds, for each of those vectors s = (s_a, s_b),
     omega^{k kappa(s, a)} in column a + s_a and omega^{-k kappa(s, a - s_a)}
     in column a - s_a, each eigenvalue repeated p^(dims - d) times. The
-    phases are made once for all the twists. ValueError before any array
-    is made for dims < 1 or a block of more than MAX_EIGEN_SIZE rows."""
+    phases are made once for all the twists. ValueError at the call, before
+    any spectrum is computed: for dims < 1, a block of more than
+    MAX_EIGEN_SIZE rows, a sign, p or count that cocycle_arcs refuses, or a
+    twist outside [0, p); twists is read whole first."""
     dims = operator.index(dims)
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
@@ -98,12 +100,20 @@ def twisted_spectra(p: int, dims: int, sign: str, twists: Iterable[int]) -> Iter
     # Row a of the block is row (a, 0) of the arcs read in its first d
     # digits, since kappa(s, x) reads only x's first block.
     keys = cocycle_arcs(p, d, sign, dims)(np.arange(p ** d) * p ** d)
+    twists = [operator.index(k) for k in twists]
+    if not all(0 <= k < p for k in twists):
+        raise ValueError(f"twist must lie in [0, {p})")
+    return _block_spectra(p, dims, d, keys, twists)
+
+
+def _block_spectra(p: int, dims: int, d: int, keys: np.ndarray,
+                   twists: list[int]) -> Iterator["SpectrumReport"]:
+    """The spectra of twisted_spectra, one twist at a time, from the block
+    arcs keys of cocycle_arcs."""
     columns, phases = keys // p ** (d + 1), keys % p
     powers = np.exp(2j * np.pi * np.arange(p) / p)
     cosines = 2 * np.cos(2 * np.pi * np.arange(p) / p)
-    for k in map(operator.index, twists):
-        if not 0 <= k < p:
-            raise ValueError(f"twist must lie in [0, {p})")
+    for k in twists:
         if k == 0:
             values = np.zeros(1)
             for _ in range(dims):

@@ -4,12 +4,15 @@ Everything here is deliberately independent of the library's own algorithms:
 cycle facts come from exhaustive DFS enumeration, eigenvalues from exact
 integer characteristic polynomials root-found at high precision, graphs
 from edge lists by their definitions, covering maps checked edge by edge,
-and stable JSON text from the standard library's encoder.
+stable JSON text from the standard library's encoder, and command lines
+read by argparse.
 """
 
 from __future__ import annotations
 
+import argparse
 import collections
+import functools
 import itertools
 import json
 import math
@@ -19,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, polyroots
 
+from cyclecovers.cli import COMMANDS
 from cyclecovers.covers import (
     CoveringMap,
     CoverVerificationError,
@@ -631,3 +635,17 @@ def cover_files(cm: CoveringMap, stem: str, fmt: str) -> dict[str, bytes]:
         write_file(chunks.append)
         out[stem + suffix] = "".join(chunks).encode()
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def argparse_parser() -> argparse.ArgumentParser:
+    """The parser the CLI built with argparse before it read its command
+    table itself: a subparser per command of cli.COMMANDS, each option added
+    with the table's keywords, so the two read one grammar."""
+    parser = argparse.ArgumentParser(prog="cyclecovers")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+    return parser

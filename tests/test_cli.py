@@ -1,4 +1,3 @@
-import argparse
 import hashlib
 import io
 import json
@@ -29,7 +28,7 @@ from cyclecovers.reporting import round_sig, stable_text
 from cyclecovers.spectra import MAX_EIGEN_SIZE
 
 from helpers import dense_twisted_spectrum
-from oracles import cocycle_cover, cover_files
+from oracles import argparse_parser, cocycle_cover, cover_files
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -1006,59 +1005,156 @@ def test_closed_stdout_exits_2():
     assert proc.stderr == "error: cannot write standard output: it is closed\n"
 
 
-@pytest.mark.parametrize("argv", [("--help",), ("build", "--help")], ids=" ".join)
-def test_help_to_a_working_stdout_exits_0(argv, capsys, monkeypatch):
-    # The process prints the text that argparse's own print_help prints.
-    env = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "COLUMNS": "80"}
+# sha256 of the --help text of the tool and of each command. The text comes
+# from cli.COMMANDS; a change to an option, its help or its default moves it.
+HELP_DIGESTS = {
+    ("--help",): "eb4a4d9fa6a3f1a5eae40592d9bb4b1ec39f8f2d1eb26f3748693bf0df9fd4f3",
+    ("build", "--help"): "3987325c8bedcd7b6c9a54f90b18202ffe8f605d905b6af05eef076b9e7bd4a1",
+    ("verify", "--help"): "a724e880b0613796730f455427228c3b294536a502e1cf0910338bf1fe672215",
+    ("bound", "--help"): "1889208639d0e63a28d88511686f8d2a719987b4241232e796b84d93dcbea922",
+    ("spectrum", "--help"): "9583a4182136366840d81e003fa22b60d785e18d330cd1a7cbc050ad2e7d4766",
+    ("gain", "--help"): "0408a4f17d24232485d7c4dad93e0ec4dafbb1b11815a84c71002f6a83cb7f9f",
+    ("convolve-check", "--help"): "7a9ab0f9ac8537e2adcce0d41842e54fe3e155ed340b2d316750acbf01843f37",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_DIGESTS), ids=" ".join)
+def test_help_to_a_working_stdout_exits_0(argv, capsys):
     proc = subprocess.run([sys.executable, "-m", "cyclecovers", *argv], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout.startswith("usage: cyclecovers")
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setattr(cli._ArgumentParser, "print_help", argparse.ArgumentParser.print_help)
-    with pytest.raises(SystemExit) as exit_info:
-        main(list(argv))
-    assert exit_info.value.code == 0
-    assert capsys.readouterr() == (proc.stdout, "")
+    assert run_cli(capsys, *argv) == (0, proc.stdout, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == HELP_DIGESTS[argv]
+    usage = proc.stdout.splitlines()[0]
+    assert usage.startswith(" ".join(("usage: cyclecovers", *argv[:-1], "[-h]")))
+    # It names every command, or every option with its choices and default.
+    if argv == ("--help",):
+        named = list(cli.COMMANDS)
+    else:
+        named = []
+        for flag, kwargs in cli.COMMANDS[argv[0]][1]:
+            named += [flag, *kwargs.get("choices", ())]
+            if "default" in kwargs:
+                named.append(f"(default: {kwargs['default']})")
+    assert all(word in proc.stdout for word in named)
 
 
-def _main_output(capsys, argv):
-    """main's exit code, also from a SystemExit of argparse, and what it printed."""
+# Option values for the argv that the oracle test draws: ints, negative
+# numbers, each choice, and values neither reads as intended. "--" is not
+# among the values after "=": argparse reads --out=-- as the empty list (it
+# drops a "--" argument even after "="), where cli reads the text "--".
+VALUES = ("3", "5", "1", "0", "-3", "-1", "-.5", "-3.", "x", "", "+3", " 7 ", "3_0", "1.5",
+          "plus", "minus", "both", "sideways", "edges", "json", "magnitude", "eigenvalue", "all",
+          ".", "a=b", "-", "--x y", "-x y", "-3 4")
+# Tokens out of place: positionals, "--", options no command has, and
+# option-like text that argparse reads as an argument.
+JUNK = ("", "-", "--", "-x", "--nope", "foo", "3 4", "--x y", "-3 4", "---p", "-1e3", "--=3",
+        "-p", "-d=3", "--p 3", "--d=3 4", "--x=3 4", "verify")
+
+
+@st.composite
+def command_argv(draw, name):
+    """argv of the command: options, exact or as prefixes of at least three
+    characters, with a value after them, after "=" or none, values and
+    junk. No token asks for help: --h and --he are ambiguous where they
+    occur, as prefixes of --heisenberg and --help."""
+    options = dict(cli.COMMANDS[name][1]) if name in cli.COMMANDS else {}
+    flags = sorted(options) or ["--p", "--d", "--dims", "--sign", "--out"]
+    argv = [name]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("pair", "pair", "pair", "pair", "eq", "eq", "flag", "value",
+                                     "junk")))
+        if kind in ("pair", "eq", "flag"):
+            flag = draw(st.sampled_from(flags))
+            kwargs = options.get(flag, {})
+            good = [str(v) for v in kwargs.get("choices", (3, 5, 1, 2, -3))]
+            value = draw(st.sampled_from(good) | st.sampled_from(good) | st.sampled_from(VALUES))
+            flag = flag[:draw(st.integers(3, len(flag)))]
+            if kind == "eq":
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag] if kind == "flag" or "action" in kwargs else [flag, value]
+        else:
+            argv.append(draw(st.sampled_from(VALUES if kind == "value" else JUNK)))
+    return argv
+
+
+def _argparse_reads(argv):
+    """The fields argparse reads from argv, or None if it refuses it."""
     try:
-        code = main(list(argv))
+        with redirect_stderr(io.StringIO()):
+            return vars(argparse_parser().parse_args(argv))
     except SystemExit as exc:
-        code = exc.code
-    return (code, *capsys.readouterr())
+        assert exc.code == 2
+        return None
 
 
-@pytest.mark.parametrize("name", ["build", "verify", "bound", "spectrum", "gain",
-                                  "convolve-check"])
-def test_the_parser_of_one_command_prints_what_the_full_parser_prints(name, capsys,
-                                                                      monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    cases = [(name, "--help"), (name, "--sign", "sideways"), (name, "--ranking", "x"),
-             (name, "--p", "x"), (name, "--p=3", "unrecognized")]
-    single = [_main_output(capsys, argv) for argv in cases]
-    full_parser = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
-    assert [_main_output(capsys, argv) for argv in cases] == single
-    code, out, err = single[0]
-    assert (code, err) == (0, "") and out.startswith(f"usage: cyclecovers {name} [-h]")
-    assert all(code == 2 and out == "" and "error:" in err for code, out, err in single[1:])
+@pytest.mark.parametrize("name", [*cli.COMMANDS, "no command"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_cli_reads_argv_as_argparse_does(name, data):
+    if name == "no command":
+        name = data.draw(st.sampled_from(("nope", "", "Verify", "--p", "-3", "--")))
+    argv = data.draw(command_argv(name))
+    expected = _argparse_reads(argv)
+    if expected is not None:
+        assert vars(cli._parse_args(argv)) == expected
+        return
+    with pytest.raises(cli.UsageError):
+        cli._parse_args(argv)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        assert main(argv) == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
 
 
-def test_a_named_command_builds_two_parsers_and_anything_else_seven(capsys, monkeypatch):
-    built = []
-    init = cli._ArgumentParser.__init__
+ACCEPTED_FORMS = [
+    (("bound", "--p", "3", "--d", "2"), {"p": 3, "dims": 2}),
+    (("bound", "--p=3", "--di=2", "--tw", "1", "--ra=eigenvalue"),
+     {"p": 3, "dims": 2, "twist": "1", "ranking": "eigenvalue"}),
+    (("verify", "--p", "5", "--p", "3", "--hei", "--g"), {"p": 3, "heisenberg": True, "girth": True}),
+    (("bound", "--p", "-3", "--dims", "-1"), {"p": -3, "dims": -1}),
+    (("build", "--out", "-", "--out", "a b", "--format", "json"), {"out": "a b", "format": "json"}),
+    (("build", "--out=--", "--sign=both"), {"out": "--", "sign": "both"}),
+    (("build", "--out", "-x y", "--format", "json"), {"out": "-x y", "format": "json"}),
+    (("bound", "--twist", "--x y"), {"twist": "--x y"}),
+]
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
-    assert main(["bound", "--p", "3", "--dims", "2"]) == 0
-    assert built == ["cyclecovers", "cyclecovers bound"]
-    for argv, code in ((["--help"], 0), ([], 2), (["nope"], 2)):
-        built.clear()
-        assert _main_output(capsys, argv)[0] == code
-        assert len(built) == 7
+@pytest.mark.parametrize("argv, fields", ACCEPTED_FORMS,
+                         ids=[" ".join(argv) for argv, _ in ACCEPTED_FORMS])
+def test_accepted_argv_forms(argv, fields):
+    args = vars(cli._parse_args(list(argv)))
+    assert {key: args[key] for key in fields} == fields
+
+
+def test_a_negative_p_reaches_the_prime_check(capsys):
+    assert run_cli(capsys, "bound", "--p", "-3", "--dims", "2") == (
+        2, "", f"error: p must be a prime in {cli.SUPPORTED_PRIMES}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--h"), ("verify", "--he"), ("build", "--he=3"),  # --heisenberg or --help
+    ("bound", "--p"), ("bound", "--p", "--dims", "2"), ("bound", "--p", "--", "3"),
+    ("build", "--out"), ("bound", "--twist"), ("build", "--out", "-x"),
+    ("bound", "--p", "3", "--"), ("verify", "--girth=1"), ("spectrum", "--p", "3", "x"),
+    ("build", "--format=--"), ("bound", "--sign", "sideways"), ("bound", "--ranking", "x"),
+    ("bound", "--p", "x"), ("bound", "--p=3", "unrecognized"), ("--help=x",),
+    ("build", "--help=x"), ("build", "-hx"), ("Bound",), ("--",), (),
+], ids=lambda argv: " ".join(argv) or "no argv")
+def test_refused_argv_exits_2_with_one_error_line(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_no_run_imports_argparse_gettext_or_locale():
+    script = ("import sys\n"
+              "from cyclecovers.cli import main\n"
+              "assert main(['bound', '--p', '3', '--dims', '2']) == 0\n"
+              "assert main(['--help']) == 0\n"
+              "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")

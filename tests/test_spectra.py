@@ -289,6 +289,27 @@ def test_twisted_spectra_refuses_dims_below_1(dims, monkeypatch):
         next(twisted_spectra(3, dims, PLUS, [0]))
 
 
+@pytest.mark.parametrize("args, error, match", [
+    ((3, 0, PLUS, [0]), ValueError, "dims must be >= 1, got 0"),
+    ((3, 2, "sideways", [1]), ValueError, "sign must be one of"),
+    ((4, 2, PLUS, [1]), ValueError, "modulus must be a prime"),
+    ((3, 14, PLUS, [1]), ValueError, f"exceeds the {MAX_EIGEN_SIZE} limit"),
+    ((3, 2, PLUS, [0, 3]), ValueError, r"twist must lie in \[0, 3\)"),
+    ((5, 2, MINUS, (k for k in (1, -1))), ValueError, r"twist must lie in \[0, 5\)"),
+    ((3, 2, PLUS, [1, 1.0]), TypeError, "integer"),
+], ids=["dims 0", "sign", "p 4", "block size", "twist 3", "generator twist -1", "float twist"])
+def test_twisted_spectra_checks_its_arguments_at_the_call(args, error, match, monkeypatch):
+    # It was a generator, so these ran on the first next(), not at the call.
+    import cyclecovers.spectra as spectra
+
+    def solved(*args):
+        raise AssertionError("solved a block")
+
+    monkeypatch.setattr(spectra, "hermitian_eigenvalues", solved)
+    with pytest.raises(error, match=match):
+        twisted_spectra(*args)
+
+
 def test_block_size_checked_before_any_array(monkeypatch):
     # (3, 30) asked numpy for a 48 GiB block; (13, 6) built a 2197 x 2197
     # block before the eigensolver refused it.
